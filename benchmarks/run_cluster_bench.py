@@ -7,7 +7,7 @@ sharding is for):
 * **Throughput vs shard count** — the continuous-time admission
   service under the overloaded three-class mix, FIFO policy, run
   unsharded and as a 2- and 4-shard cluster.  Per-admission costs that
-  scale with platform size (anchor scans, distance-field recomputes,
+  scale with platform size (anchor scans, ring searches,
   long-path routing) shrink with the region each shard owns, so
   kernel events/sec rises with the shard count; the report carries
   the 4-shard-over-1-shard speedup explicitly (the acceptance floor

@@ -8,9 +8,8 @@ cross-condition evidence the perf roadmap steers by:
   x 4 traffic shapes (default, hot_spot, diurnal_mmpp, flash_crowd)
   x 4 mappers (kairos, first_fit, random, annealing),
 * ``storm`` — correlated fault storms across the mapper axis,
-* ``large`` — 48x48 and 64x64 meshes with the incremental
-  distance-field toggle swept (PR 4's open question: hit/repair rates
-  at scale — the measured conclusion lives in docs/performance.md),
+* ``large`` — 48x48 and 64x64 meshes, one cell each (the scaling
+  data points),
 * ``cluster`` — 1/2/4 shards across traffic shapes.
 
 Every matrix is also swept a second time through a 2-process pool and

@@ -14,8 +14,6 @@ priority, retry-with-backoff), and reports for each:
   the run is the empty-platform fill transient; blocking probability
   and wait percentiles excluding it are reported alongside the raw
   whole-run numbers),
-* the distance-field engine's accounting (hit/repair/miss rates,
-  bypasses) for the incremental mapping path,
 * an ``obs`` block: the FIFO workload re-run with the metric registry
   and span tracer fully enabled, reporting the enabled-vs-null
   throughput delta against a 3% advisory budget plus a snapshot
@@ -101,7 +99,6 @@ def bench_policy(policy: str, duration: float, repeats: int) -> dict:
         "phase_latency": summary["phase_latency"],
         "probes_short_circuited": summary["probes_short_circuited"],
         "fastpath": best.fastpath_stats,
-        "distfield": best.distfield_stats,
         "per_class_admission_ratio": {
             name: stats["admission_ratio"]
             for name, stats in summary["per_class"].items()

@@ -17,9 +17,9 @@ resolved from a registry:
   ValidationReport | None``
 
 ``ctx`` is a :class:`PhaseContext` — the state-container-injection
-shape: one object carrying the cost callable, phase options, the
-attempt's ``app_id`` and the manager's distance-field engine, so a
-strategy never reaches back into the manager.
+shape: one object carrying the cost callable, phase options and the
+attempt's ``app_id``, so a strategy never reaches back into the
+manager.
 
 A :class:`PhasePipeline` bundles one strategy per phase (plus per-
 strategy keyword parameters) and runs them in order with per-phase
@@ -105,8 +105,6 @@ class PhaseContext:
     sdf_options: SdfModelOptions = field(default_factory=SdfModelOptions)
     validation_mode: str = "report"
     validation_max_firings: int | None = None
-    #: the manager's DistanceFieldEngine (None when incremental=False)
-    engine: Any = None
     #: binder quality weight (see repro.binding.binder.bind)
     quality_weight: float = 0.0
     #: the manager's HealthRegistry (None when resilience is off) —
@@ -199,7 +197,7 @@ def _kairos_mapper(app, binding, state, ctx, **params):
     return map_application(
         app, binding, state,
         cost=ctx.cost, options=ctx.mapping_options,
-        app_id=ctx.app_id, engine=ctx.engine, **params,
+        app_id=ctx.app_id, **params,
     )
 
 
@@ -251,7 +249,7 @@ def _optimal_mapper(app, binding, state, ctx, **params):
 
 def _route_with(router: BaseRouter, app, placement, state, ctx) -> RoutingResult:
     return router.route_application(
-        app, placement, state, app_id=ctx.app_id, engine=ctx.engine
+        app, placement, state, app_id=ctx.app_id
     )
 
 

@@ -37,20 +37,6 @@ like every other ledger, so a rolled-back attempt restores them
 bit-exactly; equal epochs therefore certify identical allocation
 state, which is what makes negative-result memoization sound.
 
-For the incremental distance-field engine
-(:mod:`repro.core.distfield`) the state additionally keeps a
-**link-traversability flip log**: an append-only sequence of link ids,
-one entry per committed *change* of a link's search-traversability —
-"not failed, and at least one free virtual channel in some direction",
-exactly the congestion wall the ring search and the routers test.
-Mutations that flip a link append its id; journal *undo* appends the
-reversing flip instead of erasing history, so the log position
-(:meth:`link_flip_mark`) is monotone and a cached field is valid iff
-every link has an *even* number of entries in the log suffix recorded
-since the field was built (odd counts are the net-dirty links).
-``restore()`` breaks the timeline wholesale and therefore advances the
-log base past every outstanding mark.
-
 The legacy :meth:`snapshot` / :meth:`restore` pair — a full O(platform)
 copy of every ledger — is kept as a compatibility wrapper; new code
 should prefer transactions.
@@ -62,11 +48,10 @@ the name-based public methods translate at the boundary.
 Package-internal contract: the ledger arrays ``_free``, ``_vc_used``,
 ``_bw_used``, ``_failed_elements`` and ``_failed_links`` are read
 directly (never written) by the hot loops in
-:mod:`repro.routing.router`, :mod:`repro.core.search`,
-:mod:`repro.core.mapping` and :mod:`repro.core.distfield` — hoisting
-them once per search avoids a method call per hop.  A representation
-change here must update those modules (and nothing else; external
-code uses the public API).
+:mod:`repro.routing.router`, :mod:`repro.core.search` and
+:mod:`repro.core.mapping` — hoisting them once per search avoids a
+method call per hop.  A representation change here must update those
+three modules (and nothing else; external code uses the public API).
 """
 
 from __future__ import annotations
@@ -120,13 +105,6 @@ _OP_HEAL_LINK = 7
 #: below this magnitude a drained bandwidth ledger snaps back to zero,
 #: so float accumulation drift cannot shadow a fully free link
 _BW_EPSILON = 1e-9
-
-#: safety cap on the link-traversability flip log for states without
-#: an attached distance-field engine (the engine trims much earlier,
-#: at its own limit); on overflow the oldest half is dropped and the
-#: base raised, turning any still-outstanding reader marks into
-#: "unverifiable" — a cache miss, never a wrong answer
-_FLIP_LOG_CAP = 1 << 15
 
 
 class AvailabilityCache:
@@ -326,8 +304,8 @@ class AllocationState:
         # virtual-channel saturation mask: _slot_saturated[slot] == 1
         # iff _vc_used[slot] >= platform._slot_vc[slot].  Maintained at
         # every vc mutation so the BFS inner loops (router, ring
-        # search, distance fields) pay one byte read per hop instead of
-        # two list reads and a compare.
+        # search) pay one byte read per hop instead of two list reads
+        # and a compare.
         self._slot_saturated = bytearray(
             1 if vc <= 0 else 0 for vc in platform._slot_vc
         )
@@ -367,14 +345,6 @@ class AllocationState:
         # every write copies the value the vector ledger carries.
         self._free_arrays: dict = {}
         self._rebuild_free_arrays()
-        # link-traversability flip log (see module docstring): one link
-        # id per committed traversability change, append-only — undo
-        # appends the reversing flip rather than erasing history, so a
-        # reader's mark stays meaningful across rollbacks.  _flip_base
-        # counts entries trimmed off the front; marks below it are
-        # unverifiable (readers must treat their caches as cold).
-        self._link_flips: list[int] = []
-        self._flip_base = 0
         # transaction journal: None when no transaction is open
         self._journal: list[tuple] | None = None
         self._tx_depth = 0
@@ -468,21 +438,10 @@ class AllocationState:
             vc_used, bw_used = self._vc_used, self._bw_used
             slot_vc = self.platform._slot_vc
             saturated = self._slot_saturated
-            failed_links, flips = self._failed_links, self._link_flips
             for position in range(len(slots) - 1, -1, -1):
                 slot = slots[position]
-                # flip log entries are *appended* on undo (the reverse
-                # flip), never erased — history stays monotone, so a
-                # reader's parity count over its log suffix is exact.
-                # MUST mirror _unapply_slots exactly: parity soundness
-                # rests on undo reversing apply flip-for-flip.
                 used = vc_used[slot]
                 if used == slot_vc[slot]:
-                    if (
-                        saturated[slot ^ 1]
-                        and (slot >> 1) not in failed_links
-                    ):
-                        flips.append(slot >> 1)
                     saturated[slot] = 0
                 vc_used[slot] = used - 1
                 bw_used[slot] = old_bws[position]
@@ -493,22 +452,12 @@ class AllocationState:
             vc_used, bw_used = self._vc_used, self._bw_used
             slot_vc = self.platform._slot_vc
             saturated = self._slot_saturated
-            failed_links, flips = self._failed_links, self._link_flips
             for position in range(len(slots) - 1, -1, -1):
                 slot = slots[position]
-                # MUST mirror reserve_route_ids' apply loop exactly
-                # (see above): undo of a release re-applies the
-                # reservation, so it re-logs the same closing flip
                 used = vc_used[slot] + 1
                 vc_used[slot] = used
                 if used >= slot_vc[slot]:
                     saturated[slot] = 1
-                    if (
-                        used == slot_vc[slot]
-                        and saturated[slot ^ 1]
-                        and (slot >> 1) not in failed_links
-                    ):
-                        flips.append(slot >> 1)
                 bw_used[slot] = old_bws[position]
         elif op == _OP_FAIL_ELEMENT:
             _op, element_id, was_failed, agg = entry
@@ -524,13 +473,9 @@ class AllocationState:
             _op, link_id, was_failed = entry
             if not was_failed:
                 self._failed_links.discard(link_id)
-                if self.link_traversable(link_id):
-                    self._link_flips.append(link_id)
         elif op == _OP_HEAL_LINK:
             _op, link_id, was_failed = entry
             if was_failed:
-                if self.link_traversable(link_id):
-                    self._link_flips.append(link_id)
                 self._failed_links.add(link_id)
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown journal op {op}")
@@ -589,52 +534,6 @@ class AllocationState:
         if self._availability is None:
             self._availability = AvailabilityCache(self)
         return self._availability
-
-    # -- link-traversability flip log --------------------------------------
-
-    def link_flip_mark(self) -> int:
-        """Absolute position in the link-traversability flip log.
-
-        A reader that records the mark can later ask "which links
-        net-changed traversability since?" by examining the log suffix
-        appended after it — links with an odd entry count flipped, even
-        counts cancelled out (e.g. a saturating reservation that was
-        rolled back).  Marks below :attr:`_flip_base` (log trimmed, or
-        the timeline broken by :meth:`restore`) are unverifiable.
-        """
-        return self._flip_base + len(self._link_flips)
-
-    def link_traversable(self, link_id: int) -> bool:
-        """Can a congestion-respecting search cross this link *now*?
-
-        True iff the link is not failed and offers a free virtual
-        channel in at least one direction — the exact wall predicate of
-        :class:`~repro.core.search.RingSearch` and the routers.
-        """
-        if link_id in self._failed_links:
-            return False
-        slot = link_id << 1
-        saturated = self._slot_saturated
-        return not (saturated[slot] and saturated[slot | 1])
-
-    def trim_link_flips(self, floor_mark: int) -> None:
-        """Drop log entries below ``floor_mark`` (a memory bound).
-
-        Callers holding marks below the floor must treat their cached
-        derivations as unverifiable afterwards — the distance-field
-        engine drops such fields before trimming.
-        """
-        drop = floor_mark - self._flip_base
-        if drop > 0:
-            del self._link_flips[:drop]
-            self._flip_base = floor_mark
-
-    def _cap_link_flips(self) -> None:
-        """Bound the flip log when no engine is around to trim it."""
-        if len(self._link_flips) >= _FLIP_LOG_CAP:
-            self.trim_link_flips(
-                self._flip_base + len(self._link_flips) - _FLIP_LOG_CAP // 2
-            )
 
     def aggregate_free(self) -> dict:
         """Total free per resource kind over non-failed elements (copy)."""
@@ -719,21 +618,12 @@ class AllocationState:
         self._agg_free_kind = agg_kind
 
     def _unapply_slots(self, slots: tuple[int, ...], bandwidth: float) -> None:
-        self._cap_link_flips()
         vc_used, bw_used = self._vc_used, self._bw_used
         slot_vc = self.platform._slot_vc
         saturated = self._slot_saturated
-        failed_links = self._failed_links
-        flips = self._link_flips
         for slot in slots:
-            # the link regains its last free virtual channel: it flips
-            # traversable again for the congestion-respecting searches
-            # (exactly-at-capacity: see reserve_route_ids).  Mirrored
-            # by the _OP_RESERVE undo in _undo — keep in lockstep.
             used = vc_used[slot]
             if used == slot_vc[slot]:
-                if saturated[slot ^ 1] and (slot >> 1) not in failed_links:
-                    flips.append(slot >> 1)
                 saturated[slot] = 0
             vc_used[slot] = used - 1
             bw_used[slot] -= bandwidth
@@ -953,12 +843,9 @@ class AllocationState:
                     f"link {a.name}->{b.name} lacks capacity for "
                     f"channel {channel_id!r}"
                 )
-        self._cap_link_flips()
         vc_used, bw_used = self._vc_used, self._bw_used
         slot_vc = self.platform._slot_vc
         saturated = self._slot_saturated
-        failed_links = self._failed_links
-        flips = self._link_flips
         journal = self._journal
         old_bws = [] if journal is not None else None
         for slot in slots:
@@ -966,21 +853,6 @@ class AllocationState:
             vc_used[slot] = used
             if used >= slot_vc[slot]:
                 saturated[slot] = 1
-                # the link loses its last free virtual channel (in
-                # either direction) with this hop: it flips
-                # non-traversable for the congestion-respecting
-                # searches.  Exactly-at-capacity guards a degenerate
-                # walk crossing the same directed link twice from
-                # double-logging one traversability change.  Mirrored
-                # (apply side) by the _OP_RELEASE undo in _undo; the
-                # reverse transition lives in _unapply_slots and the
-                # _OP_RESERVE undo — all four must stay in lockstep.
-                if (
-                    used == slot_vc[slot]
-                    and saturated[slot ^ 1]
-                    and (slot >> 1) not in failed_links
-                ):
-                    flips.append(slot >> 1)
             if old_bws is not None:
                 old_bws.append(bw_used[slot])
             bw_used[slot] += bandwidth
@@ -1077,9 +949,6 @@ class AllocationState:
             self._journal.append(
                 (_OP_FAIL_LINK, link_id, link_id in self._failed_links)
             )
-        if self.link_traversable(link_id):
-            self._cap_link_flips()
-            self._link_flips.append(link_id)
         self._failed_links.add(link_id)
         self._epoch += 1
 
@@ -1093,11 +962,7 @@ class AllocationState:
             self._journal.append(
                 (_OP_HEAL_LINK, link_id, link_id in self._failed_links)
             )
-        if link_id in self._failed_links:
-            self._failed_links.discard(link_id)
-            if self.link_traversable(link_id):
-                self._cap_link_flips()
-                self._link_flips.append(link_id)
+        self._failed_links.discard(link_id)
         self._epoch += 1
 
     def is_failed(self, element: ProcessingElement | str) -> bool:
@@ -1269,11 +1134,6 @@ class AllocationState:
         # wholesale rather than trusting epoch equality
         if self._availability is not None:
             self._availability._epoch = -1
-        # the flip log cannot describe a timeline jump: advance the
-        # base past every outstanding mark so cached distance fields
-        # read as unverifiable (the engine recomputes from live state)
-        self._flip_base += len(self._link_flips) + 1
-        self._link_flips.clear()
 
     # -- helpers ------------------------------------------------------------
 

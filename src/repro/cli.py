@@ -191,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "resolved earlier are excluded from the "
                           "steady-state blocking/wait figures "
                           "(metrics only; decisions are unaffected)")
-    sim.add_argument("--no-incremental", action="store_true",
-                     help="disable the incremental distance-field "
-                          "engine (comparison runs; decisions are "
-                          "bit-identical either way)")
     sim.add_argument("--record", metavar="PATH",
                      help="write the decision trace as JSONL (replayable)")
     sim.add_argument("--replay", metavar="PATH",
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(bind/map/route/validate, p50/p95/p99)")
     sim.add_argument("--metrics-out", metavar="PATH",
                      help="enable the metric registry and write a JSON "
-                          "snapshot (admit/gate/distfield/recovery "
+                          "snapshot (admit/gate/recovery "
                           "counters, per-phase latency histograms) — "
                           "read it back with 'repro obs show'")
     sim.add_argument("--trace-spans", metavar="PATH",
@@ -559,11 +555,7 @@ def _cmd_sim(args) -> int:
         from repro.obs import enabled
         obs = enabled()
     try:
-        result = run_recipe(
-            recipe, trace_path=args.record,
-            incremental=not args.no_incremental,
-            obs=obs,
-        )
+        result = run_recipe(recipe, trace_path=args.record, obs=obs)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -622,14 +614,6 @@ def _cmd_sim(args) -> int:
                   f"{row['p99_ms']:>9.3f} {row['total_ms']:>10.1f}")
         print(f"  short-circuited probes: "
               f"{summary['probes_short_circuited']}")
-        stats = result.distfield_stats
-        if stats and stats.get("fetches"):
-            print(f"  distance fields  : {stats['fetches']} fetches, "
-                  f"{stats['hit_rate']:.0%} hit / "
-                  f"{stats['repair_rate']:.0%} repair / "
-                  f"{stats['miss_rate']:.0%} miss, "
-                  f"ring reuse {stats['ring_reuse_ratio']:.0%}, "
-                  f"{stats['bypasses']} bypasses")
     if args.record:
         print(f"  trace            : {len(result.trace)} records -> "
               f"{args.record}")

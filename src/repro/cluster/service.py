@@ -107,11 +107,10 @@ class ClusterManager:
         self.specifications: dict[str, Application] = {}
         self.state = _ClusterStateView(self)
         self.controller = ClusterController(self)
-        #: duck-typing stubs for the service/engine adapters: the
+        #: duck-typing stub for the service/engine adapters: the
         #: cluster has no element-health registry (liveness is the
-        #: shard-granular analogue) and no cluster-wide distance field
+        #: shard-granular analogue)
         self.health = None
-        self._distfield = None
         self._touched = 0
         registry = self.obs.registry
         self._c_admitted = registry.counter("cluster.admitted")

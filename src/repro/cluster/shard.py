@@ -37,7 +37,6 @@ class Shard:
         platform: Platform,
         weights=BOTH,
         fastpath: bool = True,
-        incremental: bool = True,
         obs: Observability | None = None,
     ) -> None:
         self.shard_id = shard_id
@@ -45,7 +44,7 @@ class Shard:
         self.obs = DISABLED if obs is None else obs
         self.manager = Kairos(
             platform, weights=weights, validation_mode="skip",
-            fastpath=fastpath, incremental=incremental, obs=obs,
+            fastpath=fastpath, obs=obs,
         )
         self.controller = self.manager.controller
         self.alive = True
@@ -148,7 +147,6 @@ def build_shards(
     count: int,
     weights=BOTH,
     fastpath: bool = True,
-    incremental: bool = True,
     obs: Observability | None = None,
 ) -> list[Shard]:
     """Partition a ``rows`` x ``cols`` mesh into ``count`` column bands.
@@ -177,7 +175,7 @@ def build_shards(
     return [
         Shard(
             f"s{index}", platform, weights=weights,
-            fastpath=fastpath, incremental=incremental, obs=obs,
+            fastpath=fastpath, obs=obs,
         )
         for index, platform in enumerate(platforms)
     ]

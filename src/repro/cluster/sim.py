@@ -274,7 +274,6 @@ def run_cluster_simulation(
     recovery: RecoveryPolicy | None = None,
     weights: CostWeights = BOTH,
     fastpath: bool = True,
-    incremental: bool = True,
     allow_split: bool = True,
     obs: Observability | None = None,
     overload: OverloadConfig | None = None,
@@ -307,7 +306,7 @@ def run_cluster_simulation(
     kernel = EventKernel(seed=config.seed)
     shards = build_shards(
         rows, cols, shard_count, weights=weights,
-        fastpath=fastpath, incremental=incremental, obs=obs,
+        fastpath=fastpath, obs=obs,
     )
     cluster = ClusterManager(
         shards, liveness_policy=liveness, obs=obs, allow_split=allow_split,
@@ -533,7 +532,6 @@ def _parse_mesh(spec: str) -> tuple[int, int]:
 def run_cluster_recipe(
     recipe: dict,
     trace_path=None,
-    incremental: bool = True,
     obs: Observability | None = None,
     fastpath: bool = True,
 ) -> SimulationResult:
@@ -568,7 +566,7 @@ def run_cluster_recipe(
     result = run_cluster_simulation(
         rows, cols, shard_count, classes, policy, config,
         kills=kills, liveness=liveness, recovery=recovery,
-        fastpath=fastpath, incremental=incremental,
+        fastpath=fastpath,
         allow_split=bool(recipe.get("allow_split", True)),
         obs=obs,
         overload=OverloadConfig.from_spec(recipe.get("overload")),

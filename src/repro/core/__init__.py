@@ -14,11 +14,6 @@ from repro.core.cost import (
     CostWeights,
     MappingCost,
 )
-from repro.core.distfield import (
-    DistanceField,
-    DistanceFieldEngine,
-    FieldStats,
-)
 from repro.core.gap import UNMAPPED_COST, GapAssignment, GapSolver
 from repro.core.objectives import (
     CommunicationObjective,
@@ -52,10 +47,7 @@ __all__ = [
     "CommunicationObjective",
     "CompositeCost",
     "CostWeights",
-    "DistanceField",
-    "DistanceFieldEngine",
     "EnergyObjective",
-    "FieldStats",
     "FRAGMENTATION",
     "FragmentationObjective",
     "LoadBalancingObjective",

@@ -163,10 +163,6 @@ class MappingCost:
         if element_id is None:  # pragma: no cover - defensive
             return penalty * float(len(peer_ids))
         rows = distances._rows
-        # cells of engine-served rows are visible only up to the
-        # search's current ring — a capped miss must stay a miss (the
-        # live search would not have filled the cell yet)
-        cap = distances._cap
         total = 0.0
         row_e = rows.get(element_id)
         for peer_id in peer_ids:
@@ -178,16 +174,12 @@ class MappingCost:
             best = -1
             if row_e is not None:
                 known = row_e[peer_id]
-                if known >= 0 and (cap is None or known <= cap):
+                if known >= 0:
                     best = known
             row_p = rows.get(peer_id)
             if row_p is not None:
                 known = row_p[element_id]
-                if (
-                    0 <= known
-                    and (cap is None or known <= cap)
-                    and (best < 0 or known < best)
-                ):
+                if 0 <= known and (best < 0 or known < best):
                     best = known
             total += penalty if best < 0 else best
         return total
@@ -292,7 +284,6 @@ class MappingCost:
         # per channel); the name path serves platform-less matrices
         node_ids = distances._node_ids
         rows = distances._rows
-        cap = distances._cap
         element_id = (
             node_ids.get(element.name) if node_ids is not None else None
         )
@@ -317,16 +308,12 @@ class MappingCost:
             row = rows.get(element_id)
             if row is not None:
                 known = row[peer_id]
-                if known >= 0 and (cap is None or known <= cap):
+                if known >= 0:
                     best = known
             row = rows.get(peer_id)
             if row is not None:
                 known = row[element_id]
-                if (
-                    0 <= known
-                    and (cap is None or known <= cap)
-                    and (best < 0 or known < best)
-                ):
+                if 0 <= known and (best < 0 or known < best):
                     best = known
             total += penalty if best < 0 else best
         return total

@@ -140,7 +140,6 @@ def map_application(
     cost: MappingCost | None = None,
     options: MappingOptions = MappingOptions(),
     app_id: str | None = None,
-    engine=None,
 ) -> MappingResult:
     """Run MapApplication (paper Fig. 5); raises :class:`MappingError`.
 
@@ -148,13 +147,6 @@ def map_application(
     On success the state holds the new placements; on failure the
     state may hold partial placements of this app — callers should
     wrap the attempt in ``state.transaction()`` (the manager does).
-
-    ``engine`` optionally supplies a
-    :class:`~repro.core.distfield.DistanceFieldEngine` bound to
-    ``state``: the per-layer ring searches then replay persistent
-    per-origin distance fields instead of running a fresh BFS each —
-    placements are bit-identical either way (the manager passes its
-    engine when constructed with ``incremental=True``).
     """
     cost = cost or MappingCost()
     app_id = app_id or app.name
@@ -285,7 +277,7 @@ def map_application(
             continue
         trace = _map_layer(
             app, app_id, index, tasks, requirements, compatible,
-            state, cost, options, result, engine,
+            state, cost, options, result,
         )
         result.layers.append(trace)
 
@@ -308,7 +300,6 @@ def _map_layer(
     cost: MappingCost,
     options: MappingOptions,
     result: MappingResult,
-    engine=None,
 ) -> LayerTrace:
     """Map one distance layer ``Ti`` (paper Fig. 5 inner loop)."""
     # E+/E-: elements of mapped tasks with channels into/out of this
@@ -330,8 +321,7 @@ def _map_layer(
         origins = sorted(set(result.placement.values()))
 
     search = RingSearch(
-        state, origins, options.respect_congestion,
-        scratch=state.scratch, engine=engine,
+        state, origins, options.respect_congestion, scratch=state.scratch
     )
 
     if type(cost) is MappingCost:

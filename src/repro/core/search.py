@@ -24,12 +24,6 @@ origin-indexed rows — one array cell per node — instead of a dict
 keyed by string pairs.  Names appear only at the public boundaries
 (``origins``, ``advance()``'s returned elements, and name-based
 ``record``/``get`` lookups).
-
-Given a :class:`~repro.core.distfield.DistanceFieldEngine`, the search
-runs in *replay* mode: rings and distance rows come from persistent
-per-origin fields maintained incrementally across attempts, and
-``advance()`` degenerates to serving precomputed ring lists — same
-elements, same order, same distances, none of the per-hop work.
 """
 
 from __future__ import annotations
@@ -54,19 +48,9 @@ class SparseDistanceMatrix:
     rows (one distance cell per node id); without a platform it falls
     back to a name-keyed dict, which keeps ad-hoc construction in
     tests and callers working.
-
-    A matrix may also *serve* rows owned by the incremental
-    distance-field engine (:meth:`serve_field_row`): those rows hold
-    the full cached field, and a **visibility cap** hides every cell
-    beyond the rings the replaying search has advanced through, so
-    readers observe exactly the partial view a live lockstep search
-    would have filled — including its lookup misses, which the cost
-    function penalises (Section III-D) and which must therefore not
-    silently become hits.
     """
 
-    __slots__ = ("_platform", "_node_ids", "_rows", "_fallback", "_pool",
-                 "_cap")
+    __slots__ = ("_platform", "_node_ids", "_rows", "_fallback", "_pool")
 
     def __init__(self, platform: Platform | None = None, pool=None) -> None:
         self._platform = platform
@@ -80,21 +64,6 @@ class SparseDistanceMatrix:
         #: provably short-lived matrices (the mapping phase's per-layer
         #: searches) opt in
         self._pool = pool
-        #: visibility cap over served field rows (None = plain matrix,
-        #: every non-negative cell visible)
-        self._cap: int | None = None
-
-    def serve_field_row(self, origin_id: int, row: list[int]) -> None:
-        """Expose an engine-owned distance row, visibility-capped.
-
-        The replaying search raises :attr:`_cap` one ring at a time;
-        a cell is visible only while ``value <= cap``.  Served rows
-        are never mutated — :meth:`record` diverts to the name-keyed
-        fallback store while a cap is active.
-        """
-        self._rows[origin_id] = row
-        if self._cap is None:
-            self._cap = 0
 
     def row(self, origin_id: int) -> list[int]:
         """The (mutable) distance row of ``origin_id`` (hot path)."""
@@ -111,7 +80,7 @@ class SparseDistanceMatrix:
 
     def record(self, origin: str, node: str, distance: int) -> None:
         node_ids = self._node_ids
-        if node_ids is not None and self._cap is None:
+        if node_ids is not None:
             origin_id = node_ids.get(origin)
             node_id = node_ids.get(node)
             if origin_id is not None and node_id is not None:
@@ -145,33 +114,24 @@ class SparseDistanceMatrix:
         """Symmetric lookup over node ids (platform mode only)."""
         if id_a == id_b:
             return 0
-        cap = self._cap
         best: int | None = None
         rows = self._rows
         row = rows.get(id_a)
         if row is not None:
             known = row[id_b]
-            if known >= 0 and (cap is None or known <= cap):
+            if known >= 0:
                 best = known
         row = rows.get(id_b)
         if row is not None:
             known = row[id_a]
-            if (
-                0 <= known
-                and (cap is None or known <= cap)
-                and (best is None or known < best)
-            ):
+            if 0 <= known and (best is None or known < best):
                 best = known
         return best
 
     def __len__(self) -> int:
         count = len(self._fallback)
-        cap = self._cap
         for row in self._rows.values():
-            if cap is None:
-                count += sum(1 for distance in row if distance >= 0)
-            else:
-                count += sum(1 for distance in row if 0 <= distance <= cap)
+            count += sum(1 for distance in row if distance >= 0)
         return count
 
     def merge(self, other: "SparseDistanceMatrix") -> None:
@@ -186,24 +146,15 @@ class SparseDistanceMatrix:
             self._platform = other._platform
             self._node_ids = other._node_ids
         if other._rows:
-            cap = other._cap
             if other._platform is self._platform:
                 for origin_id, row in other._rows.items():
                     mine = self._rows.get(origin_id)
                     if mine is None:
-                        if cap is None:
-                            self._rows[origin_id] = list(row)
-                        else:  # copy only the visible prefix
-                            self._rows[origin_id] = [
-                                distance if 0 <= distance <= cap else -1
-                                for distance in row
-                            ]
+                        self._rows[origin_id] = list(row)
                         continue
                     for node_id, distance in enumerate(row):
-                        if (
-                            0 <= distance
-                            and (cap is None or distance <= cap)
-                            and (mine[node_id] < 0 or distance < mine[node_id])
+                        if 0 <= distance and (
+                            mine[node_id] < 0 or distance < mine[node_id]
                         ):
                             mine[node_id] = distance
             else:  # cross-platform merge: degrade to names
@@ -211,7 +162,7 @@ class SparseDistanceMatrix:
                 for origin_id, row in other._rows.items():
                     origin = nodes[origin_id].name
                     for node_id, distance in enumerate(row):
-                        if 0 <= distance and (cap is None or distance <= cap):
+                        if distance >= 0:
                             self.record(origin, nodes[node_id].name, distance)
         for (a, b), distance in other._fallback.items():
             self.record(a, b, distance)
@@ -233,26 +184,13 @@ class RingSearch:
         origins: Iterable[ProcessingElement | str],
         respect_congestion: bool = True,
         scratch=None,
-        engine=None,
     ) -> None:
         """``scratch`` (a :class:`~repro.arch.scratch.ScratchPool`)
         opts into reusable visited masks and distance rows.  Only pass
         it when this search provably cannot interleave with another
         scratch-backed search on the same state — the mapping phase
         (one search per layer, strictly sequential) qualifies; ad-hoc
-        or concurrent searches must use the default fresh arrays.
-
-        ``engine`` (a :class:`~repro.core.distfield.DistanceFieldEngine`
-        bound to the same state) switches the search to *replay* mode:
-        per-origin rings and distances are drawn from the engine's
-        persistent fields instead of a live BFS.  Discovery order,
-        distances and exhaustion behaviour are bit-identical — the
-        fields store the exact solo-BFS traversal each origin of the
-        lockstep search would perform (see the engine's module doc for
-        the induction) — only the per-hop adjacency walks, congestion
-        probes and visited masks disappear.  The served field arrays
-        are valid until the engine's next fetch, which cannot happen
-        while this search runs (one search at a time per state)."""
+        or concurrent searches must use the default fresh arrays."""
         self.state = state
         self.platform = state.platform
         self.respect_congestion = respect_congestion
@@ -274,46 +212,24 @@ class RingSearch:
         if scratch is not None:
             scratch.begin_rows()
             self.distances = SparseDistanceMatrix(self.platform, pool=scratch)
-            self._seen_elements = scratch.zeroed_bytes("ring.seen", node_count)
-        else:
-            self.distances = SparseDistanceMatrix(self.platform)
-            self._seen_elements = bytearray(node_count)
-        self._engine = engine
-        self._fields = None
-        if engine is not None:
-            # None = the engine judged this cycle repair-heavy and
-            # bypassed (see DistanceFieldEngine.acquire): run live
-            self._fields = engine.acquire(origin_ids, respect_congestion)
-        if self._fields is not None:
-            self._visited = None
-        elif scratch is not None:
             self._visited = scratch.zeroed_bytes_family(
                 "ring.visited", len(origin_ids), node_count
             )
+            self._seen_elements = scratch.zeroed_bytes("ring.seen", node_count)
         else:
+            self.distances = SparseDistanceMatrix(self.platform)
             self._visited = [
                 bytearray(node_count) for _ in origin_ids
             ]
+            self._seen_elements = bytearray(node_count)
         self._frontier: list[list[int]] = []
         self._exhausted = False  # maintained by advance()
         self._ring = 0
-        if self._fields is not None:
-            # replay mode: the engine's rows are served through the
-            # matrix behind a visibility cap instead of being copied
-            # ring by ring (they already carry the origin's 0 cell)
-            distances = self.distances
-            seen = self._seen_elements
-            for index, origin_id in enumerate(origin_ids):
-                seen[origin_id] = 1
-                distances.serve_field_row(
-                    origin_id, self._fields[index].row
-                )
-        else:
-            for index, origin_id in enumerate(origin_ids):
-                self._visited[index][origin_id] = 1
-                self._frontier.append([origin_id])
-                self._seen_elements[origin_id] = 1
-                self.distances.row(origin_id)[origin_id] = 0
+        for index, origin_id in enumerate(origin_ids):
+            self._visited[index][origin_id] = 1
+            self._frontier.append([origin_id])
+            self._seen_elements[origin_id] = 1
+            self.distances.row(origin_id)[origin_id] = 0
 
     @property
     def ring(self) -> int:
@@ -345,8 +261,6 @@ class RingSearch:
         """Expand one ring; return globally new candidate elements."""
         if self._exhausted:
             return []
-        if self._fields is not None:
-            return self._advance_replay()
         self._ring += 1
         ring = self._ring
         platform = self.platform
@@ -393,59 +307,6 @@ class RingSearch:
             self._frontier[index] = next_frontier
             if next_frontier:
                 any_frontier = True
-        self._exhausted = not any_frontier
-        return new_elements
-
-    def _advance_replay(self) -> list[ProcessingElement]:
-        """One ring served from the engine's persistent fields.
-
-        Each origin's ring list *is* its live next-frontier (in
-        discovery order), so this loop only has to mirror the visible
-        effects of :meth:`advance`: report elements unseen by every
-        origin so far, and raise the distance matrix's visibility cap
-        (the served rows already hold the cells).  Cached rings replay
-        for free; past the cached prefix the engine extends the field
-        by live expansion — at worst the BFS the non-incremental
-        search would have run anyway, now remembered for the next
-        attempt.
-        """
-        self._ring += 1
-        ring = self._ring
-        engine = self._engine
-        fields = self._fields
-        new_elements: list[ProcessingElement] = []
-        any_frontier = False
-        if len(fields) == 1:
-            # solo BFS never revisits a node, so every element of the
-            # ring is new by construction — no mask, no per-node work
-            field = fields[0]
-            if ring < len(field.rings):
-                engine.stats.rings_reused += 1
-                any_frontier = True
-            elif engine.ring(field, ring) is not None:
-                any_frontier = True
-            if any_frontier:
-                ring_elements = field.element_rings[ring]
-                if ring_elements:
-                    seen = self._seen_elements
-                    for node_id, element in ring_elements:
-                        seen[node_id] = 1
-                        new_elements.append(element)
-        else:
-            seen = self._seen_elements
-            for field in fields:
-                if ring < len(field.rings):  # inlined ring() fast path
-                    engine.stats.rings_reused += 1
-                elif engine.ring(field, ring) is None:
-                    continue
-                any_frontier = True
-                for node_id, element in field.element_rings[ring]:
-                    if not seen[node_id]:
-                        seen[node_id] = 1
-                        new_elements.append(element)
-        # distances become visible by raising the cap, not by copying:
-        # every served row already holds the ring's cells
-        self.distances._cap = ring
         self._exhausted = not any_frontier
         return new_elements
 

@@ -28,7 +28,7 @@ from repro.core.cost import CostWeights
 from repro.experiments.harness import default_platform
 from repro.experiments.reporting import admission_matrix
 from repro.manager.kairos import Kairos
-from repro.manager.layout import AllocationFailure, PhaseTimings
+from repro.manager.layout import PhaseTimings
 
 #: the paper's sampled axes
 PAPER_COMM_RANGE = tuple(range(0, 26))          # 0, 1, .., 25
@@ -107,14 +107,12 @@ def run_fig10(
                 validation_mode="skip",
             )
             point = (comm, frag)
-            try:
-                layout = manager.allocate(app)
-            except AllocationFailure as failure:
-                result.admitted[point] = False
-                result.failures[point] = failure.phase.value
+            decision = manager.controller.admit(app)
+            result.admitted[point] = decision.admitted
+            if decision.admitted:
+                manager.release(decision.app_id)
             else:
-                result.admitted[point] = True
-                manager.release(layout.app_id)
+                result.failures[point] = decision.phase.value
     return result
 
 
@@ -151,13 +149,15 @@ def case_study_timing(
     )
     for _ in range(repeats):
         manager = Kairos(platform, weights=weights, validation_mode="report")
-        layout = manager.allocate(app)
-        timings = layout.timings
+        decision = manager.controller.admit(app)
+        if not decision.admitted:
+            raise decision.failure
+        timings = decision.timings
         best.binding = min(best.binding, timings.binding)
         best.mapping = min(best.mapping, timings.mapping)
         best.routing = min(best.routing, timings.routing)
         best.validation = min(best.validation, timings.validation)
-        manager.release(layout.app_id)
+        manager.release(decision.app_id)
     return best
 
 

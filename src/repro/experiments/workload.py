@@ -260,8 +260,6 @@ class ChurnResult:
     #: per-admission digest (app_id, placements, route paths) — two
     #: runs are equivalent iff their digests are equal
     layouts: list[tuple] = field(default_factory=list)
-    #: distance-field engine counters (zeros when incremental is off)
-    distfield_stats: dict = field(default_factory=dict)
 
     @property
     def attempts(self) -> int:
@@ -295,7 +293,6 @@ def run_admission_churn(
     weights: CostWeights = BOTH,
     rollback: str = "transaction",
     fastpath: bool = True,
-    incremental: bool = True,
     path: str = "admit",
 ) -> ChurnResult:
     """Sustained allocate/release churn against one Kairos instance.
@@ -326,7 +323,7 @@ def run_admission_churn(
     rng = random.Random(config.seed)
     manager = Kairos(
         platform, weights=weights, validation_mode="skip",
-        rollback=rollback, fastpath=fastpath, incremental=incremental,
+        rollback=rollback, fastpath=fastpath,
     )
     controller = manager.controller
     result = ChurnResult()
@@ -388,7 +385,6 @@ def run_admission_churn(
 
     result.final_utilization = manager.utilization()
     result.elapsed_seconds = time.perf_counter() - started
-    result.distfield_stats = manager.distfield_stats
     return result
 
 

@@ -39,7 +39,6 @@ from repro.apps.taskgraph import Application, TaskGraphError
 from repro.arch.state import AllocationState
 from repro.arch.topology import Platform
 from repro.core.cost import BOTH, CostWeights, MappingCost
-from repro.core.distfield import DistanceFieldEngine, FieldStats
 from repro.core.mapping import MappingOptions
 from repro.manager.layout import (
     AllocationFailure,
@@ -355,17 +354,6 @@ class Kairos:
         runs, or when using a custom cost callable that reads mutable
         state outside the :class:`AllocationState` ledgers (the memo
         assumes the pipeline is a pure function of spec and state).
-    incremental:
-        ``True`` (default) attaches a
-        :class:`~repro.core.distfield.DistanceFieldEngine` to the
-        state: the mapping phase's ring searches replay persistent
-        per-origin distance fields (invalidated by link-traversability
-        deltas, repaired by bounded re-expansion) instead of running a
-        fresh BFS per attempt, and the routing phase uses the same
-        fields as admissible lower bounds for its unreachable
-        fast-fail.  Layouts and decisions are bit-identical either
-        way (asserted by ``tests/test_distfield.py``); disable only
-        for comparison runs.
     health:
         An optional :class:`~repro.resilience.HealthRegistry`.  When
         attached, the mapping cost is wrapped in a
@@ -382,14 +370,13 @@ class Kairos:
     obs:
         An optional :class:`repro.obs.Observability` bundle (metric
         registry + span tracer).  The default is the shared
-        :data:`repro.obs.DISABLED` bundle: the gate and distance-field
-        counters still count (their read-through stats keep working)
-        but nothing is retained for export and spans are no-ops.
-        Attach :func:`repro.obs.enabled` to collect
-        ``gate.*``/``distfield.*``/``phase.*`` metrics and
-        gate-probe/pipeline-phase spans; observability never feeds
-        back into decisions, so layouts and digests are bit-identical
-        either way (see docs/observability.md).
+        :data:`repro.obs.DISABLED` bundle: the gate counters still
+        count (their read-through stats keep working) but nothing is
+        retained for export and spans are no-ops.  Attach
+        :func:`repro.obs.enabled` to collect ``gate.*``/``phase.*``
+        metrics and gate-probe/pipeline-phase spans; observability
+        never feeds back into decisions, so layouts and digests are
+        bit-identical either way (see docs/observability.md).
     """
 
     def __init__(
@@ -404,7 +391,6 @@ class Kairos:
         validation_method: str = "simulation",
         rollback: str = "transaction",
         fastpath: bool = True,
-        incremental: bool = True,
         pipeline: PhasePipeline | None = None,
         health=None,
         obs: Observability | None = None,
@@ -452,13 +438,6 @@ class Kairos:
         self._gate = (
             AdmissionGate(self.state, self.obs.registry)
             if self.fastpath else None
-        )
-        self.incremental = bool(incremental)
-        self._distfield = (
-            DistanceFieldEngine(
-                self.state, self.obs.registry, self.obs.tracer
-            )
-            if self.incremental else None
         )
         #: the phase-strategy pipeline (see repro.api.pipeline); the
         #: default reproduces the paper's work-flow exactly — regret
@@ -649,11 +628,8 @@ class Kairos:
 
     @property
     def distfield_stats(self) -> dict:
-        """Counters of the distance-field engine (zeros when off)."""
-        engine = self._distfield
-        if engine is None:
-            return FieldStats().as_dict()
-        return engine.stats.as_dict()
+        # residue of the removed engine: bench/tracing.py reads these keys
+        return {"hits": 0, "repairs": 0, "misses": 0}
 
     def _phase_context(self, app_id: str) -> PhaseContext:
         """The per-attempt dependency container the strategies receive."""
@@ -664,7 +640,6 @@ class Kairos:
             sdf_options=self.sdf_options,
             validation_mode=self.validation_mode,
             validation_max_firings=self.validation_max_firings,
-            engine=self._distfield,
             health=self.health,
             obs=self.obs,
         )

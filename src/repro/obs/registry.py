@@ -4,9 +4,9 @@ Design goals, in order:
 
 1. **Zero cost when disabled.**  The default everywhere is a
    :class:`NullRegistry`: its counters still *count* (components such
-   as the admission gate and the distance-field engine read their own
-   counters back for ``fastpath_stats`` / ``distfield_stats``, so a
-   counter that silently dropped increments would break them) but
+   as the admission gate read their own counters back for
+   ``fastpath_stats``, so a counter that silently dropped increments
+   would break them) but
    nothing is retained, aggregated or exportable, and its histograms
    and gauges are shared no-op singletons.  Attaching a null registry
    therefore changes neither decisions nor wall-clock beyond what the
@@ -317,9 +317,9 @@ class NullRegistry:
 
     Counters and gauges returned here still store their value (in a
     private single-slot list) because components read their own
-    counters back — the gate's ``fastpath_stats`` and the
-    distance-field engine's ``distfield_stats`` must keep working with
-    observability off, exactly as their pre-registry ad-hoc ints did.
+    counters back — the gate's ``fastpath_stats`` must keep working
+    with observability off, exactly as its pre-registry ad-hoc ints
+    did.
     The registry itself retains no reference, so ``snapshot()`` is
     empty, exports are empty, and repeated ``counter(name)`` calls
     return *independent* handles (callers hold their handle; nothing

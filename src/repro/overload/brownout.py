@@ -2,10 +2,10 @@
 
 Under sustained queue pressure the service trades placement *quality*
 for decision *throughput* in announced, reversible steps — the
-brownout pattern.  The controller is modeled on the distance-field
-engine's dormancy hysteresis: consecutive high-occupancy observations
-raise pressure, consecutive low ones raise relief, and crossing the
-configured step counts moves one level up or down the ladder:
+brownout pattern.  The controller is a hysteresis: consecutive
+high-occupancy observations raise pressure, consecutive low ones
+raise relief, and crossing the configured step counts moves one level
+up or down the ladder:
 
 ====== =================== ===========================================
 level  action              effect
@@ -14,14 +14,12 @@ level  action              effect
                              cheap first-fit baseline
 2      ``depth_capped``      cap the per-layer ring-search radius at
                              ``ring_cap``
-3      ``repair_disabled``   force the distance-field engine dormant
-                             (decision-neutral: it only serves caches)
 ====== =================== ===========================================
 
 Levels are cumulative (level 2 includes level 1) and fully unwound on
-recovery: level 0 restores the manager's original pipeline, mapping
-options and engine mode *objects*, so a run that browned out and
-recovered ends configured exactly as it started.
+recovery: level 0 restores the manager's original pipeline and
+mapping options *objects*, so a run that browned out and recovered
+ends configured exactly as it started.
 
 Every transition is traced and — because levels change the decision
 function — bumps the manager's capacity epoch via ``state.touch()``,
@@ -44,7 +42,6 @@ LEVEL_ACTIONS = {
     0: "normal",
     1: "mapper_first_fit",
     2: "depth_capped",
-    3: "repair_disabled",
 }
 
 
@@ -95,9 +92,6 @@ class BrownoutLevers:
             manager.mapping_options = self._capped_options
         else:
             manager.mapping_options = self._original_options
-        engine = getattr(manager, "_distfield", None)
-        if engine is not None:
-            engine.forced_dormant = level >= 3
 
 
 class BrownoutController:

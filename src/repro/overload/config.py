@@ -203,22 +203,21 @@ class BreakerPolicy:
 class BrownoutPolicy:
     """Sustained-pressure hysteresis driving the degradation ladder.
 
-    Modeled on the distance-field engine's dormancy controller: each
-    queue-occupancy observation at or above ``high`` raises pressure,
-    each at or below ``low`` raises relief, anything in the hysteresis
-    band resets both.  ``step_up`` consecutive high observations
+    Each queue-occupancy observation at or above ``high`` raises
+    pressure, each at or below ``low`` raises relief, anything in the
+    hysteresis band resets both.  ``step_up`` consecutive high observations
     escalate one ladder level (to at most ``max_level``); ``step_down``
     consecutive low ones restore a level.  The ladder (see
     :class:`~repro.overload.brownout.BrownoutController`): 1 — swap
     the mapper to ``first_fit``; 2 — cap the ring-search depth at
-    ``ring_cap``; 3 — force the distance-field engine dormant.
+    ``ring_cap``.
     """
 
     high: float = 0.75
     low: float = 0.25
     step_up: int = 2
     step_down: int = 3
-    max_level: int = 3
+    max_level: int = 2
     ring_cap: int = 2
 
     def __post_init__(self) -> None:
@@ -228,8 +227,8 @@ class BrownoutPolicy:
             raise ValueError("brownout low must lie in [0, high)")
         if self.step_up < 1 or self.step_down < 1:
             raise ValueError("brownout steps must be at least 1")
-        if not 1 <= self.max_level <= 3:
-            raise ValueError("brownout max_level must lie in [1, 3]")
+        if not 1 <= self.max_level <= 2:
+            raise ValueError("brownout max_level must lie in [1, 2]")
         if self.ring_cap < 1:
             raise ValueError("brownout ring_cap must be at least 1")
 
@@ -252,7 +251,7 @@ class BrownoutPolicy:
             low=float(params.get("low", 0.25)),
             step_up=int(params.get("step_up", 2)),
             step_down=int(params.get("step_down", 3)),
-            max_level=int(params.get("max_level", 3)),
+            max_level=int(params.get("max_level", 2)),
             ring_cap=int(params.get("ring_cap", 2)),
         )
 

@@ -241,19 +241,15 @@ class RecoveryEngine:
         self._c_passes.inc()
         outcome = RecoveryOutcome()
         handled: set[str] = set()
-        first_round = True
         with self._obs.tracer.span("recovery.pass"):
-            self._pass_rounds(manager, lookup, now, outcome, handled,
-                              first_round)
+            self._pass_rounds(manager, lookup, now, outcome, handled)
         outcome.stranded = tuple(sorted(handled))
         self._c_recovered.inc(len(outcome.recovered))
         self._c_deferred.inc(len(outcome.deferred))
         self._c_lost.inc(len(outcome.lost))
         return outcome
 
-    def _pass_rounds(
-        self, manager, lookup, now, outcome, handled, first_round
-    ) -> None:
+    def _pass_rounds(self, manager, lookup, now, outcome, handled) -> None:
         while True:
             stranded = [
                 app_id for app_id in manager.stranded_by_faults()
@@ -261,13 +257,6 @@ class RecoveryEngine:
             ]
             if not stranded:
                 break
-            if first_round and manager._distfield is not None:
-                # fault boundaries churn placements and routes
-                # wholesale; starting the engine cold keeps its flip
-                # log short and its fields honest about the degraded
-                # topology
-                manager._distfield.reset()
-                first_round = False
             seq = {
                 app_id: index
                 for index, app_id in enumerate(manager.admitted)

@@ -76,7 +76,6 @@ class BaseRouter:
         placement: dict[str, str],
         state: AllocationState,
         app_id: str | None = None,
-        engine=None,
     ) -> RoutingResult:
         """Route every channel of ``app``; raises :class:`RoutingError`.
 
@@ -84,16 +83,6 @@ class BaseRouter:
         they have the fewest path options), ties broken by name for
         determinism.  Reservations mutate ``state``; the caller is
         responsible for transaction/rollback on failure.
-
-        ``engine`` optionally supplies the manager's
-        :class:`~repro.core.distfield.DistanceFieldEngine`: its cached
-        congestion fields are admissible route-length lower bounds
-        (every route hop needs a free virtual channel, so a route path
-        is always field-traversable), which lets a channel whose
-        endpoints a clean field proves disconnected fail fast — same
-        exception, same message, no path search.  The probe never
-        computes or repairs a field, so it is free when the cache is
-        cold or stale.
         """
         app_id = app_id or app.name
         platform = state.platform
@@ -156,15 +145,9 @@ class BaseRouter:
                 local.append(channel.name)
                 continue
             source_id, target_id = node_ids[source], node_ids[target]
-            if engine is not None and engine.unreachable(source_id, target_id):
-                # provably partitioned by congestion/faults: the path
-                # search below would return None — identical failure,
-                # none of the BFS
-                id_path = None
-            else:
-                id_path = self.find_path_ids(
-                    state, source_id, target_id, channel.bandwidth
-                )
+            id_path = self.find_path_ids(
+                state, source_id, target_id, channel.bandwidth
+            )
             if id_path is None:
                 raise RoutingError(
                     f"no route for channel {channel.name!r} "

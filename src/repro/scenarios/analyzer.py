@@ -5,11 +5,11 @@
 aggregation layer (SNIPPETS.md Snippet 3): per-condition summary
 tables on every axis (built on
 :class:`repro.obs.stats.StatsAggregator`), a best-strategy-per-
-condition table, speedup tables for the wall-clock toggles
-(fastpath, incremental) and a distance-field hit/repair rollup.
+condition table and a speedup table for the wall-clock toggle
+(fastpath).
 
 The analysis splits like the cells do: everything under
-``"decisions"``/``"best_strategy"``/``"distfield"`` is deterministic
+``"decisions"``/``"best_strategy"`` is deterministic
 (derived from admission outcomes alone); everything under
 ``"timing"`` is wall-clock and excluded from
 :func:`repro.scenarios.runner.canonical_payload`.
@@ -29,11 +29,9 @@ _DECISION_METRICS = (
     "peak_queue_depth",
 )
 #: axes a condition table is rendered for
-_AXES = (
-    "topology", "traffic", "mapper", "fastpath", "incremental", "shards",
-)
+_AXES = ("topology", "traffic", "mapper", "fastpath", "shards")
 #: wall-clock toggles with on/off speedup tables
-_TOGGLES = ("fastpath", "incremental")
+_TOGGLES = ("fastpath",)
 
 
 class ResultAnalyzer:
@@ -75,14 +73,14 @@ class ResultAnalyzer:
 
         Winner = highest goodput, ties broken by lower blocking then
         mapper name — all decision metrics, so the table is
-        deterministic.  Only baseline cells (fastpath + incremental
-        both on, unsharded) compete, keeping the comparison apples to
-        apples when those axes are swept too.
+        deterministic.  Only baseline cells (fastpath on, unsharded)
+        compete, keeping the comparison apples to apples when those
+        axes are swept too.
         """
         groups: dict[tuple[str, str], list[dict]] = {}
         for cell in self.cells:
             axes = cell["axes"]
-            if not (axes["fastpath"] and axes["incremental"]):
+            if not axes["fastpath"]:
                 continue
             if axes["shards"] != 1:
                 continue
@@ -151,34 +149,6 @@ class ResultAnalyzer:
             }
         return table
 
-    def distfield_summary(self) -> dict:
-        """Distance-field hit/repair rates per topology (incremental on)."""
-        table: dict[str, dict] = {}
-        for cell in self.cells:
-            if not cell["axes"]["incremental"]:
-                continue
-            stats = cell["decisions"].get("distfield_stats")
-            if not stats:
-                continue
-            row = table.setdefault(
-                cell["axes"]["topology"],
-                {name: 0 for name in stats},
-            )
-            for name, value in stats.items():
-                row[name] = row.get(name, 0) + value
-        for row in table.values():
-            lookups = row.get("hits", 0) + row.get("misses", 0)
-            row["hit_rate"] = (
-                row.get("hits", 0) / lookups if lookups else None
-            )
-            rings = (
-                row.get("rings_reused", 0) + row.get("rings_recomputed", 0)
-            )
-            row["ring_reuse_rate"] = (
-                row.get("rings_reused", 0) / rings if rings else None
-            )
-        return dict(sorted(table.items()))
-
     # -- the full bundle ---------------------------------------------------
 
     def analysis(self) -> dict:
@@ -196,6 +166,5 @@ class ResultAnalyzer:
         return {
             "decisions": self.condition_tables(),
             "best_strategy": self.best_strategy(),
-            "distfield": self.distfield_summary(),
             "timing": timing,
         }

@@ -6,17 +6,16 @@ A :class:`ScenarioMatrix` is the cross product of three axis groups —
 from :data:`repro.sim.traffic.TRAFFIC_SHAPES`, plus the synthetic
 ``"fault_storm"`` condition which drives the default mix through a
 correlated :class:`~repro.arch.faults.FaultCampaign` storm) and
-*strategy* (registered mappers, fastpath on/off, incremental
-distance-field on/off, shard counts).  :meth:`ScenarioMatrix.expand`
-turns every combination into a :class:`ScenarioCell` holding a
-complete, JSON-able recipe plus a per-cell seed derived from the
+*strategy* (registered mappers, fastpath on/off, shard counts).
+:meth:`ScenarioMatrix.expand` turns every combination into a
+:class:`ScenarioCell` holding a complete, JSON-able recipe plus a per-cell seed derived from the
 matrix seed and the cell's decision-relevant coordinates with
 :func:`zlib.crc32` — stable across processes (unlike builtin
 ``hash``), so a parallel sweep reproduces a serial one bit-for-bit.
 
 Axis values that change *decisions* (topology, traffic, mapper,
-shards) live inside the recipe; fastpath/incremental change only
-wall-clock and ride alongside it, exactly as in
+shards) live inside the recipe; fastpath changes only wall-clock
+and rides alongside it, exactly as in
 :func:`repro.sim.service.run_recipe`.
 """
 
@@ -54,7 +53,6 @@ class ScenarioCell:
     traffic: str
     mapper: str
     fastpath: bool
-    incremental: bool
     shards: int
     seed: int
     recipe: dict
@@ -66,7 +64,6 @@ class ScenarioCell:
             "traffic": self.traffic,
             "mapper": self.mapper,
             "fastpath": self.fastpath,
-            "incremental": self.incremental,
             "shards": self.shards,
         }
 
@@ -77,7 +74,6 @@ class ScenarioCell:
             "axes": self.axes(),
             "recipe": self.recipe,
             "fastpath": self.fastpath,
-            "incremental": self.incremental,
             "seed": self.seed,
         }
 
@@ -105,7 +101,6 @@ class ScenarioMatrix:
     traffic: tuple[str, ...] = ("default",)
     mappers: tuple[str, ...] = ("kairos",)
     fastpath: tuple[bool, ...] = (True,)
-    incremental: tuple[bool, ...] = (True,)
     shards: tuple[int, ...] = (1,)
     policy: str = "fifo"
     duration: float = 20.0
@@ -120,7 +115,7 @@ class ScenarioMatrix:
 
     def __post_init__(self) -> None:
         for axis in ("topologies", "traffic", "mappers", "fastpath",
-                     "incremental", "shards"):
+                     "shards"):
             if not getattr(self, axis):
                 raise ValueError(f"matrix axis {axis!r} must be non-empty")
         for spec in self.topologies:
@@ -156,28 +151,27 @@ class ScenarioMatrix:
         """Every axis combination as a seeded, recipe-carrying cell.
 
         Expansion order is fixed (topology, traffic, mapper, fastpath,
-        incremental, shards nested left-to-right), so cell order — and
+        shards nested left-to-right), so cell order — and
         with it the report layout — is deterministic.
         """
         cells = []
         for combo in itertools.product(
             self.topologies, self.traffic, self.mappers,
-            self.fastpath, self.incremental, self.shards,
+            self.fastpath, self.shards,
         ):
             cells.append(self._build_cell(*combo))
         return cells
 
     def _build_cell(
         self, topology: str, traffic: str, mapper: str,
-        fastpath: bool, incremental: bool, shards: int,
+        fastpath: bool, shards: int,
     ) -> ScenarioCell:
         cell_id = (
-            f"{topology}|{traffic}|{mapper}"
-            f"|fp{int(fastpath)}|inc{int(incremental)}|sh{shards}"
+            f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}|sh{shards}"
         )
-        # the seed ignores the wall-clock toggles: cells differing only
-        # in fastpath/incremental share one recipe, so a toggled pair
-        # has the same decision stream (what makes speedup tables an
+        # the seed ignores the wall-clock toggle: cells differing only
+        # in fastpath share one recipe, so a toggled pair has the same
+        # decision stream (what makes speedup tables an
         # apples-to-apples comparison — asserted in tests)
         condition_id = f"{topology}|{traffic}|{mapper}|sh{shards}"
         seed = _cell_seed(self.seed, condition_id)
@@ -239,7 +233,6 @@ class ScenarioMatrix:
             traffic=traffic,
             mapper=mapper,
             fastpath=fastpath,
-            incremental=incremental,
             shards=shards,
             seed=seed,
             recipe=recipe,
@@ -268,7 +261,7 @@ class ScenarioMatrix:
             )
         kwargs = dict(spec)
         for axis in ("topologies", "traffic", "mappers", "fastpath",
-                     "incremental", "shards"):
+                     "shards"):
             if axis in kwargs:
                 kwargs[axis] = tuple(kwargs[axis])
         return cls(**kwargs)
@@ -328,17 +321,12 @@ def storm_matrix(seed: int = 0) -> ScenarioMatrix:
 
 
 def large_matrix(seed: int = 0) -> ScenarioMatrix:
-    """48x48 and 64x64 cells with the distance-field toggle swept.
-
-    This is the grid that answers PR 4's open question — distfield
-    hit/repair rates on large platforms (see docs/performance.md).
-    """
+    """48x48 and 64x64 cells, one each: the scaling data points."""
     return ScenarioMatrix(
         name="large",
         topologies=("mesh:48x48", "mesh:64x64"),
         traffic=("default",),
         mappers=("kairos",),
-        incremental=(True, False),
         duration=20.0,
         seed=seed,
         rate_scale=16.0,

@@ -3,8 +3,8 @@
 :func:`render_report` turns the JSON report produced by
 :func:`repro.scenarios.runner.run_sweep` into the markdown document
 committed as ``BENCH_scenarios.md`` — matrix overview, per-condition
-tables, best-strategy-per-condition, toggle speedups, the
-distance-field rollup and a per-cell appendix.
+tables, best-strategy-per-condition, toggle speedups and a per-cell
+appendix.
 """
 
 from __future__ import annotations
@@ -83,28 +83,9 @@ def render_report(report: dict) -> str:
             rows,
         ))
 
-    distfield = analysis.get("distfield")
-    if distfield:
-        lines.append("### Distance-field engine")
-        lines.append("")
-        rows = [
-            [topology, row.get("hits", 0), row.get("misses", 0),
-             row.get("hit_rate"), row.get("repairs", 0),
-             row.get("ring_reuse_rate")]
-            for topology, row in distfield.items()
-        ]
-        lines.extend(_table(
-            ["topology", "hits", "misses", "hit rate", "repairs",
-             "ring reuse"],
-            rows,
-        ))
-
-    timing = analysis.get("timing", {})
-    for toggle in ("fastpath", "incremental"):
-        table = timing.get(toggle)
-        if not table:
-            continue
-        lines.append(f"### {toggle.capitalize()} speedup (wall-clock)")
+    table = analysis.get("timing", {}).get("fastpath")
+    if table:
+        lines.append("### Fastpath speedup (wall-clock)")
         lines.append("")
         rows = [
             [cell_id, row["wall_on"], row["wall_off"], row["speedup"]]

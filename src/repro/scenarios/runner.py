@@ -12,7 +12,7 @@ to a serial one (asserted by ``tests/test_scenarios.py`` and by
 
 Each cell result is split into two sections: ``"decisions"`` — the
 deterministic admission outcome (counts, blocking, waits, goodput,
-fastpath/distfield counters, trace digest) — and ``"timing"`` — wall
+fastpath counters, trace digest) — and ``"timing"`` — wall
 clock, throughput and phase shares, which vary run to run.
 :func:`canonical_payload` serialises a report with the timing and
 environment stripped; two sweeps of the same matrix and seed produce
@@ -40,11 +40,7 @@ def run_cell(payload: dict) -> dict:
     """Execute one cell payload (module-level, so pools can pickle it)."""
     recipe = payload["recipe"]
     runner = run_cluster_recipe if "shards" in recipe else run_recipe
-    result = runner(
-        recipe,
-        fastpath=payload["fastpath"],
-        incremental=payload["incremental"],
-    )
+    result = runner(recipe, fastpath=payload["fastpath"])
     summary = result.metrics.summary()
     duration = float(recipe["duration"])
     phase_latency = summary["phase_latency"]
@@ -73,7 +69,6 @@ def run_cell(payload: dict) -> dict:
             "faults": summary["faults"],
             "events_processed": result.events_processed,
             "fastpath_stats": result.fastpath_stats,
-            "distfield_stats": result.distfield_stats,
             "trace_digest": trace_digest(result.trace),
         },
         "timing": {

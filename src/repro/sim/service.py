@@ -1112,8 +1112,6 @@ class SimulationResult:
     post_drain_utilization: float | None = None
     #: the manager's gate/memo counters (zeros when fastpath is off)
     fastpath_stats: dict | None = None
-    #: the distance-field engine's counters (zeros when incremental off)
-    distfield_stats: dict | None = None
     #: end-of-run overload controller states (None without a config)
     overload_stats: dict | None = None
     #: the run's observability bundle (registry + tracer); DISABLED
@@ -1136,7 +1134,6 @@ def run_simulation(
     faults: tuple[tuple[float, Fault], ...] = (),
     weights: CostWeights = BOTH,
     fastpath: bool = True,
-    incremental: bool = True,
     resilience: ResilienceConfig | None = None,
     obs: Observability | None = None,
     batch_plan: int = 1,
@@ -1151,10 +1148,8 @@ def run_simulation(
     (holding times) and one stream per traffic class (arrivals),
     seeded from ``config.seed`` and the class name.  ``fastpath``
     toggles the manager's admission gate and negative-result memo;
-    ``incremental`` toggles its incremental distance-field engine;
-    decisions and traces are bit-identical whatever the combination
-    (asserted by ``tests/test_fastpath.py`` and
-    ``tests/test_distfield.py``) — only the wall-clock changes.
+    decisions and traces are bit-identical either way (asserted by
+    ``tests/test_fastpath.py``) — only the wall-clock changes.
     ``obs`` attaches an :class:`~repro.obs.Observability` bundle
     (metric registry + span tracer); observability is read-only — it
     never feeds a decision, so an instrumented run produces the same
@@ -1164,7 +1159,7 @@ def run_simulation(
     its queue holds requests bound to one run's kernel, so reuse is
     rejected.  ``mapper`` selects the placement strategy from the
     phase-pipeline registry (``kairos``, ``first_fit``, ``random``,
-    ``annealing``, ``optimal``) — unlike fastpath/incremental this
+    ``annealing``, ``optimal``) — unlike fastpath this
     *does* change decisions, so it is part of the recipe.
     """
     if not classes:
@@ -1188,8 +1183,7 @@ def run_simulation(
     )
     manager = Kairos(
         platform, weights=weights, validation_mode="skip",
-        fastpath=fastpath, incremental=incremental, health=health,
-        obs=obs,
+        fastpath=fastpath, health=health, obs=obs,
     )
     if mapper != "kairos" or mapper_params:
         # swap only the mapping phase; binder/router/validator stay at
@@ -1289,7 +1283,6 @@ def run_simulation(
         wall_seconds=wall,
         events_processed=kernel.processed,
         fastpath_stats=manager.fastpath_stats,
-        distfield_stats=manager.distfield_stats,
         overload_stats=service.overload_state(),
         observability=manager.obs,
     )
@@ -1535,16 +1528,15 @@ def scheduled_faults(
 def run_recipe(
     recipe: dict,
     trace_path=None,
-    incremental: bool = True,
     obs: Observability | None = None,
     fastpath: bool = True,
 ) -> SimulationResult:
     """Execute a recipe; optionally write the JSONL trace (header first).
 
-    ``incremental`` toggles the manager's distance-field engine and
-    ``fastpath`` its admission gate/memo; both are deliberately *not*
-    part of the recipe — they change wall-clock, never decisions, so a
-    trace recorded either way replays both ways.  ``obs`` is excluded
+    ``fastpath`` toggles the manager's admission gate/memo; it is
+    deliberately *not* part of the recipe — it changes wall-clock,
+    never decisions, so a trace recorded either way replays both
+    ways.  ``obs`` is excluded
     from the recipe for the same reason: metrics and spans observe the
     run without influencing it.
     """
@@ -1577,8 +1569,7 @@ def run_recipe(
     overload = OverloadConfig.from_spec(recipe.get("overload"))
     result = run_simulation(
         platform, classes, policy, config, faults=faults,
-        fastpath=fastpath, incremental=incremental,
-        resilience=resilience, obs=obs,
+        fastpath=fastpath, resilience=resilience, obs=obs,
         batch_plan=int(recipe.get("batch_plan", 1)),
         overload=overload,
         mapper=recipe.get("mapper", "kairos"),

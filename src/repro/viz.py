@@ -11,7 +11,7 @@ Used by the examples and handy in a REPL::
     >>> from repro import crisp, Kairos, beamforming_application
     >>> from repro.viz import render_occupancy
     >>> manager = Kairos(crisp())
-    >>> layout = manager.allocate(beamforming_application())
+    >>> decision = manager.controller.admit(beamforming_application())
     >>> print(render_occupancy(manager.state))        # doctest: +SKIP
 """
 

@@ -160,9 +160,8 @@ class TestNullRegistry:
         assert registry.counter_value("x") == 0
 
     def test_counters_still_count(self):
-        # components read their own counters back (fastpath_stats,
-        # distfield_stats) — a null counter that dropped increments
-        # would break them
+        # components read their own counters back (fastpath_stats) —
+        # a null counter that dropped increments would break them
         counter = NullRegistry().counter("gate.memo_hits")
         counter.inc()
         counter.inc()
@@ -473,11 +472,10 @@ class TestServiceIntegration:
 
     def test_stats_read_through_works_without_observability(self):
         # the deprecation-compat satellite: the old attribute names on
-        # fastpath_stats / distfield_stats still read correctly with
-        # the default (null) registry
+        # fastpath_stats still read correctly with the default (null)
+        # registry
         result = self._run()
         assert result.fastpath_stats["gate_passes"] > 0
-        assert result.distfield_stats["fetches"] > 0
 
 
 class TestObsCli:

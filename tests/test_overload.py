@@ -97,7 +97,13 @@ class TestOverloadConfig:
         with pytest.raises(ValueError):
             BreakerPolicy(min_samples=9, window=8)
         with pytest.raises(ValueError):
-            BrownoutPolicy(max_level=7)
+            BrownoutPolicy(max_level=3)
+        recipe = build_recipe(
+            platform="8x8", duration=1.0, overload=OverloadConfig.defaults()
+        )
+        recipe["overload"]["brownout"]["max_level"] = 3
+        with pytest.raises(ValueError):
+            run_recipe(recipe)
 
     def test_class_budget_override(self):
         policy = DeadlinePolicy(
@@ -248,8 +254,8 @@ class TestBrownout:
         original_options = manager.mapping_options
         for _ in range(6):
             controller.observe(0.9)
-        assert controller.level == 3
-        assert controller.max_level_seen == 3
+        assert controller.level == 2
+        assert controller.max_level_seen == 2
         assert manager.pipeline is not original_pipeline
         assert manager.mapping_options is not original_options
         transitions = []
@@ -277,26 +283,13 @@ class TestBrownout:
         )
         for _ in range(3):
             controller.observe(0.9)
-        assert controller.level == 3
+        assert controller.level == 2
         decision = manager.controller.admit(chain4, "browned")
         assert decision.admitted
         manager.release("browned")
 
     def test_level_names_cover_ladder(self):
-        assert set(LEVEL_ACTIONS) == {0, 1, 2, 3}
-
-
-class TestForcedDormancy:
-    def test_forced_engine_serves_no_probes_but_forced_fetches_work(self):
-        manager = Kairos(mesh(4, 4), incremental=True)
-        engine = manager._distfield
-        assert engine is not None
-        engine.forced_dormant = True
-        assert engine.acquire((0,), True) is None
-        # the force path (used by the field() helper) must keep working
-        assert engine.acquire((0,), True, force=True) is not None
-        engine.forced_dormant = False
-        assert engine.acquire((0,), True) is not None
+        assert set(LEVEL_ACTIONS) == {0, 1, 2}
 
 
 # -- service integration -----------------------------------------------------

@@ -97,7 +97,7 @@ brownout_policies = st.builds(
     low=st.floats(min_value=0.05, max_value=0.5, **finite),
     step_up=st.integers(min_value=1, max_value=4),
     step_down=st.integers(min_value=1, max_value=6),
-    max_level=st.integers(min_value=1, max_value=3),
+    max_level=st.integers(min_value=1, max_value=2),
     ring_cap=st.integers(min_value=1, max_value=4),
 )
 

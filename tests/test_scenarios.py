@@ -59,10 +59,9 @@ class TestMatrix:
         matrix = tiny_matrix(
             topologies=("mesh:6x6",), traffic=("default",),
             mappers=("kairos",), fastpath=(True, False),
-            incremental=(True, False),
         )
         cells = matrix.expand()
-        assert len(cells) == 4
+        assert len(cells) == 2
         assert len({cell.seed for cell in cells}) == 1
         assert all(cell.recipe == cells[0].recipe for cell in cells)
 
@@ -220,18 +219,14 @@ class TestSweepDeterminism:
 
 
 def fake_cell(topology="mesh:6x6", traffic="default", mapper="kairos",
-              fastpath=True, incremental=True, shards=1, goodput=1.0,
-              blocking=0.1, wall=1.0, digest="d0", distfield=None):
-    cell_id = (
-        f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}"
-        f"|inc{int(incremental)}|sh{shards}"
-    )
+              fastpath=True, shards=1, goodput=1.0,
+              blocking=0.1, wall=1.0, digest="d0"):
+    cell_id = f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}|sh{shards}"
     return {
         "cell_id": cell_id,
         "axes": {
             "topology": topology, "traffic": traffic, "mapper": mapper,
-            "fastpath": fastpath, "incremental": incremental,
-            "shards": shards,
+            "fastpath": fastpath, "shards": shards,
         },
         "seed": 1,
         "decisions": {
@@ -243,7 +238,7 @@ def fake_cell(topology="mesh:6x6", traffic="default", mapper="kairos",
             "mean_utilization": 0.5, "peak_queue_depth": 3,
             "faults": {"injected": 0, "recovered": 0, "lost": 0},
             "events_processed": 100, "fastpath_stats": None,
-            "distfield_stats": distfield, "trace_digest": digest,
+            "trace_digest": digest,
         },
         "timing": {
             "wall_seconds": wall, "events_per_second": 100.0,
@@ -295,10 +290,10 @@ class TestAnalyzer:
 
     def test_speedup_table_pairs_toggles(self):
         cells = [
-            fake_cell(incremental=True, wall=1.0, digest="same"),
-            fake_cell(incremental=False, wall=2.0, digest="same"),
+            fake_cell(fastpath=True, wall=1.0, digest="same"),
+            fake_cell(fastpath=False, wall=2.0, digest="same"),
         ]
-        table = ResultAnalyzer(cells).speedup_table("incremental")
+        table = ResultAnalyzer(cells).speedup_table("fastpath")
         row = next(iter(table.values()))
         assert row["speedup"] == pytest.approx(2.0)
         assert row["decisions_identical"] is True
@@ -312,28 +307,16 @@ class TestAnalyzer:
         row = next(iter(table.values()))
         assert row["decisions_identical"] is False
 
-    def test_distfield_summary_rates(self):
-        cells = [
-            fake_cell(distfield={
-                "hits": 3, "misses": 1, "repairs": 2,
-                "rings_reused": 4, "rings_recomputed": 4,
-            }),
-            fake_cell(
-                traffic="hot_spot",
-                distfield={
-                    "hits": 1, "misses": 3, "repairs": 0,
-                    "rings_reused": 0, "rings_recomputed": 0,
-                },
-            ),
-            fake_cell(incremental=False,
-                      distfield={"hits": 99, "misses": 0}),
-        ]
-        summary = ResultAnalyzer(cells).distfield_summary()
-        row = summary["mesh:6x6"]
-        # the incremental-off cell is excluded
-        assert row["hits"] == 4 and row["misses"] == 4
-        assert row["hit_rate"] == pytest.approx(0.5)
-        assert row["ring_reuse_rate"] == pytest.approx(0.5)
+    def test_removed_incremental_axis_is_rejected(self):
+        # a matrix file written before PR 12 fails loudly, never silently
+        spec = tiny_matrix().describe()
+        assert "incremental" not in spec
+        with pytest.raises(ValueError, match="incremental"):
+            ScenarioMatrix.from_spec({**spec, "incremental": [True, False]})
+        with pytest.raises(ValueError):
+            ResultAnalyzer([]).speedup_table("incremental")
+        analysis = ResultAnalyzer([fake_cell()]).analysis()
+        assert set(analysis) == {"decisions", "best_strategy", "timing"}
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -353,7 +336,7 @@ class TestReport:
         assert "## Matrix `tiny`" in document
         assert "### By mapper" in document
         assert "### Cells" in document
-        assert "mesh:6x6|default|kairos|fp1|inc1|sh1" in document
+        assert "mesh:6x6|default|kairos|fp1|sh1" in document
 
     def test_render_reports_bundles_matrices(self):
         matrix = tiny_matrix(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import AllocationState, ResourceVector, mesh
+from repro.arch import AllocationState, ProcessingElement, ResourceVector, mesh
 from repro.core.gap import GapSolver, UNMAPPED_COST
 from repro.core.search import RingSearch, SparseDistanceMatrix
 
@@ -94,6 +94,67 @@ class TestRingSearch:
         while not free_search.exhausted:
             names.update(e.name for e in free_search.advance())
         assert len(names) == 8  # everything else
+
+    def test_rings_and_order_match_brute_force_bfs(self):
+        """Ring membership *and order* against a reference lockstep BFS
+        written on the public API only, on a state with a one-way
+        saturated link (still traversable), a both-ways saturated link
+        and a failed link (both walls)."""
+        state = AllocationState(mesh(5, 5))
+        platform = state.platform
+        vcs = platform.link_between("r_1_1", "r_1_2").virtual_channels
+        for index in range(vcs):
+            state.reserve_route("x", f"one_way_{index}", ["r_0_0", "r_0_1"], 1.0)
+            state.reserve_route("x", f"fwd_{index}", ["r_1_1", "r_1_2"], 1.0)
+            state.reserve_route("x", f"back_{index}", ["r_1_2", "r_1_1"], 1.0)
+        state.fail_link("r_2_1", "r_2_2")
+        state.fail_link("r_3_3", "dsp_3_3")
+        origins = ["dsp_1_1", "dsp_3_2"]
+
+        def open_link(a, b):
+            return state.vc_free(a, b) > 0 or state.vc_free(b, a) > 0
+
+        visited = [{origin} for origin in origins]
+        frontiers = [[origin] for origin in origins]
+        seen = set(origins)
+        expected_distances = {(origin, origin): 0 for origin in origins}
+        expected_rings = []
+        while any(frontiers):
+            ring = []
+            for index, origin in enumerate(origins):
+                next_frontier = []
+                for name in frontiers[index]:
+                    for neighbor in platform.neighbors(name):
+                        if neighbor.name in visited[index]:
+                            continue
+                        if not open_link(name, neighbor.name):
+                            continue
+                        visited[index].add(neighbor.name)
+                        next_frontier.append(neighbor.name)
+                        expected_distances[origin, neighbor.name] = (
+                            len(expected_rings) + 1
+                        )
+                        if (
+                            isinstance(neighbor, ProcessingElement)
+                            and neighbor.name not in seen
+                        ):
+                            seen.add(neighbor.name)
+                            ring.append(neighbor.name)
+                frontiers[index] = next_frontier
+            expected_rings.append(ring)
+
+        search = RingSearch(state, origins)
+        rings = []
+        while not search.exhausted:
+            rings.append([element.name for element in search.advance()])
+        assert rings == expected_rings
+        assert "dsp_3_3" not in seen  # behind the failed link
+        assert any(len(ring) > 1 for ring in rings)
+        for origin in origins:
+            for node in platform.nodes:
+                assert search.distances.get(origin, node.name) == (
+                    expected_distances.get((origin, node.name))
+                )
 
     def test_gather_extra_ring(self, state3x3):
         search = RingSearch(state3x3, ["dsp_1_1"])
