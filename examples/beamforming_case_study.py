@@ -15,17 +15,17 @@ Run:  python examples/beamforming_case_study.py
 
 from __future__ import annotations
 
-from repro import AllocationFailure, CostWeights, Kairos, beamforming_application, crisp
+from repro import CostWeights, Kairos, beamforming_application, crisp
 from repro.experiments import PAPER_CASE_STUDY_MS, format_fig10, run_fig10
 
 
 def allocate_once(platform, weights: CostWeights) -> str:
     manager = Kairos(platform, weights=weights, validation_mode="report")
     app = beamforming_application()
-    try:
-        layout = manager.allocate(app)
-    except AllocationFailure as failure:
-        return f"REJECTED in {failure.phase.value}"
+    decision = manager.controller.admit(app)
+    if not decision.admitted:
+        return f"REJECTED in {decision.phase.value}"
+    layout = decision.layout
     ms = layout.timings.as_milliseconds()
     hops = layout.hops_per_channel()
     manager.release(layout.app_id)

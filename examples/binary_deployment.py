@@ -48,7 +48,7 @@ def main() -> None:
             loaded.validate()
             print(f"{path.name}: Kairos application {loaded.name!r} — "
                   "allocating")
-            layout = manager.allocate(loaded)
+            layout = manager.controller.admit(loaded).layout
             ms = layout.timings.as_milliseconds()
             print(f"  admitted: {len(layout.placement)} tasks placed, "
                   f"{len(layout.routes)} routes, "

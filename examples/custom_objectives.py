@@ -41,7 +41,7 @@ def churn(weights, rounds: int = 30):
     hops = []
     for round_index in range(rounds):
         app = apps[round_index % len(apps)]
-        layout = manager.allocate(app, f"r{round_index}")
+        layout = manager.controller.admit(app, f"r{round_index}").layout
         hops.append(layout.hops_per_channel())
         manager.release(layout.app_id)
     wear_values = sorted(

@@ -61,7 +61,7 @@ def main() -> None:
         manager = Kairos(crisp(), weights=CostWeights(1.0, 1.0),
                          validation_mode="report")
         shipped = load_application(binary)
-        layout = manager.allocate(shipped)
+        layout = manager.controller.admit(shipped).layout
 
     print()
     print("per-phase timings (ms):",

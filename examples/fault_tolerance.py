@@ -34,7 +34,7 @@ def main() -> None:
             seed=100 + index,
             name=f"stream{index}",
         )
-        layout = manager.allocate(app, f"stream{index}")
+        layout = manager.controller.admit(app, f"stream{index}").layout
         specifications[f"stream{index}"] = app
         print(f"admitted {layout.app_id} on "
               f"{sorted(set(layout.placement.values()))}")

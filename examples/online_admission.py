@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro import AllocationFailure, CostWeights, Kairos, crisp, make_dataset
+from repro import CostWeights, Kairos, crisp, make_dataset
 from repro.apps.datasets import DatasetSpec
 
 
@@ -48,16 +48,15 @@ def main() -> None:
         else:
             app = retry_queue.pop(0) if retry_queue and rng.random() < 0.5 \
                 else pool[step % len(pool)]
-            try:
-                layout = manager.allocate(app)
-            except AllocationFailure as failure:
-                rejected += 1
-                retry_queue.append(app)
-                event = f"REJECT {app.name[:16]} ({failure.phase.value})"
-            else:
-                running.append(layout.app_id)
+            decision = manager.controller.admit(app)
+            if decision.admitted:
+                running.append(decision.app_id)
                 admitted += 1
                 event = f"start {app.name[:20]}"
+            else:
+                rejected += 1
+                retry_queue.append(app)
+                event = f"REJECT {app.name[:16]} ({decision.phase.value})"
         print(f"{step:>4}  {event:<26} {len(running):>7} "
               f"{manager.utilization() * 100:>6.1f} "
               f"{manager.external_fragmentation():>6.1f}")

@@ -42,7 +42,7 @@ def main() -> None:
     manager = Kairos(platform, weights=CostWeights(1.0, 1.0),
                      validation_mode="report")
 
-    layout = manager.allocate(app)
+    layout = manager.controller.admit(app).layout
     print()
     print(layout.describe())
     print()

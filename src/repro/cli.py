@@ -14,7 +14,6 @@ Subcommands mirror the library's main entry points::
     python -m repro sim --policy fifo --duration 120
                                               # discrete-event service sim
     python -m repro sim --replay trace.jsonl  # bit-identical replay check
-    python -m repro sim --batch-plan 8        # batched queue drain
     python -m repro sim --metrics-out m.json --trace-spans s.jsonl
                                               # instrumented run
     python -m repro cluster sim --shards 4 --kills 2
@@ -51,6 +50,51 @@ def _add_weights(parser: argparse.ArgumentParser) -> None:
         "--frag-weight", type=float, default=1.0,
         help="fragmentation objective weight (default 1.0)",
     )
+
+
+def _add_service_flags(
+    parser: argparse.ArgumentParser, platform_help: str
+) -> None:
+    """The flags ``repro sim`` and ``repro cluster sim`` both define."""
+    parser.add_argument("--platform", default="12x12", help=platform_help)
+    parser.add_argument("--duration", type=float, default=120.0,
+                        help="sim-time to run (default 120)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--policy", default="fifo",
+                        choices=("reject", "fifo", "priority", "retry"),
+                        help="queue policy (default fifo)")
+    parser.add_argument("--rate-scale", type=float, default=4.0,
+                        help="multiplies every class arrival rate "
+                             "(default 4.0)")
+    parser.add_argument("--pool-size", type=int, default=8,
+                        help="generated applications per traffic class")
+    parser.add_argument("--sample-interval", type=float, default=5.0,
+                        help="sim-time between utilization samples")
+    parser.add_argument("--warmup", type=float, default=0.0,
+                        help="SLA warmup window in sim-time: requests "
+                             "resolved earlier are excluded from the "
+                             "steady-state blocking/wait figures "
+                             "(metrics only; decisions are unaffected)")
+    parser.add_argument("--overload", action="store_true",
+                        help="enable overload control (deadline budgets, "
+                             "watermark shedding, retry budget, brownout; "
+                             "per-shard circuit breakers in a cluster) "
+                             "with default policies")
+    parser.add_argument("--record", metavar="PATH",
+                        help="write the decision trace as JSONL (replayable)")
+    parser.add_argument("--replay", metavar="PATH",
+                        help="re-run a recorded trace and verify "
+                             "bit-identity")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="enable the metric registry and write a JSON "
+                             "snapshot (admit/gate/recovery, cluster.* and "
+                             "shard.<id>.* counters, per-phase latency "
+                             "histograms) — read it back with "
+                             "'repro obs show'")
+    parser.add_argument("--trace-spans", metavar="PATH",
+                        help="enable the span tracer and write the "
+                             "hierarchical phase spans (in a cluster also "
+                             "coordinator.plan/commit/unwind) as JSONL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,18 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="discrete-event admission-service simulation (QoS queueing, "
              "faults, trace record/replay)",
     )
-    sim.add_argument("--platform", default="12x12",
-                     help="'crisp', a RxC mesh spec, or a family spec — "
-                          "mesh:RxC, torus:RxC, hetmesh:RxC, "
-                          "fat_tree:N[:arity] (default 12x12)")
-    sim.add_argument("--duration", type=float, default=120.0,
-                     help="sim-time to run (default 120)")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--policy", default="fifo",
-                     choices=("reject", "fifo", "priority", "retry"),
-                     help="queue policy (default fifo)")
-    sim.add_argument("--rate-scale", type=float, default=4.0,
-                     help="multiplies every class arrival rate (default 4.0)")
+    _add_service_flags(
+        sim,
+        "'crisp', a RxC mesh spec, or a family spec — mesh:RxC, torus:RxC, "
+        "hetmesh:RxC, fat_tree:N[:arity] (default 12x12)",
+    )
     sim.add_argument("--traffic", default="default",
                      help="named traffic shape: default, hot_spot, "
                           "diurnal_mmpp, flash_crowd (default: default)")
@@ -131,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="placement strategy from the pipeline registry "
                           "(kairos, first_fit, random, annealing, optimal; "
                           "default kairos)")
-    sim.add_argument("--pool-size", type=int, default=8,
-                     help="generated applications per traffic class")
-    sim.add_argument("--sample-interval", type=float, default=5.0,
-                     help="sim-time between utilization samples")
     sim.add_argument("--faults", type=int, default=0,
                      help="random element faults spread over the run")
     sim.add_argument("--fault-mttr", type=float, default=None,
@@ -163,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "engine (default admission; implies "
                           "--resilience semantics only when that flag "
                           "is set)")
-    sim.add_argument("--overload", action="store_true",
-                     help="enable overload control (deadline budgets, "
-                          "watermark shedding, retry budget, brownout) "
-                          "with default policies")
     sim.add_argument("--deadline-budget", type=float, default=None,
                      metavar="T",
                      help="per-request sim-time deadline budget "
@@ -186,31 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--no-brownout", action="store_true",
                      help="with --overload: keep placement quality, "
                           "never degrade under sustained pressure")
-    sim.add_argument("--warmup", type=float, default=0.0,
-                     help="SLA warmup window in sim-time: requests "
-                          "resolved earlier are excluded from the "
-                          "steady-state blocking/wait figures "
-                          "(metrics only; decisions are unaffected)")
-    sim.add_argument("--record", metavar="PATH",
-                     help="write the decision trace as JSONL (replayable)")
-    sim.add_argument("--replay", metavar="PATH",
-                     help="re-run a recorded trace and verify bit-identity")
     sim.add_argument("--profile", action="store_true",
                      help="print per-phase wall-clock latency percentiles "
                           "(bind/map/route/validate, p50/p95/p99)")
-    sim.add_argument("--metrics-out", metavar="PATH",
-                     help="enable the metric registry and write a JSON "
-                          "snapshot (admit/gate/recovery "
-                          "counters, per-phase latency histograms) — "
-                          "read it back with 'repro obs show'")
-    sim.add_argument("--trace-spans", metavar="PATH",
-                     help="enable the span tracer and write the "
-                          "hierarchical phase spans as JSONL")
-    sim.add_argument("--batch-plan", type=int, default=1, metavar="N",
-                     help="drain the admission queue in plan_batch "
-                          "windows of N requests (default 1: one probe "
-                          "per request; decisions are bit-identical "
-                          "either way)")
 
     cluster = commands.add_parser(
         "cluster",
@@ -225,44 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
         "sim",
         help="discrete-event simulation of a sharded admission service",
     )
-    csim.add_argument("--platform", default="12x12",
-                      help="RxC mesh spec partitioned into column bands "
-                           "(default 12x12)")
+    _add_service_flags(
+        csim,
+        "RxC mesh spec partitioned into column bands (default 12x12)",
+    )
     csim.add_argument("--shards", type=int, default=2,
                       help="shard count; must divide the mesh columns "
                            "(default 2)")
-    csim.add_argument("--duration", type=float, default=120.0)
-    csim.add_argument("--seed", type=int, default=0)
-    csim.add_argument("--policy", default="fifo",
-                      choices=("reject", "fifo", "priority", "retry"))
-    csim.add_argument("--rate-scale", type=float, default=4.0)
-    csim.add_argument("--pool-size", type=int, default=8)
-    csim.add_argument("--sample-interval", type=float, default=5.0)
-    csim.add_argument("--warmup", type=float, default=0.0)
     csim.add_argument("--kills", type=int, default=0,
                       help="shard kills spread evenly over the run")
     csim.add_argument("--downtime", type=float, default=20.0,
                       help="sim-time between a kill and its revival "
                            "(default 20)")
-    csim.add_argument("--overload", action="store_true",
-                      help="enable overload control (deadline budgets, "
-                           "watermark shedding, retry budget, per-shard "
-                           "circuit breakers, brownout) with default "
-                           "policies")
     csim.add_argument("--no-split", action="store_true",
                       help="disable cross-shard admission of "
                            "applications no single shard can host")
-    csim.add_argument("--record", metavar="PATH",
-                      help="write the decision trace as JSONL (replayable)")
-    csim.add_argument("--replay", metavar="PATH",
-                      help="re-run a recorded cluster trace and verify "
-                           "bit-identity")
-    csim.add_argument("--metrics-out", metavar="PATH",
-                      help="enable the metric registry and write a JSON "
-                           "snapshot (cluster.*, shard.<id>.* counters)")
-    csim.add_argument("--trace-spans", metavar="PATH",
-                      help="enable the span tracer and write spans "
-                           "(coordinator.plan/commit/unwind) as JSONL")
 
     sweep = commands.add_parser(
         "sweep",
@@ -491,36 +475,115 @@ def _print_overload_summary(summary: dict, cluster: bool = False) -> None:
               f"transition(s), {ov['breaker_open']} probe(s) refused")
 
 
+def _replay(args, replay) -> int:
+    """``--replay`` of either sim command: re-run, diff, report."""
+    if args.record:
+        print("error: --replay and --record are mutually exclusive "
+              "(replay re-runs the recorded recipe)", file=sys.stderr)
+        return 2
+    print("replaying the trace's recorded recipe; other flags are ignored")
+    try:
+        identical, differences, result = replay(args.replay)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot replay {args.replay}: {exc}",
+              file=sys.stderr)
+        return 2
+    print(f"replayed {args.replay}: {len(result.trace)} records")
+    if identical:
+        print("REPLAY IDENTICAL: event ordering and every recorded "
+              "decision reproduced bit-for-bit")
+        return 0
+    print("REPLAY DIVERGED:")
+    for line in differences:
+        print(f"  {line}")
+    return 1
+
+
+def _run_observed(args, run, recipe):
+    """Run ``recipe`` — observed when an export flag asks for it.
+
+    Returns the result, or None after printing the error.
+    """
+    obs = None
+    if args.metrics_out or args.trace_spans:
+        from repro.obs import enabled
+        obs = enabled()
+    try:
+        return run(recipe, trace_path=args.record, obs=obs)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _export_observed(args, result) -> int:
+    """Report the recorded trace; write the snapshot and spans asked for.
+
+    The snapshot's context is the run's identifying flags — ``shards``
+    only where the parser defines it.
+    """
+    from repro.obs import write_snapshot, write_spans
+
+    obs = result.observability
+    context = {
+        key: getattr(args, key)
+        for key in ("platform", "shards", "policy", "seed", "duration")
+        if hasattr(args, key)
+    }
+    if args.record:
+        print(f"  trace            : {len(result.trace)} records -> "
+              f"{args.record}")
+    try:
+        if args.metrics_out:
+            write_snapshot(obs.registry, args.metrics_out, context)
+            print(f"  metrics snapshot : {args.metrics_out}")
+        if args.trace_spans:
+            count = write_spans(obs.tracer, args.trace_spans)
+            print(f"  spans            : {count} -> {args.trace_spans}")
+    except OSError as exc:
+        print(f"error: cannot write observability output: {exc}",
+              file=sys.stderr)
+        return 2
+    return 0
+
+
+def _format_waits(waits: dict) -> str:
+    return ", ".join(
+        f"{key} {value:.3f}" if value is not None else f"{key} n/a"
+        for key, value in waits.items()
+    )
+
+
+def _print_run_summary(args, result, summary: dict, where: str) -> None:
+    """The summary lines every service run prints, whatever the backend."""
+    print(f"simulated {args.duration:g} time units on {where} "
+          f"({args.policy} policy, seed {args.seed})")
+    print(f"  events processed : {result.events_processed} "
+          f"({result.events_per_second:,.0f} events/s wall)")
+    print(f"  offered/admitted : {summary['offered']} / "
+          f"{summary['admitted']} "
+          f"(blocking {summary['blocking_probability']:.3f})")
+    print(f"  departures/drops : {summary['departed']} / "
+          f"{summary['dropped']} {summary['drops_by_reason']}")
+    print("  admission wait   : "
+          + _format_waits(summary["admission_wait"]))
+    print(f"  mean utilization : {summary['mean_utilization']:.3f} "
+          f"(peak queue depth {summary['peak_queue_depth']})")
+    if args.warmup:
+        steady = summary["steady_state"]
+        print(f"  steady state     : blocking "
+              f"{steady['blocking_probability']:.3f}, wait "
+              f"{_format_waits(steady['admission_wait'])} "
+              f"(warmup {steady['warmup']:g} excluded)")
+    for name, stats in summary["per_class"].items():
+        print(f"  class {name:<12}: {stats['admitted']}/{stats['offered']} "
+              f"admitted ({stats['admission_ratio']:.2%})")
+
+
 def _cmd_sim(args) -> int:
     from repro.sim import build_recipe, replay_trace, run_recipe
 
     if args.replay:
-        if args.record:
-            print("error: --replay and --record are mutually exclusive "
-                  "(replay re-runs the recorded recipe)", file=sys.stderr)
-            return 2
-        print("replaying the trace's recorded recipe; other sim flags "
-              "are ignored")
-        try:
-            identical, differences, result = replay_trace(args.replay)
-        except KeyError as exc:
-            print(f"error: cannot replay {args.replay}: recipe header "
-                  f"is missing {exc}", file=sys.stderr)
-            return 2
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot replay {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"replayed {args.replay}: {len(result.trace)} records")
-        if identical:
-            print("REPLAY IDENTICAL: event ordering and admission "
-                  "decisions reproduced bit-for-bit")
-            return 0
-        print("REPLAY DIVERGED:")
-        for line in differences:
-            print(f"  {line}")
-        return 1
-
+        return _replay(args, replay_trace)
     resilience = None
     if args.resilience:
         from repro.resilience import RecoveryPolicy, ResilienceConfig
@@ -543,52 +606,17 @@ def _cmd_sim(args) -> int:
             fault_storm=args.fault_storm,
             resilience=resilience,
             overload=_overload_config(args),
-            batch_plan=args.batch_plan,
             traffic=args.traffic,
             mapper=args.mapper,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    obs = None
-    if args.metrics_out or args.trace_spans:
-        from repro.obs import enabled
-        obs = enabled()
-    try:
-        result = run_recipe(recipe, trace_path=args.record, obs=obs)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    result = _run_observed(args, run_recipe, recipe)
+    if result is None:
         return 2
     summary = result.metrics.summary()
-    waits = summary["admission_wait"]
-    print(f"simulated {args.duration:g} time units on {args.platform} "
-          f"({args.policy} policy, seed {args.seed})")
-    print(f"  events processed : {result.events_processed} "
-          f"({result.events_per_second:,.0f} events/s wall)")
-    print(f"  offered/admitted : {summary['offered']} / "
-          f"{summary['admitted']} "
-          f"(blocking {summary['blocking_probability']:.3f})")
-    print(f"  departures/drops : {summary['departed']} / "
-          f"{summary['dropped']} {summary['drops_by_reason']}")
-    print("  admission wait   : "
-          + ", ".join(
-              f"{key} {value:.3f}" if value is not None else f"{key} n/a"
-              for key, value in waits.items()
-          ))
-    print(f"  mean utilization : {summary['mean_utilization']:.3f} "
-          f"(peak queue depth {summary['peak_queue_depth']})")
-    if args.warmup:
-        steady = summary["steady_state"]
-        steady_waits = ", ".join(
-            f"{key} {value:.3f}" if value is not None else f"{key} n/a"
-            for key, value in steady["admission_wait"].items()
-        )
-        print(f"  steady state     : blocking "
-              f"{steady['blocking_probability']:.3f}, wait {steady_waits} "
-              f"(warmup {steady['warmup']:g} excluded)")
-    for name, stats in summary["per_class"].items():
-        print(f"  class {name:<12}: {stats['admitted']}/{stats['offered']} "
-              f"admitted ({stats['admission_ratio']:.2%})")
+    _print_run_summary(args, result, summary, args.platform)
     if args.faults:
         faults = summary["faults"]
         print(f"  faults           : {faults['injected']} injected, "
@@ -614,35 +642,7 @@ def _cmd_sim(args) -> int:
                   f"{row['p99_ms']:>9.3f} {row['total_ms']:>10.1f}")
         print(f"  short-circuited probes: "
               f"{summary['probes_short_circuited']}")
-    if args.record:
-        print(f"  trace            : {len(result.trace)} records -> "
-              f"{args.record}")
-    if obs is not None:
-        context = {
-            "platform": args.platform,
-            "policy": args.policy,
-            "seed": args.seed,
-            "duration": args.duration,
-        }
-        if args.metrics_out:
-            from repro.obs import write_snapshot
-            try:
-                write_snapshot(obs.registry, args.metrics_out, context)
-            except OSError as exc:
-                print(f"error: cannot write {args.metrics_out}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"  metrics snapshot : {args.metrics_out}")
-        if args.trace_spans:
-            from repro.obs import write_spans
-            try:
-                count = write_spans(obs.tracer, args.trace_spans)
-            except OSError as exc:
-                print(f"error: cannot write {args.trace_spans}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"  spans            : {count} -> {args.trace_spans}")
-    return 0
+    return _export_observed(args, result)
 
 
 def _cmd_cluster(args) -> int:
@@ -653,35 +653,7 @@ def _cmd_cluster(args) -> int:
     )
 
     if args.replay:
-        if args.record:
-            print("error: --replay and --record are mutually exclusive "
-                  "(replay re-runs the recorded recipe)", file=sys.stderr)
-            return 2
-        print("replaying the trace's recorded recipe; other flags are "
-              "ignored")
-        try:
-            identical, differences, result = replay_cluster_trace(
-                args.replay
-            )
-        except KeyError as exc:
-            print(f"error: cannot replay {args.replay}: recipe header "
-                  f"is missing {exc}", file=sys.stderr)
-            return 2
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot replay {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"replayed {args.replay}: {len(result.trace)} records")
-        if identical:
-            print("REPLAY IDENTICAL: event ordering, liveness "
-                  "transitions and admission decisions reproduced "
-                  "bit-for-bit")
-            return 0
-        print("REPLAY DIVERGED:")
-        for line in differences:
-            print(f"  {line}")
-        return 1
-
+        return _replay(args, replay_cluster_trace)
     try:
         recipe = build_cluster_recipe(
             platform=args.platform,
@@ -701,30 +673,14 @@ def _cmd_cluster(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    obs = None
-    if args.metrics_out or args.trace_spans:
-        from repro.obs import enabled
-        obs = enabled()
-    try:
-        result = run_cluster_recipe(
-            recipe, trace_path=args.record, obs=obs
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    result = _run_observed(args, run_cluster_recipe, recipe)
+    if result is None:
         return 2
     summary = result.metrics.summary()
-    print(f"simulated {args.duration:g} time units on {args.platform} "
-          f"across {args.shards} shard(s) ({args.policy} policy, "
-          f"seed {args.seed})")
-    print(f"  events processed : {result.events_processed} "
-          f"({result.events_per_second:,.0f} events/s wall)")
-    print(f"  offered/admitted : {summary['offered']} / "
-          f"{summary['admitted']} "
-          f"(blocking {summary['blocking_probability']:.3f})")
-    print(f"  departures/drops : {summary['departed']} / "
-          f"{summary['dropped']} {summary['drops_by_reason']}")
-    print(f"  mean utilization : {summary['mean_utilization']:.3f} "
-          f"(peak queue depth {summary['peak_queue_depth']})")
+    _print_run_summary(
+        args, result, summary,
+        f"{args.platform} across {args.shards} shard(s)",
+    )
     if args.kills:
         res = summary["resilience"]
         faults = summary["faults"]
@@ -736,36 +692,7 @@ def _cmd_cluster(args) -> int:
         print(f"  availability     : {res['availability']:.4f}")
     if result.overload_stats is not None:
         _print_overload_summary(summary, cluster=True)
-    if args.record:
-        print(f"  trace            : {len(result.trace)} records -> "
-              f"{args.record}")
-    if obs is not None:
-        context = {
-            "platform": args.platform,
-            "shards": args.shards,
-            "policy": args.policy,
-            "seed": args.seed,
-            "duration": args.duration,
-        }
-        if args.metrics_out:
-            from repro.obs import write_snapshot
-            try:
-                write_snapshot(obs.registry, args.metrics_out, context)
-            except OSError as exc:
-                print(f"error: cannot write {args.metrics_out}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"  metrics snapshot : {args.metrics_out}")
-        if args.trace_spans:
-            from repro.obs import write_spans
-            try:
-                count = write_spans(obs.tracer, args.trace_spans)
-            except OSError as exc:
-                print(f"error: cannot write {args.trace_spans}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"  spans            : {count} -> {args.trace_spans}")
-    return 0
+    return _export_observed(args, result)
 
 
 def _format_obs_number(value) -> str:

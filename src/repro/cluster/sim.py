@@ -6,7 +6,8 @@
 event hooks: heartbeat pulses (the liveness registry's only clock —
 every timestamp it sees is kernel sim-time, never the wall clock),
 shard kills and shard revivals.  Everything else — queue policies,
-the epoch short-circuit, the recovery requeue, drain — is inherited
+the epoch short-circuit, the recovery stanza and requeue, the run loop
+(:func:`~repro.sim.service.run_service`) and its drain — is inherited
 unchanged, which is what makes the single-shard cluster bit-identical
 to the unsharded service (no kills → no extra trace records, no extra
 RNG draws; asserted by the lockstep test in ``tests/test_cluster.py``).
@@ -29,9 +30,6 @@ on departures or once the killed shard's probation elapses.
 
 from __future__ import annotations
 
-import time as _time
-from random import Random
-
 from repro.cluster.registry import LivenessPolicy, ShardLiveness
 from repro.cluster.service import ClusterManager
 from repro.cluster.shard import build_shards
@@ -47,10 +45,13 @@ from repro.sim.service import (
     QueuePolicy,
     SimulationConfig,
     SimulationResult,
-    make_policy,
+    base_recipe,
+    recipe_inputs,
+    replay_recorded,
+    run_service,
 )
-from repro.sim.trace import diff_traces, read_trace, write_trace
-from repro.sim.traffic import TrafficClass, make_traffic_classes
+from repro.sim.trace import write_trace
+from repro.sim.traffic import TrafficClass
 
 __all__ = [
     "ClusterAdmissionService",
@@ -99,17 +100,12 @@ class ClusterAdmissionService(AdmissionService):
                     demoted = True
                     self._c_demotions.inc()
             if demoted:
-                self._run_recovery(now)
+                self._recover(now)
 
     def try_admit(self, request: AdmissionRequest, now: float) -> bool:
         admitted = super().try_admit(request, now)
         self._drain_cluster_records(now)
         return admitted
-
-    def try_admit_batch(self, requests, now):
-        outcome = super().try_admit_batch(requests, now)
-        self._drain_cluster_records(now)
-        return outcome
 
     def _departure(self, kernel, event) -> None:
         super()._departure(kernel, event)
@@ -153,7 +149,7 @@ class ClusterAdmissionService(AdmissionService):
         self.trace.record(now, "shard_revive", shard=shard_id)
         self.metrics.on_availability(now, self.cluster.alive_fraction())
         if self.cluster.stranded_by_faults():
-            self._run_recovery(now)
+            self._recover(now)
         self._drain_cluster_records(now)
 
     def heartbeat_pulse(self, now: float) -> None:
@@ -190,7 +186,7 @@ class ClusterAdmissionService(AdmissionService):
                 revived = True
                 self._c_revivals.inc()
         if demoted:
-            self._run_recovery(now)
+            self._recover(now)
         if revived:
             # a probation graduate is fresh capacity: first the
             # requeue (kill victims were admitted before anything
@@ -198,31 +194,6 @@ class ClusterAdmissionService(AdmissionService):
             self._drain_requeue(now)
             self.policy.on_capacity_freed(self, now)
         self._drain_cluster_records(now)
-
-    def _run_recovery(self, now: float) -> None:
-        """Mirror of the resilient fault path's recovery stanza.
-
-        Runs when a shard is demoted to DEAD, and on a revival that
-        exposes stranded bookkeeping (a kill the deadlines never saw).
-        """
-        outcome = self._engine.recovery_pass(now)
-        self.metrics.recovered += len(outcome.recovered)
-        self.metrics.lost += len(outcome.lost)
-        self.trace.record(
-            now, "recovery",
-            stranded=list(outcome.stranded),
-            recovered=sorted(outcome.recovered),
-            lost=dict(sorted(outcome.lost.items())),
-            deferred=sorted(outcome.deferred),
-        )
-        for app_id in sorted(outcome.deferred):
-            entry = self._engine.pending_entry(app_id)
-            if entry is not None and entry.retry_event is None:
-                self._schedule_recovery_retry(
-                    entry, self._engine.policy.base_delay
-                )
-        if outcome.lost or outcome.recovered:
-            self.policy.on_capacity_freed(self, now)
 
 
 # -- kill campaigns ---------------------------------------------------------
@@ -280,29 +251,15 @@ def run_cluster_simulation(
 ) -> SimulationResult:
     """One sharded service run; the cluster twin of ``run_simulation``.
 
-    Wiring (kernel seed, per-class arrival RNG streams, request id
-    sequence, tick scheme, drain order) mirrors
-    :func:`repro.sim.service.run_simulation` exactly — that mirroring
-    plus quiet heartbeats is the whole lockstep argument for
-    ``shard_count == 1``.  The drain additionally asserts the cluster
-    integrity invariants: no orphan parts, no duplicate ownership —
-    i.e. no 2PC round ever leaked a partial allocation.
+    Only the backend differs: kernel seed, per-class arrival RNG
+    streams, request id sequence, tick scheme and drain order are
+    :func:`repro.sim.service.run_service`, the loop ``run_simulation``
+    runs too — that plus quiet heartbeats is the whole lockstep
+    argument for ``shard_count == 1``.  The run additionally asserts
+    the cluster integrity invariants before and after the drain: no
+    orphan parts, no duplicate ownership — i.e. no 2PC round ever
+    leaked a partial allocation.
     """
-    if not classes:
-        raise ValueError("need at least one traffic class")
-    names = [cls.name for cls in classes]
-    if len(set(names)) != len(names):
-        raise ValueError("traffic class names must be unique")
-    if policy.depth() != 0:
-        raise ValueError(
-            "policy still holds requests from a previous run; "
-            "construct a fresh policy per simulation"
-        )
-    for cls in classes:
-        reset = getattr(cls.arrivals, "reset", None)
-        if reset is not None:
-            reset()
-
     kernel = EventKernel(seed=config.seed)
     shards = build_shards(
         rows, cols, shard_count, weights=weights,
@@ -321,64 +278,6 @@ def run_cluster_simulation(
         ),
         overload=overload,
     )
-    cursors = {cls.name: 0 for cls in classes}
-    arrival_rngs = {
-        cls.name: Random(f"{config.seed}:{cls.name}") for cls in classes
-    }
-    request_ids = iter(range(1, 1 << 62))
-
-    def arrival(cls: TrafficClass):
-        def handle(kernel: EventKernel, event: Event) -> None:
-            index = cursors[cls.name]
-            cursors[cls.name] = index + 1
-            app = cls.pool[index % len(cls.pool)]
-            request = AdmissionRequest(
-                request_id=next(request_ids),
-                app=app,
-                app_id=f"{cls.name}#{index}",
-                class_name=cls.name,
-                priority=cls.priority,
-                arrival_time=kernel.now,
-                cls=cls,
-            )
-            service.offer(request, kernel.now)
-            kernel.schedule(
-                cls.arrivals.next_interarrival(arrival_rngs[cls.name]),
-                EventKind.ARRIVAL,
-                handle,
-            )
-        return handle
-
-    for cls in classes:
-        kernel.schedule(
-            cls.arrivals.next_interarrival(arrival_rngs[cls.name]),
-            EventKind.ARRIVAL,
-            arrival(cls),
-        )
-
-    for when, shard_id, revive_at in kills:
-        if shard_id not in cluster.by_id:
-            raise ValueError(f"kill targets unknown shard {shard_id!r}")
-        if when > config.duration or revive_at > config.duration:
-            raise ValueError(
-                f"shard kill/revive at t={when}/{revive_at} lies beyond "
-                f"the horizon (duration {config.duration})"
-            )
-        kernel.schedule_at(
-            when, EventKind.FAULT,
-            lambda kernel, event: service.kill_shard(
-                event.payload["shard"], kernel.now
-            ),
-            shard=shard_id,
-        )
-        kernel.schedule_at(
-            revive_at, EventKind.REPAIR,
-            lambda kernel, event: service.revive_shard(
-                event.payload["shard"], kernel.now
-            ),
-            shard=shard_id,
-        )
-
     interval = cluster.liveness.policy.heartbeat_interval
 
     def pulse(kernel: EventKernel, event: Event) -> None:
@@ -386,60 +285,38 @@ def run_cluster_simulation(
         if kernel.now + interval <= config.duration:
             kernel.schedule(interval, EventKind.HEARTBEAT, pulse)
 
-    kernel.schedule(interval, EventKind.HEARTBEAT, pulse)
-
-    def tick(kernel: EventKernel, event: Event) -> None:
-        service.sample(kernel.now)
-        if kernel.now + config.sample_interval <= config.duration:
-            kernel.schedule(config.sample_interval, EventKind.TICK, tick)
-
-    kernel.schedule(config.sample_interval, EventKind.TICK, tick)
-
-    started = _time.perf_counter()
-    kernel.run(until=config.duration)
-    wall = _time.perf_counter() - started
-
-    samples = service.metrics.samples
-    if not samples or samples[-1].time < config.duration:
-        service.sample(kernel.now)
-
-    service.metrics.finalize_availability(config.duration)
-
-    result = SimulationResult(
-        metrics=service.metrics,
-        trace=service.trace.records,
-        duration=config.duration,
-        wall_seconds=wall,
-        events_processed=kernel.processed,
-        overload_stats=service.overload_state(),
-        observability=cluster.obs,
-    )
-    violations = cluster.verify_integrity()
-    assert not violations, f"cluster integrity violated: {violations}"
-    if config.drain:
-        for entry in service._engine.flush():
-            service.metrics.lost += 1
-            service.trace.record(
-                kernel.now, "recovery_lost",
-                id=entry.app_id, reason="drained",
+    def schedule_kills_and_pulse() -> None:
+        for when, shard_id, revive_at in kills:
+            if shard_id not in cluster.by_id:
+                raise ValueError(f"kill targets unknown shard {shard_id!r}")
+            if when > config.duration or revive_at > config.duration:
+                raise ValueError(
+                    f"shard kill/revive at t={when}/{revive_at} lies beyond "
+                    f"the horizon (duration {config.duration})"
+                )
+            kernel.schedule_at(
+                when, EventKind.FAULT,
+                lambda kernel, event: service.kill_shard(
+                    event.payload["shard"], kernel.now
+                ),
+                shard=shard_id,
             )
-        policy.flush(service, kernel.now)
-        drained = sorted(cluster.admitted)
-        for app_id in drained:
-            cluster.release(app_id)
-        result.post_drain_utilization = cluster.utilization()
-        service.trace.record(
-            kernel.now, "drain",
-            released=len(drained),
-            utilization=result.post_drain_utilization,
-        )
-        assert result.post_drain_utilization == 0.0, (
-            "drained cluster not empty"
-        )
-        assert not cluster.verify_integrity(), (
-            "cluster integrity violated after drain"
-        )
-    return result
+            kernel.schedule_at(
+                revive_at, EventKind.REPAIR,
+                lambda kernel, event: service.revive_shard(
+                    event.payload["shard"], kernel.now
+                ),
+                shard=shard_id,
+            )
+        kernel.schedule(interval, EventKind.HEARTBEAT, pulse)
+
+    def check_integrity() -> None:
+        violations = cluster.verify_integrity()
+        assert not violations, f"cluster integrity violated: {violations}"
+
+    return run_service(
+        service, classes, config, schedule_kills_and_pulse, check_integrity
+    )
 
 
 # -- recipes ----------------------------------------------------------------
@@ -469,14 +346,15 @@ def build_cluster_recipe(
     :func:`run_cluster_recipe`.
 
     The ``"shards"`` key is what distinguishes a cluster recipe from a
-    plain one — ``repro sim --replay`` dispatches on it.  ``kills``
+    plain one: ``repro sim --replay`` rejects a header carrying it and
+    ``repro cluster sim --replay`` rejects one without.  ``kills``
     schedules that many evenly-spaced shard kills, each revived
     ``downtime`` later.
     """
-    make_policy(policy, policy_params)  # validate early
-    make_traffic_classes(  # validate shape + params early
-        traffic, seed=seed, rate_scale=rate_scale, pool_size=pool_size,
-        **(traffic_params or {}),
+    recipe = base_recipe(
+        platform, duration, seed, policy, policy_params, rate_scale,
+        pool_size, sample_interval, warmup, overload, traffic,
+        traffic_params,
     )
     if not isinstance(heartbeat, LivenessPolicy):
         heartbeat = LivenessPolicy.from_params(heartbeat)
@@ -486,34 +364,15 @@ def build_cluster_recipe(
     if kills:
         # validate the campaign fits the horizon before emitting it
         scheduled_kills(shards, kills, duration, downtime)
-    recipe = {
-        "platform": platform,
-        "shards": shards,
-        "duration": duration,
-        "seed": seed,
-        "sample_interval": sample_interval,
-        "warmup": warmup,
-        "policy": make_policy(policy, policy_params).describe(),
-        "classes": {
-            "kind": traffic,
-            "seed": seed,
-            "rate_scale": rate_scale,
-            "pool_size": pool_size,
-        },
-        "heartbeat": heartbeat.describe(),
-        "recovery": recovery.describe(),
-        "allow_split": allow_split,
-        "kills": kills,
-    }
-    if traffic_params:
-        recipe["classes"]["params"] = dict(traffic_params)
+    recipe.update(
+        shards=shards,
+        heartbeat=heartbeat.describe(),
+        recovery=recovery.describe(),
+        allow_split=allow_split,
+        kills=kills,
+    )
     if kills:
         recipe["downtime"] = downtime
-    overload = OverloadConfig.from_spec(overload)
-    if overload is not None:
-        # key present only when overload control is on: legacy cluster
-        # recipes (and their digests) are untouched by this feature
-        recipe["overload"] = overload.describe()
     # early shard-count validation (same error surface as run time)
     build_shards(rows, cols, shards)
     return recipe
@@ -538,25 +397,7 @@ def run_cluster_recipe(
     """Execute a cluster recipe; optionally record the JSONL trace."""
     rows, cols = _parse_mesh(recipe["platform"])
     shard_count = int(recipe["shards"])
-    classes_spec = recipe["classes"]
-    classes = make_traffic_classes(
-        classes_spec.get("kind", "default"),
-        seed=classes_spec["seed"],
-        rate_scale=classes_spec["rate_scale"],
-        pool_size=classes_spec["pool_size"],
-        **(classes_spec.get("params") or {}),
-    )
-    policy = make_policy(
-        recipe["policy"]["name"], recipe["policy"].get("params") or {}
-    )
-    config = SimulationConfig(
-        duration=recipe["duration"],
-        seed=recipe["seed"],
-        sample_interval=recipe["sample_interval"],
-        warmup=float(recipe.get("warmup", 0.0)),
-    )
-    liveness = LivenessPolicy.from_params(recipe.get("heartbeat"))
-    recovery = RecoveryPolicy.from_params(recipe.get("recovery"))
+    classes, policy, config = recipe_inputs(recipe)
     kills = scheduled_kills(
         shard_count,
         int(recipe.get("kills", 0)),
@@ -565,7 +406,9 @@ def run_cluster_recipe(
     )
     result = run_cluster_simulation(
         rows, cols, shard_count, classes, policy, config,
-        kills=kills, liveness=liveness, recovery=recovery,
+        kills=kills,
+        liveness=LivenessPolicy.from_params(recipe.get("heartbeat")),
+        recovery=RecoveryPolicy.from_params(recipe.get("recovery")),
         fastpath=fastpath,
         allow_split=bool(recipe.get("allow_split", True)),
         obs=obs,
@@ -579,26 +422,4 @@ def run_cluster_recipe(
 
 def replay_cluster_trace(path) -> tuple[bool, list[str], SimulationResult]:
     """Re-run a recorded cluster trace's recipe and diff the streams."""
-    header, records = read_trace(path)
-    if header is None:
-        raise ValueError(f"{path}: trace has no recipe header; cannot replay")
-    if "shards" not in header:
-        raise ValueError(
-            f"{path}: not a cluster trace (no 'shards' in the header); "
-            "use replay_trace"
-        )
-    try:
-        result = run_cluster_recipe(header)
-    except KeyError as exc:
-        # a mutated/truncated header is user input, not a library bug:
-        # surface a structured error, never a raw stack trace
-        raise ValueError(
-            f"{path}: trace header is not a valid recipe "
-            f"(missing key {exc})"
-        ) from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(
-            f"{path}: trace header is not a valid recipe ({exc!r})"
-        ) from exc
-    differences = diff_traces(records, result.trace)
-    return not differences, differences, result
+    return replay_recorded(path, run_cluster_recipe, cluster=True)

@@ -35,7 +35,9 @@ backoff as capacity returns.  Without the config, the event stream is
 byte-identical to the pre-resilience service — recorded traces replay
 unchanged.
 
-:func:`run_simulation` wires kernel + traffic + service together;
+:func:`run_simulation` builds kernel + manager + service and hands
+them to :func:`run_service`, the one run loop (the sharded backend in
+:mod:`repro.cluster.sim` runs it too);
 :func:`run_recipe` / :func:`replay_trace` drive the same machinery
 from a JSON recipe so a recorded run can be reproduced bit-identically
 (see ``docs/simulation.md``).
@@ -44,9 +46,9 @@ from a JSON recipe so a recorded run can be reproduced bit-identically
 from __future__ import annotations
 
 import bisect
-import itertools
 import time as _time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from random import Random
 
@@ -231,15 +233,19 @@ class _BoundedQueuePolicy(QueuePolicy):
         default is to do nothing (greedy policies probed everyone at
         the last capacity event already)."""
 
-    # subclasses provide storage
-    def _remove(self, request: AdmissionRequest) -> bool:
-        raise NotImplementedError
+    # storage: subclasses create ``self.queue`` (deque or sorted list)
+    def depth(self) -> int:
+        return len(self.queue)
 
-    def _waiting(self) -> list[AdmissionRequest]:
-        raise NotImplementedError
+    def _remove(self, request: AdmissionRequest) -> bool:
+        try:
+            self.queue.remove(request)
+        except ValueError:
+            return False
+        return True
 
     def flush(self, service: "AdmissionService", now: float) -> None:
-        for request in self._waiting():
+        for request in list(self.queue):
             self._remove(request)
             self._dequeue(request)
             service.drop(request, ReasonCode.DRAINED, now)
@@ -266,10 +272,6 @@ class FifoPolicy(_BoundedQueuePolicy):
     def on_capacity_freed(self, service, now):
         # strict FIFO: stop at the first request that still does not
         # fit (head-of-line blocking is part of the policy's contract)
-        window = getattr(service, "batch_plan", 1)
-        if window > 1 and len(self.queue) > 1:
-            self._drain_batched(service, now, window)
-            return
         while self.queue:
             head = self.queue[0]
             if not service.try_admit(head, now):
@@ -277,37 +279,11 @@ class FifoPolicy(_BoundedQueuePolicy):
             self.queue.popleft()
             self._dequeue(head)
 
-    def _drain_batched(self, service, now, window):
-        # decision-equivalent to the sequential loop (see
-        # AdmissionService.try_admit_batch); one pipeline transaction
-        # per window instead of one per request
-        while self.queue:
-            heads = list(itertools.islice(iter(self.queue), window))
-            admitted = service.try_admit_batch(heads, now)
-            for _ in range(admitted):
-                head = self.queue.popleft()
-                self._dequeue(head)
-            if admitted < len(heads):
-                break
-
     def _after_expire(self, service, now):
         # a timed-out head was the only thing blocking its followers:
         # re-probe, or requests that already fit would sit until their
         # own timeouts
         self.on_capacity_freed(service, now)
-
-    def depth(self):
-        return len(self.queue)
-
-    def _remove(self, request):
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            return False
-        return True
-
-    def _waiting(self):
-        return list(self.queue)
 
 
 class PriorityPolicy(_BoundedQueuePolicy):
@@ -338,19 +314,6 @@ class PriorityPolicy(_BoundedQueuePolicy):
         for request in admitted:
             self.queue.remove(request)
             self._dequeue(request)
-
-    def depth(self):
-        return len(self.queue)
-
-    def _remove(self, request):
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            return False
-        return True
-
-    def _waiting(self):
-        return list(self.queue)
 
 
 class RetryPolicy(QueuePolicy):
@@ -459,16 +422,10 @@ class AdmissionService:
         metrics: ServiceMetrics | None = None,
         trace: TraceRecorder | None = None,
         resilience: ResilienceConfig | None = None,
-        batch_plan: int = 1,
         overload: OverloadConfig | None = None,
     ) -> None:
-        if batch_plan < 1:
-            raise ValueError("batch_plan must be at least 1")
         self.manager = manager
         self.controller = manager.controller
-        #: queue-drain window for :meth:`try_admit_batch`; 1 keeps the
-        #: classic one-probe-per-request drain (policies consult this)
-        self.batch_plan = batch_plan
         self.policy = policy
         self.kernel = kernel
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -629,7 +586,7 @@ class AdmissionService:
 
     def _note_admitted(self, request: AdmissionRequest, layout, now: float
                        ) -> None:
-        """Shared success tail of a probe: metrics, departure, trace."""
+        """Success tail of a probe: metrics, departure, trace."""
         self.metrics.on_attempt_timings(layout.timings)
         wait = now - request.arrival_time
         self.metrics.on_admitted(request.class_name, wait, now)
@@ -650,74 +607,6 @@ class AdmissionService:
             id=request.app_id, wait=wait, hold=holding,
             attempts=request.attempts,
         )
-
-    def try_admit_batch(
-        self, requests: list[AdmissionRequest], now: float
-    ) -> int:
-        """Probe a queue-front window through ``plan_batch`` and commit
-        the admissible prefix; returns how many were admitted.
-
-        Decision-equivalent to calling :meth:`try_admit` on each
-        request in order and stopping at the first failure — same
-        decisions, metrics and trace records (asserted by
-        ``tests/test_batch_plan.py``) — but the pipeline runs once per
-        request inside one planning transaction, keeping the binder
-        scratch pools and the gate's demand cache warm across the
-        window.  The equivalence argument:
-
-        * only the *head* can short-circuit — committing a predecessor
-          advances the epoch past any follower's recorded failure, so
-          the sequential loop would never short-circuit a non-head
-          request either;
-        * each plan is stamped with the in-transaction epoch its
-          committed predecessors produce, which is exactly the epoch a
-          sequential probe would observe, so failure memos recorded
-          from a batch replay identically afterwards;
-        * plans after the first failure are discarded uncommitted —
-          plans hold nothing, and the sequential loop never probed
-          those requests.
-        """
-        head = requests[0]
-        if head.holding is None and head.cls is None:
-            raise ValueError(
-                f"request {head.app_id} has neither a holding time nor "
-                "a traffic class to sample one from"
-            )
-        head.attempts += 1
-        epoch = self.manager.state.epoch
-        if head.last_failed_epoch == epoch:
-            self.metrics.probes_short_circuited += 1
-            self._c_short_circuits.inc()
-            self.metrics.on_phase_rejection(
-                head.last_failed_phase, head.last_failed_code
-            )
-            return 0
-        plans = self.controller.plan_batch(
-            [request.app for request in requests],
-            [request.app_id for request in requests],
-        )
-        admitted = 0
-        for index, (request, plan) in enumerate(zip(requests, plans)):
-            if index > 0:
-                if request.holding is None and request.cls is None:
-                    raise ValueError(
-                        f"request {request.app_id} has neither a holding "
-                        "time nor a traffic class to sample one from"
-                    )
-                request.attempts += 1
-            decision = self.controller.commit(plan)
-            if not decision.admitted:
-                request.last_failed_epoch = plan.epoch
-                request.last_failed_phase = decision.phase.value
-                request.last_failed_code = decision.code
-                self.metrics.on_phase_rejection(
-                    decision.phase.value, decision.code
-                )
-                self.metrics.on_attempt_timings(decision.timings)
-                return admitted
-            self._note_admitted(request, decision.layout, now)
-            admitted += 1
-        return admitted
 
     def _departure(self, kernel: EventKernel, event: Event) -> None:
         app_id = event.payload["app_id"]
@@ -843,50 +732,19 @@ class AdmissionService:
     def inject_fault(self, fault: Fault, now: float) -> None:
         """Apply a scheduled fault and recover stranded applications.
 
-        Recovery uses the manager's remembered application
-        specifications; freed capacity (from lost applications) is
-        offered to the queue policy exactly like a departure.
-
         Legacy mode (no resilience config) keeps the pre-resilience
-        behaviour — permanent fault, one inline recovery pass in the
-        historical alphabetical order — so recorded traces replay
-        byte-identically.  Resilience mode adds repair scheduling, the
-        health registry and the engine's requeue.
+        behaviour — every fault permanent, no ``mttr`` key — so
+        recorded traces replay byte-identically.  Resilience mode adds
+        repair scheduling and the health registry.
         """
         self._c_faults.inc()
-        if self._engine is None:
-            self._inject_fault_legacy(fault, now)
-        else:
-            self._inject_fault_resilient(fault, now)
-
-    def _inject_fault_legacy(self, fault: Fault, now: float) -> None:
-        apply_fault(self.manager.state, fault)
-        self.metrics.faults_injected += 1
-        self.trace.record(
-            now, "fault", fkind=fault.kind, target=list(fault.target)
-        )
-        # order="name" pins the historical alphabetical recovery order:
-        # committed traces were recorded under it, and replay certifies
-        # bit-identical decisions (bare Kairos.recover() now defaults
-        # to the starvation-free "admission" order)
-        report = self.manager.recover(order="name")
-        self.metrics.recovered += len(report.recovered)
-        self.metrics.lost += len(report.lost)
-        self.trace.record(
-            now, "recovery",
-            stranded=list(report.stranded),
-            recovered=sorted(report.recovered),
-            lost=dict(sorted(report.lost.items())),
-        )
-        if report.lost or report.recovered:
-            self.policy.on_capacity_freed(self, now)
-
-    def _inject_fault_resilient(self, fault: Fault, now: float) -> None:
-        self._observe_health(now)
+        resilient = self._engine is not None
+        if resilient:
+            self._observe_health(now)
         apply_fault(self.manager.state, fault)
         self.metrics.faults_injected += 1
         key = (fault.kind, fault.target)
-        if fault.repair_after is not None:
+        if resilient and fault.repair_after is not None:
             self.trace.record(
                 now, "fault",
                 fkind=fault.kind, target=list(fault.target),
@@ -905,11 +763,35 @@ class AdmissionService:
             self.trace.record(
                 now, "fault", fkind=fault.kind, target=list(fault.target)
             )
-            self._permanent.add(key)
-        if self.health is not None:
-            self._note_transitions(self.health.on_fault(fault, now), now)
-        self._note_availability(now)
-        outcome = self._engine.recovery_pass(now)
+            if resilient:
+                self._permanent.add(key)
+        if resilient:
+            if self.health is not None:
+                self._note_transitions(self.health.on_fault(fault, now), now)
+            self._note_availability(now)
+        self._recover(now)
+
+    def _recover(self, now: float) -> None:
+        """Re-place every stranded application; trace what was decided.
+
+        The one recovery stanza: runs after an injected fault and, in
+        a cluster, after a shard demotion or a revival that exposes
+        stranded bookkeeping.  Recovery uses the manager's remembered
+        application specifications; freed capacity (from lost
+        applications) is offered to the queue policy exactly like a
+        departure.  Resilience mode requeues what does not fit right
+        now (``deferred``) behind a backoff wake-up.
+        """
+        if self._engine is None:
+            # order="name" pins the historical alphabetical recovery
+            # order: committed traces were recorded under it, and replay
+            # certifies bit-identical decisions (bare Kairos.recover()
+            # now defaults to the starvation-free "admission" order)
+            outcome = self.manager.recover(order="name")
+            requeued = {}
+        else:
+            outcome = self._engine.recovery_pass(now)
+            requeued = {"deferred": sorted(outcome.deferred)}
         self.metrics.recovered += len(outcome.recovered)
         self.metrics.lost += len(outcome.lost)
         self.trace.record(
@@ -917,14 +799,12 @@ class AdmissionService:
             stranded=list(outcome.stranded),
             recovered=sorted(outcome.recovered),
             lost=dict(sorted(outcome.lost.items())),
-            deferred=sorted(outcome.deferred),
+            **requeued,
         )
-        for app_id in sorted(outcome.deferred):
-            entry = self._engine.pending_entry(app_id)
-            if entry is not None and entry.retry_event is None:
-                self._schedule_recovery_retry(
-                    entry, self._engine.policy.base_delay
-                )
+        for app_id in requeued.get("deferred", ()):
+            self._schedule_recovery_retry(
+                app_id, self._engine.policy.base_delay
+            )
         if outcome.lost or outcome.recovered:
             self.policy.on_capacity_freed(self, now)
 
@@ -955,11 +835,14 @@ class AdmissionService:
         self._drain_requeue(now)
         self.policy.on_capacity_freed(self, now)
 
-    def _schedule_recovery_retry(self, entry, delay: float) -> None:
-        entry.retry_event = self.kernel.schedule(
-            delay, EventKind.RECOVERY_RETRY, self._recovery_retry,
-            app_id=entry.app_id,
-        )
+    def _schedule_recovery_retry(self, app_id: str, delay: float) -> None:
+        """Make sure a requeued app has a backoff wake-up pending."""
+        entry = self._engine.pending_entry(app_id)
+        if entry is not None and entry.retry_event is None:
+            entry.retry_event = self.kernel.schedule(
+                delay, EventKind.RECOVERY_RETRY, self._recovery_retry,
+                app_id=app_id,
+            )
 
     def _recovery_retry(self, kernel: EventKernel, event: Event) -> None:
         """A requeued app's backoff elapsed: guaranteed drain wake-up."""
@@ -992,10 +875,8 @@ class AdmissionService:
                     now, "recovery_lost",
                     id=result.app_id, reason="recovery_retries_exhausted",
                 )
-            else:  # deferred: make sure a backoff wake-up exists
-                entry = self._engine.pending_entry(result.app_id)
-                if entry is not None and entry.retry_event is None:
-                    self._schedule_recovery_retry(entry, result.delay)
+            else:  # deferred
+                self._schedule_recovery_retry(result.app_id, result.delay)
 
     # -- health observation --------------------------------------------------
 
@@ -1126,42 +1007,25 @@ class SimulationResult:
         return self.events_processed / self.wall_seconds
 
 
-def run_simulation(
-    platform: Platform,
+def run_service(
+    service: AdmissionService,
     classes: tuple[TrafficClass, ...],
-    policy: QueuePolicy,
-    config: SimulationConfig = SimulationConfig(),
-    faults: tuple[tuple[float, Fault], ...] = (),
-    weights: CostWeights = BOTH,
-    fastpath: bool = True,
-    resilience: ResilienceConfig | None = None,
-    obs: Observability | None = None,
-    batch_plan: int = 1,
-    overload: OverloadConfig | None = None,
-    mapper: str = "kairos",
-    mapper_params: dict | None = None,
+    config: SimulationConfig,
+    schedule_backend_events: Callable[[], None],
+    check: Callable[[], None] = lambda: None,
 ) -> SimulationResult:
-    """Run one continuous-time admission-service simulation.
+    """The one run loop, shared by every admission backend.
 
-    Deterministic for a given (platform, classes, policy, config,
-    faults): all randomness flows from seeded RNGs — the kernel RNG
-    (holding times) and one stream per traffic class (arrivals),
-    seeded from ``config.seed`` and the class name.  ``fastpath``
-    toggles the manager's admission gate and negative-result memo;
-    decisions and traces are bit-identical either way (asserted by
-    ``tests/test_fastpath.py``) — only the wall-clock changes.
-    ``obs`` attaches an :class:`~repro.obs.Observability` bundle
-    (metric registry + span tracer); observability is read-only — it
-    never feeds a decision, so an instrumented run produces the same
-    trace as a bare one (asserted by ``tests/test_obs.py``).
-    Stateful arrival processes (MMPP) are reset at start-up so traffic
-    classes can be reused across runs; the *policy* must be fresh —
-    its queue holds requests bound to one run's kernel, so reuse is
-    rejected.  ``mapper`` selects the placement strategy from the
-    phase-pipeline registry (``kairos``, ``first_fit``, ``random``,
-    ``annealing``, ``optimal``) — unlike fastpath this
-    *does* change decisions, so it is part of the recipe.
+    :func:`run_simulation` and
+    :func:`repro.cluster.sim.run_cluster_simulation` build their
+    manager + service and hand over here.  ``schedule_backend_events``
+    queues the backend's own events (faults; shard kills and the
+    heartbeat pulse) — it runs after the first arrivals and before the
+    first tick are scheduled, so same-kind events keep their relative
+    sequence numbers.  ``check`` is the backend's integrity assertion,
+    called after the run and again after the drain.
     """
+    kernel, manager, policy = service.kernel, service.manager, service.policy
     if not classes:
         raise ValueError("need at least one traffic class")
     names = [cls.name for cls in classes]
@@ -1177,31 +1041,6 @@ def run_simulation(
         if reset is not None:
             reset()
 
-    kernel = EventKernel(seed=config.seed)
-    health = (
-        None if resilience is None else HealthRegistry(resilience.health)
-    )
-    manager = Kairos(
-        platform, weights=weights, validation_mode="skip",
-        fastpath=fastpath, health=health, obs=obs,
-    )
-    if mapper != "kairos" or mapper_params:
-        # swap only the mapping phase; binder/router/validator stay at
-        # the defaults the "kairos" pipeline above would have used
-        manager.pipeline = PhasePipeline(
-            binder="regret",
-            mapper=mapper,
-            mapper_params=mapper_params,
-            router=manager.router,
-            validator="skip",
-        )
-    service = AdmissionService(
-        manager, policy, kernel,
-        metrics=ServiceMetrics(warmup=config.warmup),
-        resilience=resilience,
-        batch_plan=batch_plan,
-        overload=overload,
-    )
     cursors = {cls.name: 0 for cls in classes}
     arrival_rngs = {
         cls.name: Random(f"{config.seed}:{cls.name}") for cls in classes
@@ -1237,23 +1076,7 @@ def run_simulation(
             arrival(cls),
         )
 
-    for when, fault in faults:
-        if when > config.duration:
-            # a silently skipped fault would make a resilience run test
-            # less than the caller specified — match the strictness of
-            # FaultCampaign.schedule's own validation
-            raise ValueError(
-                f"fault at t={when} lies beyond the horizon "
-                f"(duration {config.duration})"
-            )
-        kernel.schedule_at(
-            when,
-            EventKind.FAULT,
-            lambda kernel, event: service.inject_fault(
-                event.payload["fault"], kernel.now
-            ),
-            fault=fault,
-        )
+    schedule_backend_events()
 
     def tick(kernel: EventKernel, event: Event) -> None:
         service.sample(kernel.now)
@@ -1273,7 +1096,7 @@ def run_simulation(
     if not samples or samples[-1].time < config.duration:
         service.sample(kernel.now)
 
-    if resilience is not None:
+    if service.resilience is not None:
         service.metrics.finalize_availability(config.duration)
 
     result = SimulationResult(
@@ -1282,10 +1105,11 @@ def run_simulation(
         duration=config.duration,
         wall_seconds=wall,
         events_processed=kernel.processed,
-        fastpath_stats=manager.fastpath_stats,
+        fastpath_stats=getattr(manager, "fastpath_stats", None),
         overload_stats=service.overload_state(),
         observability=manager.obs,
     )
+    check()
     if config.drain:
         if service._engine is not None:
             # resolve the requeue before the queue policy: every
@@ -1309,10 +1133,137 @@ def run_simulation(
         assert result.post_drain_utilization == 0.0, (
             "drained platform not empty"
         )
+        check()
     return result
 
 
+def run_simulation(
+    platform: Platform,
+    classes: tuple[TrafficClass, ...],
+    policy: QueuePolicy,
+    config: SimulationConfig = SimulationConfig(),
+    faults: tuple[tuple[float, Fault], ...] = (),
+    weights: CostWeights = BOTH,
+    fastpath: bool = True,
+    resilience: ResilienceConfig | None = None,
+    obs: Observability | None = None,
+    overload: OverloadConfig | None = None,
+    mapper: str = "kairos",
+    mapper_params: dict | None = None,
+) -> SimulationResult:
+    """Run one continuous-time admission-service simulation.
+
+    Deterministic for a given (platform, classes, policy, config,
+    faults): all randomness flows from seeded RNGs — the kernel RNG
+    (holding times) and one stream per traffic class (arrivals),
+    seeded from ``config.seed`` and the class name.  ``fastpath``
+    toggles the manager's admission gate and negative-result memo;
+    decisions and traces are bit-identical either way (asserted by
+    ``tests/test_fastpath.py``) — only the wall-clock changes.
+    ``obs`` attaches an :class:`~repro.obs.Observability` bundle
+    (metric registry + span tracer); observability is read-only — it
+    never feeds a decision, so an instrumented run produces the same
+    trace as a bare one (asserted by ``tests/test_obs.py``).
+    Stateful arrival processes (MMPP) are reset at start-up so traffic
+    classes can be reused across runs; the *policy* must be fresh —
+    its queue holds requests bound to one run's kernel, so reuse is
+    rejected.  ``mapper`` selects the placement strategy from the
+    phase-pipeline registry (``kairos``, ``first_fit``, ``random``,
+    ``annealing``, ``optimal``) — unlike fastpath this
+    *does* change decisions, so it is part of the recipe.
+    """
+    kernel = EventKernel(seed=config.seed)
+    health = (
+        None if resilience is None else HealthRegistry(resilience.health)
+    )
+    manager = Kairos(
+        platform, weights=weights, validation_mode="skip",
+        fastpath=fastpath, health=health, obs=obs,
+    )
+    if mapper != "kairos" or mapper_params:
+        # swap only the mapping phase; binder/router/validator stay at
+        # the defaults the "kairos" pipeline above would have used
+        manager.pipeline = PhasePipeline(
+            binder="regret",
+            mapper=mapper,
+            mapper_params=mapper_params,
+            router=manager.router,
+            validator="skip",
+        )
+    service = AdmissionService(
+        manager, policy, kernel,
+        metrics=ServiceMetrics(warmup=config.warmup),
+        resilience=resilience,
+        overload=overload,
+    )
+
+    def schedule_faults() -> None:
+        for when, fault in faults:
+            if when > config.duration:
+                # a silently skipped fault would make a resilience run
+                # test less than the caller specified — match the
+                # strictness of FaultCampaign.schedule's own validation
+                raise ValueError(
+                    f"fault at t={when} lies beyond the horizon "
+                    f"(duration {config.duration})"
+                )
+            kernel.schedule_at(
+                when,
+                EventKind.FAULT,
+                lambda kernel, event: service.inject_fault(
+                    event.payload["fault"], kernel.now
+                ),
+                fault=fault,
+            )
+
+    return run_service(service, classes, config, schedule_faults)
+
+
 # -- recipes: reproducible run descriptions --------------------------------
+
+
+def base_recipe(
+    platform: str,
+    duration: float,
+    seed: int,
+    policy: str,
+    policy_params: dict | None,
+    rate_scale: float,
+    pool_size: int,
+    sample_interval: float,
+    warmup: float,
+    overload: "OverloadConfig | dict | None",
+    traffic: str,
+    traffic_params: dict | None,
+) -> dict:
+    """The validated recipe keys every backend's recipe starts from."""
+    resolved = make_policy(policy, policy_params)  # validate early
+    make_traffic_classes(  # validate shape + params early
+        traffic, seed=seed, rate_scale=rate_scale, pool_size=pool_size,
+        **(traffic_params or {}),
+    )
+    recipe = {
+        "platform": platform,
+        "duration": duration,
+        "seed": seed,
+        "sample_interval": sample_interval,
+        "warmup": warmup,
+        "policy": resolved.describe(),
+        "classes": {
+            "kind": traffic,
+            "seed": seed,
+            "rate_scale": rate_scale,
+            "pool_size": pool_size,
+        },
+    }
+    if traffic_params:
+        recipe["classes"]["params"] = dict(traffic_params)
+    overload = OverloadConfig.from_spec(overload)
+    if overload is not None:
+        # emitted only when set: pre-overload recipes (and the traces
+        # recorded from them) stay byte-identical
+        recipe["overload"] = overload.describe()
+    return recipe
 
 
 def build_recipe(
@@ -1330,7 +1281,6 @@ def build_recipe(
     fault_links: float = 0.0,
     fault_storm: int = 0,
     resilience: "ResilienceConfig | dict | None" = None,
-    batch_plan: int = 1,
     overload: "OverloadConfig | dict | None" = None,
     traffic: str = "default",
     traffic_params: dict | None = None,
@@ -1361,10 +1311,10 @@ def build_recipe(
     they deviate from the defaults, so pre-scenario recipes stay
     byte-identical.
     """
-    resolved = make_policy(policy, policy_params)  # validate early
-    make_traffic_classes(  # validate shape + params early
-        traffic, seed=seed, rate_scale=rate_scale, pool_size=pool_size,
-        **(traffic_params or {}),
+    recipe = base_recipe(
+        platform, duration, seed, policy, policy_params, rate_scale,
+        pool_size, sample_interval, warmup, overload, traffic,
+        traffic_params,
     )
     if fault_mttr is not None and fault_mttr <= 0:
         raise ValueError("fault_mttr must be positive (or None)")
@@ -1372,23 +1322,7 @@ def build_recipe(
         raise ValueError("fault_links must lie in [0, 1]")
     if fault_storm < 0:
         raise ValueError("fault_storm must be non-negative")
-    recipe = {
-        "platform": platform,
-        "duration": duration,
-        "seed": seed,
-        "sample_interval": sample_interval,
-        "warmup": warmup,
-        "policy": resolved.describe(),
-        "classes": {
-            "kind": traffic,
-            "seed": seed,
-            "rate_scale": rate_scale,
-            "pool_size": pool_size,
-        },
-        "faults": faults,
-    }
-    if traffic_params:
-        recipe["classes"]["params"] = dict(traffic_params)
+    recipe["faults"] = faults
     if mapper != "kairos" or mapper_params:
         PhasePipeline(mapper=mapper, mapper_params=mapper_params)  # validate
         recipe["mapper"] = mapper
@@ -1401,21 +1335,8 @@ def build_recipe(
     if fault_storm:
         recipe["fault_storm"] = fault_storm
     if resilience is not None:
-        if not isinstance(resilience, ResilienceConfig):
-            resilience = ResilienceConfig.from_spec(resilience)
+        resilience = ResilienceConfig.from_spec(resilience)
         recipe["resilience"] = resilience.describe()
-    if overload is not None:
-        # emitted only when set: pre-overload recipes (and the traces
-        # recorded from them) stay byte-identical
-        if not isinstance(overload, OverloadConfig):
-            overload = OverloadConfig.from_spec(overload)
-        recipe["overload"] = overload.describe()
-    if batch_plan < 1:
-        raise ValueError("batch_plan must be at least 1")
-    if batch_plan > 1:
-        # emitted only when batched: pre-existing recipes (and the
-        # traces recorded from them) stay byte-identical
-        recipe["batch_plan"] = batch_plan
     return recipe
 
 
@@ -1525,22 +1446,10 @@ def scheduled_faults(
     return campaign.schedule(times)
 
 
-def run_recipe(
+def recipe_inputs(
     recipe: dict,
-    trace_path=None,
-    obs: Observability | None = None,
-    fastpath: bool = True,
-) -> SimulationResult:
-    """Execute a recipe; optionally write the JSONL trace (header first).
-
-    ``fastpath`` toggles the manager's admission gate/memo; it is
-    deliberately *not* part of the recipe — it changes wall-clock,
-    never decisions, so a trace recorded either way replays both
-    ways.  ``obs`` is excluded
-    from the recipe for the same reason: metrics and spans observe the
-    run without influencing it.
-    """
-    platform = platform_from_spec(recipe["platform"])
+) -> tuple[tuple[TrafficClass, ...], QueuePolicy, SimulationConfig]:
+    """The (classes, policy, config) every backend's recipe describes."""
     classes_spec = recipe["classes"]
     classes = make_traffic_classes(
         classes_spec.get("kind", "default"),
@@ -1558,6 +1467,26 @@ def run_recipe(
         sample_interval=recipe["sample_interval"],
         warmup=float(recipe.get("warmup", 0.0)),
     )
+    return classes, policy, config
+
+
+def run_recipe(
+    recipe: dict,
+    trace_path=None,
+    obs: Observability | None = None,
+    fastpath: bool = True,
+) -> SimulationResult:
+    """Execute a recipe; optionally write the JSONL trace (header first).
+
+    ``fastpath`` toggles the manager's admission gate/memo; it is
+    deliberately *not* part of the recipe — it changes wall-clock,
+    never decisions, so a trace recorded either way replays both
+    ways.  ``obs`` is excluded
+    from the recipe for the same reason: metrics and spans observe the
+    run without influencing it.
+    """
+    platform = platform_from_spec(recipe["platform"])
+    classes, policy, config = recipe_inputs(recipe)
     faults = scheduled_faults(
         platform, int(recipe.get("faults", 0)),
         config.duration, config.seed,
@@ -1565,13 +1494,12 @@ def run_recipe(
         link_fraction=float(recipe.get("fault_links", 0.0)),
         storm_radius=int(recipe.get("fault_storm", 0)),
     )
-    resilience = ResilienceConfig.from_spec(recipe.get("resilience"))
-    overload = OverloadConfig.from_spec(recipe.get("overload"))
     result = run_simulation(
         platform, classes, policy, config, faults=faults,
-        fastpath=fastpath, resilience=resilience, obs=obs,
-        batch_plan=int(recipe.get("batch_plan", 1)),
-        overload=overload,
+        fastpath=fastpath,
+        resilience=ResilienceConfig.from_spec(recipe.get("resilience")),
+        obs=obs,
+        overload=OverloadConfig.from_spec(recipe.get("overload")),
         mapper=recipe.get("mapper", "kairos"),
         mapper_params=recipe.get("mapper_params"),
     )
@@ -1581,23 +1509,31 @@ def run_recipe(
     return result
 
 
-def replay_trace(path) -> tuple[bool, list[str], SimulationResult]:
-    """Re-run a recorded trace's recipe and diff the decision streams.
+def replay_recorded(
+    path, run: Callable[[dict], SimulationResult], cluster: bool
+) -> tuple[bool, list[str], SimulationResult]:
+    """Re-run a recorded header through ``run`` and diff the streams.
 
-    Returns ``(identical, differences, fresh_result)``; an empty
-    difference list certifies bit-identical event ordering and
-    admission decisions.
+    The body of :func:`replay_trace` and
+    :func:`repro.cluster.sim.replay_cluster_trace`; ``cluster`` says
+    which kind of header ``run`` executes (a cluster recipe is the one
+    with a ``"shards"`` key).
     """
     header, records = read_trace(path)
     if header is None:
         raise ValueError(f"{path}: trace has no recipe header; cannot replay")
-    if "shards" in header:
+    if "shards" in header and not cluster:
         raise ValueError(
             f"{path}: this is a cluster trace; replay it with "
             "repro.cluster.replay_cluster_trace (repro cluster sim --replay)"
         )
+    if "shards" not in header and cluster:
+        raise ValueError(
+            f"{path}: not a cluster trace (no 'shards' in the header); "
+            "use replay_trace"
+        )
     try:
-        result = run_recipe(header)
+        result = run(header)
     except KeyError as exc:
         # a mutated/truncated header is user input, not a library bug:
         # surface a structured error, never a raw stack trace
@@ -1611,3 +1547,13 @@ def replay_trace(path) -> tuple[bool, list[str], SimulationResult]:
         ) from exc
     differences = diff_traces(records, result.trace)
     return not differences, differences, result
+
+
+def replay_trace(path) -> tuple[bool, list[str], SimulationResult]:
+    """Re-run a recorded trace's recipe and diff the decision streams.
+
+    Returns ``(identical, differences, fresh_result)``; an empty
+    difference list certifies bit-identical event ordering and
+    admission decisions.
+    """
+    return replay_recorded(path, run_recipe, cluster=False)

@@ -170,6 +170,18 @@ class TestClusterSim:
         assert main(["cluster", "sim", "--replay", str(trace)]) == 0
         assert "REPLAY IDENTICAL" in capsys.readouterr().out
 
+    def test_cluster_sim_prints_the_shared_summary(self, capsys):
+        # the same summary printer as `repro sim`: wait, per-class and
+        # (with --warmup) steady-state lines
+        assert main([
+            "cluster", "sim", "--platform", "6x6", "--shards", "2",
+            "--duration", "10", "--rate-scale", "2", "--warmup", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "admission wait" in out
+        assert "class interactive" in out
+        assert "steady state" in out and "warmup 4 excluded" in out
+
     def test_cluster_sim_validates_shard_split(self, capsys):
         assert main([
             "cluster", "sim", "--platform", "6x6", "--shards", "4",
@@ -240,6 +252,11 @@ class TestArgparse:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
+
+    def test_removed_batch_plan_flag_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim", "--batch-plan", "8"])
+        assert excinfo.value.code == 2
 
     def test_pack_requires_source(self):
         with pytest.raises(SystemExit):

@@ -22,15 +22,28 @@ FAST_EXAMPLES = [
     "design_flow.py",
     "service_simulation.py",
     "plan_commit.py",
+    "online_admission.py",
+    "fault_tolerance.py",
+    "custom_objectives.py",
 ]
+
+
+def run_example(script: str) -> subprocess.CompletedProcess:
+    # the deprecated shim is an error here, so no example can drift
+    # back to teaching ``Kairos.allocate``
+    return subprocess.run(
+        [
+            sys.executable,
+            "-W", "error:Kairos.allocate is deprecated:DeprecationWarning",
+            str(EXAMPLES / script),
+        ],
+        capture_output=True, text=True, timeout=180,
+    )
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
 def test_example_runs(script):
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / script)],
-        capture_output=True, text=True, timeout=180,
-    )
+    result = run_example(script)
     assert result.returncode == 0, (
         f"{script} failed:\n{result.stdout[-1500:]}\n{result.stderr[-1500:]}"
     )
@@ -38,20 +51,14 @@ def test_example_runs(script):
 
 
 def test_quickstart_output_contract():
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / "quickstart.py")],
-        capture_output=True, text=True, timeout=180,
-    )
+    result = run_example("quickstart.py")
     assert "execution layout" in result.stdout
     assert "bootstrap plan" in result.stdout
     assert "utilization 0.0%" in result.stdout  # released cleanly
 
 
 def test_plan_commit_output_contract():
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / "plan_commit.py")],
-        capture_output=True, text=True, timeout=180,
-    )
+    result = run_example("plan_commit.py")
     assert "resources held: none" in result.stdout
     assert "replanned=True" in result.stdout      # the epoch-conflict demo
     assert "0 replans" in result.stdout           # ordered batch commits
@@ -59,10 +66,7 @@ def test_plan_commit_output_contract():
 
 
 def test_worked_example_shows_iterations():
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / "worked_example.py")],
-        capture_output=True, text=True, timeout=180,
-    )
+    result = run_example("worked_example.py")
     assert "i = 0 (anchor):" in result.stdout
     assert "i = 1:" in result.stdout
     assert "final placement:" in result.stdout

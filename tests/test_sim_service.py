@@ -54,6 +54,23 @@ def half_app(seed: int):
     )
 
 
+def _run_single(classes, policy, config, **events):
+    from repro.sim import run_simulation
+
+    return run_simulation(mesh(3, 3), classes, policy, config, **events)
+
+
+def _run_cluster(classes, policy, config, **events):
+    from repro.cluster import run_cluster_simulation
+
+    return run_cluster_simulation(3, 3, 1, classes, policy, config, **events)
+
+
+#: both admission backends behind one call shape: the run loop's input
+#: checks are shared, so every such check is asserted against each
+BACKENDS = {"single": _run_single, "cluster": _run_cluster}
+
+
 def request(rid: int, *, arrival: float, holding: float, priority: int = 0,
             cls_name: str = "test") -> AdmissionRequest:
     return AdmissionRequest(
@@ -314,34 +331,36 @@ class TestReviewRegressions:
         assert manager.utilization() == 0.0
 
     def test_reused_policy_with_queued_requests_rejected(self):
-        from repro.sim import SimulationConfig, run_simulation
+        from repro.sim import SimulationConfig
         from repro.sim.traffic import default_traffic_classes
 
-        policy = FifoPolicy(capacity=4, timeout=None)
-        policy.queue.append(
-            request(99, arrival=0.0, holding=1.0)
-        )  # leftover state from a "previous run"
-        with pytest.raises(ValueError):
-            run_simulation(
-                mesh(3, 3), default_traffic_classes(pool_size=2), policy,
-                SimulationConfig(duration=5.0),
-            )
+        for run in BACKENDS.values():
+            policy = FifoPolicy(capacity=4, timeout=None)
+            policy.queue.append(
+                request(99, arrival=0.0, holding=1.0)
+            )  # leftover state from a "previous run"
+            with pytest.raises(ValueError, match="fresh policy"):
+                run(
+                    default_traffic_classes(pool_size=2), policy,
+                    SimulationConfig(duration=5.0),
+                )
 
     def test_traffic_classes_reusable_across_runs(self):
         """MMPP phase state must reset, so one classes tuple gives
         identical traces on back-to-back runs."""
-        from repro.sim import SimulationConfig, run_simulation
+        from repro.sim import SimulationConfig
         from repro.sim.traffic import default_traffic_classes
 
         classes = default_traffic_classes(seed=3, rate_scale=2.0, pool_size=2)
-        runs = [
-            run_simulation(
-                mesh(3, 3), classes, RejectPolicy(),
-                SimulationConfig(duration=10.0, seed=3),
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].trace == runs[1].trace
+        for backend, run in BACKENDS.items():
+            runs = [
+                run(
+                    classes, RejectPolicy(),
+                    SimulationConfig(duration=10.0, seed=3),
+                )
+                for _ in range(2)
+            ]
+            assert runs[0].trace == runs[1].trace, backend
 
     def test_drained_drops_do_not_count_as_blocking(self):
         """Requests still waiting at the horizon are censored, not
@@ -364,15 +383,21 @@ class TestReviewRegressions:
 
     def test_fault_beyond_horizon_rejected(self):
         from repro.arch.faults import Fault
-        from repro.sim import SimulationConfig, run_simulation
+        from repro.sim import SimulationConfig
         from repro.sim.traffic import default_traffic_classes
 
-        with pytest.raises(ValueError):
-            run_simulation(
-                mesh(3, 3), default_traffic_classes(pool_size=2),
-                RejectPolicy(), SimulationConfig(duration=5.0),
-                faults=((6.0, Fault("element", ("dsp_0_0",))),),
-            )
+        # the cluster twin of a late fault: a kill, or only its
+        # revival, scheduled past the horizon
+        for backend, events in (
+            ("single", {"faults": ((6.0, Fault("element", ("dsp_0_0",))),)}),
+            ("cluster", {"kills": ((6.0, "s0", 7.0),)}),
+            ("cluster", {"kills": ((4.0, "s0", 6.0),)}),
+        ):
+            with pytest.raises(ValueError, match="beyond the horizon"):
+                BACKENDS[backend](
+                    default_traffic_classes(pool_size=2), RejectPolicy(),
+                    SimulationConfig(duration=5.0), **events,
+                )
 
     def test_short_run_still_gets_a_final_sample(self):
         recipe = build_recipe(

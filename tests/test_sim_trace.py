@@ -106,6 +106,23 @@ class TestReplayDeterminism:
         identical, differences, _ = replay_trace(path)
         assert identical, differences
 
+    def test_header_with_the_removed_batch_plan_key_still_replays(
+        self, tmp_path
+    ):
+        """Traces recorded by ``--batch-plan N`` (removed in PR 15)
+        stay replayable: decisions never depended on the key."""
+        recipe = build_recipe(
+            platform="4x4", duration=15.0, seed=2, policy="fifo",
+            rate_scale=4.0,
+        )
+        recorded = run_recipe(recipe)
+        path = write_trace(
+            tmp_path / "batched.jsonl", recorded.trace,
+            header={**recipe, "batch_plan": 8},
+        )
+        identical, differences, _ = replay_trace(path)
+        assert identical, differences
+
     def test_different_seeds_produce_different_traces(self, tmp_path):
         traces = []
         for seed in (0, 1):
