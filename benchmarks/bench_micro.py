@@ -48,9 +48,10 @@ def bench_mapping_beamformer(benchmark, platform):
     binding = bind(app, state)
 
     def run():
-        snapshot = state.snapshot()
-        map_application(app, binding.choice, state, cost=MappingCost(BOTH))
-        state.restore(snapshot)
+        with state.transaction():
+            mark = state.savepoint()
+            map_application(app, binding.choice, state, cost=MappingCost(BOTH))
+            state.rollback_to(mark)
 
     benchmark(run)
 
@@ -62,11 +63,12 @@ def bench_routing_beamformer(benchmark, platform):
     binding = bind(app, state)
     mapping = map_application(app, binding.choice, state,
                               cost=MappingCost(BOTH))
-    snapshot = state.snapshot()
 
     def run():
-        state.restore(snapshot)
-        BfsRouter().route_application(app, mapping.placement, state)
+        with state.transaction():
+            mark = state.savepoint()
+            BfsRouter().route_application(app, mapping.placement, state)
+            state.rollback_to(mark)
 
     benchmark(run)
 
@@ -115,20 +117,6 @@ def bench_admission_churn(benchmark):
     pool = churn_pool(count=CHURN_BENCH_POOL_SIZE, seed=0)
 
     def run():
-        run_admission_churn(
-            pool, mesh(12, 12), CHURN_BENCH_CONFIG, rollback="transaction"
-        )
-
-    benchmark(run)
-
-
-def bench_admission_churn_snapshot_rollback(benchmark):
-    """The same churn under the legacy full-snapshot rollback strategy."""
-    pool = churn_pool(count=CHURN_BENCH_POOL_SIZE, seed=0)
-
-    def run():
-        run_admission_churn(
-            pool, mesh(12, 12), CHURN_BENCH_CONFIG, rollback="snapshot"
-        )
+        run_admission_churn(pool, mesh(12, 12), CHURN_BENCH_CONFIG)
 
     benchmark(run)

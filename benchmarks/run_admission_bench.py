@@ -5,36 +5,26 @@ Runs the canonical 12x12-mesh churn workload (fill to ~80% utilization,
 then sustained release/admit churn) against:
 
 * the live pipeline via the ``repro.api`` façade's ``admit()`` hot
-  path (the route everything runs on since PR 5; transaction-journal
-  rollback, the default),
-* the same pipeline via the pre-façade direct ``Kairos`` call
-  convention — the baseline the façade's hot-path overhead is gated
-  against,
+  path (the route everything runs on),
 * the façade's plan→commit two-phase protocol (every attempt plans,
-  unwinds, then commits by mutation replay — the what-if route and
-  the ``Kairos.allocate`` deprecation-shim route; its extra journal
-  unwind + replay cost per admission is *reported*, not gated),
-* the live pipeline with the legacy full-snapshot rollback strategy,
+  unwinds, then commits by mutation replay — the what-if route; its
+  extra journal unwind + replay cost per admission is *reported*, not
+  gated),
 * the frozen seed reference (``benchmarks/seed_reference``) — the
   repository's original snapshot/restore implementation,
 
-plus two rollback-scaling micro-benchmarks (4x4 vs 16x16 mesh):
-
-* transaction rollback of a fixed-size failed attempt (must be flat in
-  platform size), and
-* a full snapshot+restore cycle (grows with platform size) for contrast.
+plus the rollback-scaling micro-benchmark (4x4 vs 16x16 mesh):
+transaction rollback of a fixed-size failed attempt must be flat in
+platform size.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_admission_bench.py \
-        [--output BENCH_admission.json] [--repeats 3] \
-        [--max-facade-overhead 0.03]
+        [--output BENCH_admission.json] [--repeats 3]
 
-``--max-facade-overhead`` turns the façade measurement into a gate:
-exit non-zero when the façade ``admit()`` route costs more than the
-given fraction over the direct call convention (CI uses 3%; the runs
-are interleaved so the ratio is robust against drift).  The output is
-machine-readable so successive PRs can track the numbers.
+Exits non-zero when the live layouts diverge from the seed reference or
+the two façade routes from each other.  The output is machine-readable so successive PRs can track
+the numbers.
 """
 
 from __future__ import annotations
@@ -43,7 +33,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +41,7 @@ if str(REPO_ROOT) not in sys.path:
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.arch import AllocationState, mesh  # noqa: E402
+from repro.arch import mesh  # noqa: E402
 from repro.experiments import (  # noqa: E402
     CHURN_BENCH_CONFIG,
     CHURN_BENCH_POOL_SIZE,
@@ -77,95 +66,56 @@ def best_of(repeats, run):
     return best, result
 
 
-def measure_snapshot_restore(rows: int, repeats: int = 400) -> float:
-    """Seconds for one full snapshot() + restore() cycle (contrast)."""
-    platform = mesh(rows, rows)
-    state = AllocationState(platform)
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        snapshot = state.snapshot()
-        state.restore(snapshot)
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return best
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_admission.json")
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--max-facade-overhead", type=float, default=None, metavar="FRAC",
-        help="fail (exit 1) when the façade admit() route costs more "
-             "than FRAC over the direct call convention "
-             "(e.g. 0.03 for 3%%)",
-    )
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
     pool = churn_pool(count=CHURN_BENCH_POOL_SIZE, seed=0)
-    # the overhead ratios need a longer run than the trajectory point:
+    # the overhead ratio needs a longer run than the trajectory point:
     # a 150-step churn finishes in ~0.25 s, whose run-to-run noise
-    # (±4%) would drown a 3% gate — 4x the steps puts the noise floor
-    # safely below it while the trajectory numbers stay comparable to
-    # every previous PR's
+    # (±4%) would drown it — 4x the steps puts the noise floor safely
+    # below while the trajectory numbers stay comparable to every
+    # previous PR's
     overhead_config = dataclasses.replace(CHURN_BENCH_CONFIG, steps=600)
 
     def churn(path, config=CHURN_BENCH_CONFIG):
         def run():
             result = run_admission_churn(
-                pool, mesh(12, 12), config,
-                rollback="transaction", path=path,
+                pool, mesh(12, 12), config, path=path
             )
             return result.elapsed_seconds, result
 
         return run
 
-    live_transaction = churn("admit")
-    over_direct = churn("direct", overhead_config)
-    over_admit = churn("admit", overhead_config)
-    over_plan_commit = churn("plan_commit", overhead_config)
-
-    def live_snapshot():
-        result = run_admission_churn(
-            pool, mesh(12, 12), CHURN_BENCH_CONFIG, rollback="snapshot"
-        )
-        return result.elapsed_seconds, result
-
     def seed():
         result = run_seed_churn(pool, mesh(12, 12), CHURN_BENCH_CONFIG)
         return result.elapsed_seconds, result
 
-    tx_seconds, tx_result = best_of(args.repeats, live_transaction)
-    snap_seconds, snap_result = best_of(args.repeats, live_snapshot)
+    tx_seconds, tx_result = best_of(args.repeats, churn("admit"))
     seed_seconds, seed_result = best_of(args.repeats, seed)
 
-    # the three façade-route variants are interleaved (one repeat of
-    # each per round) so their ratios see the same thermal/turbo drift
-    direct_seconds = admit_seconds = pc_seconds = float("inf")
-    direct_result = admit_result = pc_result = None
+    # the two façade routes are interleaved (one repeat of each per
+    # round) so their ratio sees the same thermal/turbo drift
+    over_admit = churn("admit", overhead_config)
+    over_plan_commit = churn("plan_commit", overhead_config)
+    admit_seconds = pc_seconds = float("inf")
+    admit_result = pc_result = None
     for _ in range(args.repeats):
-        value, outcome = over_direct()
-        if value < direct_seconds:
-            direct_seconds, direct_result = value, outcome
         value, outcome = over_admit()
         if value < admit_seconds:
             admit_seconds, admit_result = value, outcome
         value, outcome = over_plan_commit()
         if value < pc_seconds:
             pc_seconds, pc_result = value, outcome
-    facade_overhead = admit_seconds / direct_seconds - 1.0
-    plan_commit_overhead = pc_seconds / direct_seconds - 1.0
 
     rollback_4 = measure_mesh_rollback_seconds(4, repeats=400)
     rollback_16 = measure_mesh_rollback_seconds(16, repeats=400)
-    snapshot_4 = measure_snapshot_restore(4)
-    snapshot_16 = measure_snapshot_restore(16)
 
     report = {
         "workload": {
@@ -180,39 +130,26 @@ def main() -> int:
         },
         "churn_seconds": {
             "live_transaction": tx_seconds,
-            "live_snapshot": snap_seconds,
             "seed_reference": seed_seconds,
         },
         "speedup_vs_seed": {
             "live_transaction": seed_seconds / tx_seconds,
-            "live_snapshot": seed_seconds / snap_seconds,
         },
         "facade": {
-            # measured on a 4x-longer churn (steps below) with the
-            # three routes interleaved, so the ratios are noise-robust
+            # measured on a 4x-longer churn (steps below) with the two
+            # routes interleaved, so the ratio is noise-robust
             "overhead_steps": overhead_config.steps,
             "churn_seconds": {
-                "direct_call": direct_seconds,
                 "facade_admit": admit_seconds,
                 "facade_plan_commit": pc_seconds,
             },
-            # admit() (Decision objects, no exceptions) vs the
-            # pre-façade direct call convention — the gated number
-            "admit_overhead_vs_direct": facade_overhead,
             # the two-phase protocol's full price: one extra journal
-            # unwind (plan) + mutation replay (commit) per admission;
-            # reported honestly, amortized away by plan_batch
-            "plan_commit_overhead_vs_direct": plan_commit_overhead,
+            # unwind (plan) + mutation replay (commit) per admission
+            "plan_commit_overhead_vs_admit": pc_seconds / admit_seconds - 1.0,
         },
         "layouts_identical": {
-            "transaction_vs_snapshot": tx_result.layouts == snap_result.layouts,
             "transaction_vs_seed": tx_result.layouts == seed_result.layouts,
-            "facade_admit_vs_direct": (
-                admit_result.layouts == direct_result.layouts
-            ),
-            "plan_commit_vs_direct": (
-                pc_result.layouts == direct_result.layouts
-            ),
+            "plan_commit_vs_admit": pc_result.layouts == admit_result.layouts,
         },
         "rollback_scaling": {
             "occupies": ROLLBACK_BENCH_OCCUPIES,
@@ -221,11 +158,6 @@ def main() -> int:
                 "mesh_4x4": rollback_4,
                 "mesh_16x16": rollback_16,
                 "ratio_16x16_over_4x4": rollback_16 / rollback_4,
-            },
-            "snapshot_restore_seconds": {
-                "mesh_4x4": snapshot_4,
-                "mesh_16x16": snapshot_16,
-                "ratio_16x16_over_4x4": snapshot_16 / snapshot_4,
             },
         },
         "environment": environment_stanza(),
@@ -236,30 +168,10 @@ def main() -> int:
     print(json.dumps(report, indent=2))
     print(f"\nwritten to {output}", file=sys.stderr)
 
-    if not (
-        admit_result.layouts == direct_result.layouts == pc_result.layouts
-    ):
-        print("FAIL: façade-route layouts diverge from the direct call",
+    if not all(report["layouts_identical"].values()):
+        print("FAIL: layouts diverge (see layouts_identical)",
               file=sys.stderr)
         return 1
-    print(
-        f"façade admit() overhead vs direct call: {facade_overhead:.2%}; "
-        f"plan+commit protocol: {plan_commit_overhead:.2%}",
-        file=sys.stderr,
-    )
-    if (
-        args.max_facade_overhead is not None
-        and facade_overhead > args.max_facade_overhead
-    ):
-        print(
-            f"FAIL: façade admit() overhead {facade_overhead:.1%} exceeds "
-            f"the {args.max_facade_overhead:.1%} gate "
-            f"({admit_seconds:.3f}s admit vs {direct_seconds:.3f}s direct)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.max_facade_overhead is not None:
-        print(f"gate {args.max_facade_overhead:.0%}: OK", file=sys.stderr)
     return 0
 
 

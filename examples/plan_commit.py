@@ -10,9 +10,7 @@ Demonstrates the two-phase admission protocol of the
 2. ``commit(plan)`` applies the planned layout atomically when the
    capacity epoch is unchanged, and transparently **replans** when a
    concurrent admission moved it;
-3. ``plan_batch([...])`` plans a whole batch in one pipeline pass and
-   commits it with cheap mutation replays;
-4. failures arrive as structured ``Decision``/``Plan`` objects with
+3. failures arrive as structured ``Decision``/``Plan`` objects with
    machine-readable ``ReasonCode``s — no exception handling.
 
 Run:  python examples/plan_commit.py
@@ -60,19 +58,7 @@ def main() -> None:
     print(f"commit -> admitted={decision.admitted} "
           f"replanned={decision.replanned}")
 
-    # -- 4. batch planning: one pipeline pass, cheap ordered commits --------
-    batch = [make_app(seed) for seed in range(10, 16)]
-    plans = controller.plan_batch(batch)
-    print("\n== plan_batch ==")
-    print(f"planned {len(plans)} applications in one pass; state untouched "
-          f"(utilization {controller.manager.utilization():.1%})")
-    decisions = controller.commit_batch(plans)
-    admitted = sum(d.admitted for d in decisions)
-    replans = sum(d.replanned for d in decisions)
-    print(f"committed: {admitted}/{len(decisions)} admitted, "
-          f"{replans} replans (ordered commits replay, never re-plan)")
-
-    # -- 5. structured rejections ------------------------------------------
+    # -- 4. structured rejections ------------------------------------------
     monster = make_app(99, internals=200)
     verdict = controller.plan(monster)
     print("\n== structured rejection ==")

@@ -41,9 +41,6 @@ What-if probing without holding resources::
     plan = controller.plan(app)       # pipeline runs, state untouched
     ...                               # inspect plan.describe(), timings
     decision = controller.commit(plan)  # cheap apply (replans if stale)
-
-(``Kairos.allocate`` still works but is a deprecated shim over
-plan+commit; see the migration table in ``docs/api.md``.)
 """
 
 from repro.apps import (

@@ -1,9 +1,9 @@
 """repro.api — the public admission entry layer (plan/commit façade).
 
-* :class:`AdmissionController` — ``admit`` / ``plan`` / ``commit`` /
-  ``plan_batch`` over a :class:`~repro.manager.kairos.Kairos`, with
-  structured :class:`Decision` results and epoch-stamped :class:`Plan`
-  objects (see :mod:`repro.api.controller`).
+* :class:`AdmissionController` — ``admit`` / ``plan`` / ``commit``
+  over a :class:`~repro.manager.kairos.Kairos`, with structured
+  :class:`Decision` results and epoch-stamped :class:`Plan` objects
+  (see :mod:`repro.api.controller`).
 * :class:`PhasePipeline` + the strategy registry — named binder /
   mapper / router / validator strategies, including the four
   :mod:`repro.baselines` algorithms (see :mod:`repro.api.pipeline`).

@@ -1,13 +1,13 @@
 """The admission façade: plan → commit over :class:`~repro.manager.kairos.Kairos`.
 
-This is the library's single public admission entry layer.  Three ways
-in, all returning structured results instead of raising control-flow
+This is the library's single public admission entry layer.  Two ways
+in, both returning structured results instead of raising control-flow
 exceptions on the hot path:
 
 ``admit(app)``
     one-shot plan+commit fused: runs the four-phase pipeline once and
-    keeps a successful attempt's resources — the historical
-    ``Kairos.allocate`` hot path, returning a :class:`Decision`.
+    keeps a successful attempt's resources, returning a
+    :class:`Decision`.
 ``plan(app)`` → ``commit(plan)``
     the two-phase protocol.  ``plan`` runs binding / mapping / routing
     / validation inside a transaction and *rolls it back*: the
@@ -16,11 +16,6 @@ exceptions on the hot path:
     free.  ``commit`` applies the planned layout atomically iff the
     epoch is unchanged (an O(mutations) replay, no pipeline re-run)
     and transparently replans otherwise.
-``plan_batch([...])``
-    plans a whole batch in one pass, each plan computed against the
-    state its predecessors would leave behind, then unwinds everything
-    — committing the batch in order replays each plan at exactly the
-    epoch it expects, so the pipeline runs once per application total.
 
 **Soundness of commit-by-replay.**  The capacity epoch is a monotonic
 counter of committed ledger mutations; rollback rewinds counter and
@@ -139,8 +134,8 @@ class Decision:
     Replaces :class:`AllocationFailure` control flow on the façade's
     hot path: ``admitted`` tells you what happened, ``code`` tells a
     machine why not, ``reason`` tells a human, and the original
-    exception object (when any) rides along in ``failure`` for the
-    compatibility shim.
+    exception object (when any) rides along in ``failure`` for callers
+    that want to raise it.
     """
 
     admitted: bool
@@ -248,9 +243,7 @@ class AdmissionController:
         """One atomic admission attempt; never raises on rejection.
 
         This is the hot path the sim service, the experiment harness
-        and the benchmarks run on: pipeline once, keep on success —
-        byte-for-byte the decisions ``Kairos.allocate`` historically
-        made, as a :class:`Decision` instead of an exception.
+        and the benchmarks run on: pipeline once, keep on success.
         """
         manager = self.manager
         self._c_attempts.inc()
@@ -366,52 +359,6 @@ class AdmissionController:
             timings=layout.timings,
             plan=plan,
         )
-
-    def plan_batch(
-        self,
-        apps: list[Application],
-        app_ids: list[str] | None = None,
-    ) -> list[Plan]:
-        """Plan a batch in one pass; the state is untouched afterwards.
-
-        Plans are computed *sequentially*: each one against the state
-        its committed predecessors would produce, inside one outer
-        transaction that is rolled back at the end.  Committing the
-        returned plans in order therefore finds each plan's epoch
-        unchanged and applies it without re-running the pipeline —
-        the batch runs the pipeline once per application, and the
-        binder/mapping scratch pools plus the gate's demand cache stay
-        warm across the whole pass.
-        """
-        if app_ids is not None and len(app_ids) != len(apps):
-            raise ValueError("app_ids must match apps one to one")
-        manager = self.manager
-        state = manager.state
-        plans: list[Plan] = []
-        mark = state._tx_begin()
-        try:
-            for index, app in enumerate(apps):
-                app_id = None if app_ids is None else app_ids[index]
-                epoch = state.epoch
-                try:
-                    layout = manager._attempt(app, app_id, hold=True)
-                except AllocationFailure as failure:
-                    plans.append(Plan(
-                        app=app, app_id=failure.app_id, epoch=epoch,
-                        failure=failure, timings=failure.timings,
-                    ))
-                else:
-                    plans.append(Plan(
-                        app=app, app_id=layout.app_id, epoch=epoch,
-                        layout=layout, timings=layout.timings,
-                    ))
-        finally:
-            state._tx_rollback(mark)
-        return plans
-
-    def commit_batch(self, plans: list[Plan]) -> list[Decision]:
-        """Commit plans in order (the cheap path for a fresh batch)."""
-        return [self.commit(plan) for plan in plans]
 
     # -- lifecycle passthroughs ---------------------------------------------
 

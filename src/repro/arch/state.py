@@ -37,9 +37,8 @@ like every other ledger, so a rolled-back attempt restores them
 bit-exactly; equal epochs therefore certify identical allocation
 state, which is what makes negative-result memoization sound.
 
-The legacy :meth:`snapshot` / :meth:`restore` pair — a full O(platform)
-copy of every ledger — is kept as a compatibility wrapper; new code
-should prefer transactions.
+:meth:`snapshot` — a full O(platform) copy of every ledger — is for
+whole-state capture and comparison, not rollback.
 
 Internally all ledgers are arrays indexed by the interned integer ids
 the platform assigns at freeze time (see :mod:`repro.arch.topology`);
@@ -410,8 +409,7 @@ class AllocationState:
         # vector, old bandwidth per slot, old allocated total) and
         # restore them verbatim.  Inverting the arithmetic instead
         # ((x + b) - b) is not bit-exact for float quantities, and the
-        # journal must leave the state indistinguishable from a
-        # snapshot restore.
+        # journal must leave a snapshot() equal to the pre-mutation one.
         op = entry[0]
         if op == _OP_OCCUPY:
             _op, element_id, key, old_free, old_allocated, agg = entry
@@ -1008,14 +1006,11 @@ class AllocationState:
             return 0.0
         return self._allocated_total / self._total_capacity
 
-    # -- snapshots (legacy compatibility wrappers) ---------------------------
+    # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """An opaque, restorable copy of the mutable ledgers.
-
-        O(platform size) — prefer :meth:`transaction` for rollback; the
-        snapshot remains for whole-state capture and comparisons.
-        """
+        """A comparable copy of the mutable ledgers: two snapshots are
+        equal iff the states are bit-identical.  O(platform size)."""
         platform = self.platform
         nodes = platform._nodes_by_id
         links = platform._links_by_id
@@ -1056,12 +1051,9 @@ class AllocationState:
             },
             "failed_elements": set(self.failed_elements),
             "failed_links": set(self.failed_links),
-            # the exact incremental total, so a restore leaves the same
-            # float the journal path carries (recomputing could differ
-            # in the last bit and desynchronize the two strategies)
+            # the incremental total, epoch and aggregates verbatim, so
+            # equality also certifies the journal restored them exactly
             "allocated_total": self._allocated_total,
-            # epoch and aggregates are captured verbatim for the same
-            # reason: a restore must be indistinguishable from rollback
             "epoch": self._epoch,
             "agg_free": dict(self._agg_free),
             "agg_free_kind": {
@@ -1069,71 +1061,6 @@ class AllocationState:
                 for kind, values in self._agg_free_kind.items()
             },
         }
-
-    def restore(self, snapshot: dict) -> None:
-        if self._journal is not None:
-            raise AllocationError(
-                "cannot restore() inside an open transaction"
-            )
-        platform = self.platform
-        node_ids = platform._node_ids
-        for name, vector in snapshot["free"].items():
-            self._free[node_ids[name]] = vector
-        for name, occupants in snapshot["occupants"].items():
-            self._occupants[node_ids[name]] = list(occupants)
-        self._vc_used = [0] * platform.slot_count
-        self._bw_used = [0.0] * platform.slot_count
-        directed = platform._directed_slots
-        for (a, b), used in snapshot["vc_used"].items():
-            self._vc_used[directed[(node_ids[a], node_ids[b])]] = used
-        for (a, b), used in snapshot["bw_used"].items():
-            self._bw_used[directed[(node_ids[a], node_ids[b])]] = used
-        slot_vc = platform._slot_vc
-        self._slot_saturated = bytearray(
-            1 if used >= slot_vc[slot] else 0
-            for slot, used in enumerate(self._vc_used)
-        )
-        self._reservations = dict(snapshot["reservations"])
-        self._res_slots = {
-            key: tuple(
-                directed[(node_ids[a], node_ids[b])]
-                for a, b in zip(res.path, res.path[1:])
-            )
-            for key, res in self._reservations.items()
-        }
-        self._placements = {
-            key: node_ids[name]
-            for key, name in snapshot["placements"].items()
-        }
-        for name, count in snapshot["wear"].items():
-            self._wear[node_ids[name]] = count
-        self._failed_elements = {
-            node_ids[name] for name in snapshot["failed_elements"]
-        }
-        self._failed_links = {
-            platform.directed_slot(*(node_ids[name] for name in pair)) >> 1
-            for pair in snapshot["failed_links"]
-        }
-        self._allocated_total = snapshot["allocated_total"]
-        agg = snapshot.get("agg_free")
-        if agg is None:  # pre-epoch snapshot dict: rebuild from ledgers
-            self._recompute_aggregates()
-        else:
-            self._agg_free = dict(agg)
-            self._agg_free_kind = {
-                kind: dict(values)
-                for kind, values in snapshot["agg_free_kind"].items()
-            }
-        epoch = snapshot.get("epoch")
-        # an epoch-less snapshot cannot prove the state unchanged, so
-        # conservatively advance (stale memo entries self-invalidate)
-        self._epoch = self._epoch + 1 if epoch is None else epoch
-        self._rebuild_free_arrays()
-        # restore() may install state from another timeline (foreign
-        # snapshot dicts are accepted), so cached scans are dropped
-        # wholesale rather than trusting epoch equality
-        if self._availability is not None:
-            self._availability._epoch = -1
 
     # -- helpers ------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.cluster.registry import (
     ShardLiveness,
 )
 from repro.cluster.router import ShardRouter, placement_hint
-from repro.cluster.service import ClusterController, ClusterManager
+from repro.cluster.service import ClusterManager
 from repro.cluster.shard import Shard, build_shards
 from repro.cluster.sim import (
     ClusterAdmissionService,
@@ -41,7 +41,6 @@ from repro.cluster.sim import (
 
 __all__ = [
     "ClusterAdmissionService",
-    "ClusterController",
     "ClusterCoordinator",
     "ClusterLayout",
     "ClusterManager",

@@ -1,10 +1,9 @@
 """The cluster manager: shards + liveness + router + coordinator.
 
-:class:`ClusterManager` presents the *same duck-typed surface* as a
-single :class:`~repro.manager.kairos.Kairos` — ``controller`` /
-``state.epoch`` / ``admitted`` / ``specifications`` / ``release`` /
-``stranded_by_faults`` / ``utilization`` — which is what lets the
-whole existing stack run over it unchanged: the sim's
+:class:`ClusterManager` implements the admission-backend surface
+(listed once, in :class:`~repro.sim.service.AdmissionService`) that a
+single :class:`~repro.manager.kairos.Kairos` implements too, which is
+what lets the whole stack run over it: the sim's
 :class:`~repro.sim.service.AdmissionService` drives it like any
 manager, and the resilience :class:`~repro.resilience.RecoveryEngine`
 re-admits shard-kill victims through it without knowing shards exist
@@ -32,40 +31,7 @@ from repro.obs import DISABLED, Observability
 from repro.overload import BreakerBoard, OverloadConfig
 from repro.reasons import ReasonCode
 
-__all__ = ["ClusterController", "ClusterManager"]
-
-
-class _ClusterStateView:
-    """The slice of ``Kairos.state`` the service layer actually reads."""
-
-    def __init__(self, cluster: "ClusterManager") -> None:
-        self._cluster = cluster
-
-    @property
-    def epoch(self):
-        return self._cluster.epoch
-
-    def touch(self) -> None:
-        """Invalidate equality with every previously observed epoch."""
-        self._cluster._touched += 1
-
-
-class ClusterController:
-    """The façade slice (admit/release/recovery_engine) over a cluster."""
-
-    def __init__(self, cluster: "ClusterManager") -> None:
-        self.cluster = cluster
-
-    def admit(self, app: Application, app_id: str) -> Decision:
-        return self.cluster.admit(app, app_id)
-
-    def release(self, app_id: str) -> None:
-        self.cluster.release(app_id)
-
-    def recovery_engine(self, policy=None):
-        from repro.resilience.recovery import RecoveryEngine
-
-        return RecoveryEngine(self.cluster, policy)
+__all__ = ["ClusterManager"]
 
 
 class ClusterManager:
@@ -105,12 +71,6 @@ class ClusterManager:
         #: original specifications, the recovery engine's re-admission
         #: source (same contract as ``Kairos.specifications``)
         self.specifications: dict[str, Application] = {}
-        self.state = _ClusterStateView(self)
-        self.controller = ClusterController(self)
-        #: duck-typing stub for the service/engine adapters: the
-        #: cluster has no element-health registry (liveness is the
-        #: shard-granular analogue)
-        self.health = None
         self._touched = 0
         registry = self.obs.registry
         self._c_admitted = registry.counter("cluster.admitted")
@@ -145,6 +105,10 @@ class ClusterManager:
             self.liveness.generation + self._touched,
             tuple(shard.manager.state.epoch for shard in self.shards),
         )
+
+    def touch(self) -> None:
+        """Invalidate equality with every previously observed epoch."""
+        self._touched += 1
 
     # -- admission -----------------------------------------------------------
 

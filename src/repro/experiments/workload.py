@@ -45,7 +45,6 @@ from repro.arch.topology import Platform
 from repro.core.cost import BOTH, CostWeights
 from repro.api.controller import AdmissionController
 from repro.manager.kairos import Kairos
-from repro.manager.layout import AllocationFailure
 from repro.sim.events import EventKernel, EventKind, pop_random
 
 
@@ -171,7 +170,7 @@ def run_workload(
 
 
 # ---------------------------------------------------------------------------
-# Admission churn: the rollback-strategy benchmark workload
+# Admission churn: the rollback benchmark workload
 # ---------------------------------------------------------------------------
 
 
@@ -291,39 +290,34 @@ def run_admission_churn(
     platform: Platform,
     config: ChurnConfig = ChurnConfig(),
     weights: CostWeights = BOTH,
-    rollback: str = "transaction",
     fastpath: bool = True,
     path: str = "admit",
 ) -> ChurnResult:
     """Sustained allocate/release churn against one Kairos instance.
 
     Deterministic for a given (pool, config): the event sequence
-    depends only on the seeded RNG and admission outcomes, so two runs
-    with different ``rollback`` strategies must produce identical
-    :attr:`ChurnResult.layouts` digests — asserted by the test suite
+    depends only on the seeded RNG and admission outcomes, and the
+    :attr:`ChurnResult.layouts` digests are asserted by the test suite
     against the frozen seed reference.  The churn steps are STEP
     events on the shared event kernel; the adapter reproduces the
     original loop's RNG draw sequence exactly (order-preserving
     :func:`~repro.sim.events.pop_random`), keeping the digests stable.
 
     ``path`` selects the admission route: ``"admit"`` (the façade's
-    one-shot hot path, the default everywhere), ``"plan_commit"``
+    one-shot hot path, the default everywhere) or ``"plan_commit"``
     (every attempt goes plan → commit, the two-phase protocol — one
-    extra journal unwind + mutation replay per admission), or
-    ``"direct"`` (the pre-façade ``Kairos`` call convention, kept so
-    the admission bench can gate the façade's hot-path overhead).
-    Decisions and digests are identical on all three.
+    extra journal unwind + mutation replay per admission).  Decisions
+    and digests are identical on both.
     """
     if not pool:
         raise ValueError("churn pool must not be empty")
-    if path not in ("admit", "plan_commit", "direct"):
+    if path not in ("admit", "plan_commit"):
         raise ValueError(
-            f"path must be 'admit', 'plan_commit' or 'direct', got {path!r}"
+            f"path must be 'admit' or 'plan_commit', got {path!r}"
         )
     rng = random.Random(config.seed)
     manager = Kairos(
-        platform, weights=weights, validation_mode="skip",
-        rollback=rollback, fastpath=fastpath,
+        platform, weights=weights, validation_mode="skip", fastpath=fastpath
     )
     controller = manager.controller
     result = ChurnResult()
@@ -338,21 +332,14 @@ def run_admission_churn(
         next_app += 1
         counter += 1
         app_id = f"churn{counter}_{app.name}"
-        if path == "direct":
-            try:
-                layout = manager._admit_direct(app, app_id)
-            except AllocationFailure:
-                result.rejected += 1
-                return False
+        if path == "plan_commit":
+            decision = controller.commit(controller.plan(app, app_id))
         else:
-            if path == "plan_commit":
-                decision = controller.commit(controller.plan(app, app_id))
-            else:
-                decision = controller.admit(app, app_id)
-            if not decision.admitted:
-                result.rejected += 1
-                return False
-            layout = decision.layout
+            decision = controller.admit(app, app_id)
+        if not decision.admitted:
+            result.rejected += 1
+            return False
+        layout = decision.layout
         result.admitted += 1
         resident.append(app_id)
         result.layouts.append(_layout_digest(layout))

@@ -8,11 +8,8 @@ atomic: any phase failure rolls the allocation state back and raises
 :class:`AllocationFailure` tagged with the failing phase (Table I's
 unit of account).
 
-Atomicity uses the state's transaction journal by default: rollback
-cost scales with the mutations the failed attempt made, not with the
-platform size.  The pre-journal strategy — a full ledger snapshot
-before every attempt — remains available as ``rollback="snapshot"``
-for comparison benchmarks (see ``benchmarks/run_admission_bench.py``).
+Atomicity uses the state's transaction journal: rollback cost scales
+with the mutations the failed attempt made, not with the platform size.
 
 The manager also provides release (applications leaving the system)
 and fault recovery (re-allocating applications stranded by element or
@@ -32,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.apps.taskgraph import Application, TaskGraphError
-from repro.arch.state import AllocationState
+from repro.arch.state import AllocationError, AllocationState
 from repro.arch.topology import Platform
 from repro.core.cost import BOTH, CostWeights, MappingCost
 from repro.core.mapping import MappingOptions
@@ -57,9 +53,6 @@ from repro.api.pipeline import PhaseContext, PhasePipeline
 
 #: validation policy names (see module docstring of validator)
 VALIDATION_MODES = ("enforce", "report", "skip")
-
-#: failed-attempt rollback strategies (see class docstring)
-ROLLBACK_STRATEGIES = ("transaction", "snapshot")
 
 #: negative-result memo size bound; on overflow the memo is cleared
 #: wholesale (it is a cache keyed by spec digest — long-running
@@ -118,30 +111,17 @@ class AdmissionGate:
     def __init__(self, state: AllocationState, registry=None) -> None:
         self.state = state
         self.platform = state.platform
-        #: digest -> (epoch, Phase, reason); entries self-invalidate
-        #: when the epoch moves on and are pruned on mismatch
-        self._memo: dict[str, tuple[int, Phase, str]] = {}
+        #: digest -> (epoch, Phase, reason, code); entries
+        #: self-invalidate when the epoch moves on and are pruned on
+        #: mismatch
+        self._memo: dict[str, tuple[int, Phase, str, ReasonCode]] = {}
         #: digest -> (app, total demand, per-element-class demand);
         #: demands are platform-static per specification
         self._demand: dict[str, tuple] = {}
-        # registry counter handles; the bare names (``gate.memo_hits``)
-        # survive below as read-through properties for one release
         registry = DISABLED.registry if registry is None else registry
         self.c_memo_hits = registry.counter("gate.memo_hits")
         self.c_gate_rejections = registry.counter("gate.rejections")
         self.c_gate_passes = registry.counter("gate.passes")
-
-    @property
-    def memo_hits(self):
-        return self.c_memo_hits.value
-
-    @property
-    def gate_rejections(self):
-        return self.c_gate_rejections.value
-
-    @property
-    def gate_passes(self):
-        return self.c_gate_passes.value
 
     # -- the memo -----------------------------------------------------------
 
@@ -152,13 +132,7 @@ class AdmissionGate:
             return
         epoch, phase, reason, code = entry
         if epoch != self.state._epoch:
-            # stale for the *current* observation — but inside an open
-            # transaction (batch planning) the mismatch only reflects
-            # uncommitted mutations that will be rolled back, and the
-            # entry stays valid for the committed state it certifies,
-            # so it is pruned only when the epoch is a committed one
-            if not self.state.in_transaction():
-                del self._memo[digest]
+            del self._memo[digest]
             return
         self.c_memo_hits.inc()
         # the recorded reason (and code) is replayed verbatim for this
@@ -172,16 +146,10 @@ class AdmissionGate:
     def remember(self, digest: str, failure: AllocationFailure) -> None:
         """Record a rejection against the current (restored) epoch.
 
-        Inside an open transaction the epoch is *uncommitted*: a later
-        committed history can re-reach the same counter value with a
-        different ledger (the batch-planning pattern of
-        :meth:`repro.api.AdmissionController.plan_batch`), so an entry
-        recorded now could replay a rejection against a state it never
-        observed.  Such rejections are therefore not memoized — the
-        soundness contract beats the cache hit.
+        Sound only for a *committed* epoch, which
+        :meth:`Kairos._attempt` guarantees by refusing to start inside
+        an open transaction.
         """
-        if self.state.in_transaction():
-            return
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
         self._memo[digest] = (
@@ -340,10 +308,6 @@ class Kairos:
         ``"simulation"`` (exact state-space exploration, the paper's
         approach) or ``"analytical"`` (maximum cycle ratio — the
         future-work scheme of Section V, much faster).
-    rollback:
-        ``"transaction"`` (default) undoes a failed attempt via the
-        state's journal, O(mutations); ``"snapshot"`` restores a full
-        pre-attempt ledger copy, O(platform) — kept for comparison.
     fastpath:
         ``True`` (default) enables the :class:`AdmissionGate`:
         epoch-keyed negative-result memoization plus a sound
@@ -371,7 +335,7 @@ class Kairos:
         An optional :class:`repro.obs.Observability` bundle (metric
         registry + span tracer).  The default is the shared
         :data:`repro.obs.DISABLED` bundle: the gate counters still
-        count (their read-through stats keep working) but nothing is
+        count (:attr:`fastpath_stats` keeps working) but nothing is
         retained for export and spans are no-ops.  Attach
         :func:`repro.obs.enabled` to collect ``gate.*``/``phase.*``
         metrics and gate-probe/pipeline-phase spans; observability
@@ -389,7 +353,6 @@ class Kairos:
         validation_mode: str = "report",
         validation_max_firings: int | None = None,
         validation_method: str = "simulation",
-        rollback: str = "transaction",
         fastpath: bool = True,
         pipeline: PhasePipeline | None = None,
         health=None,
@@ -399,11 +362,6 @@ class Kairos:
             raise ValueError(
                 f"validation_mode must be one of {VALIDATION_MODES}, "
                 f"got {validation_mode!r}"
-            )
-        if rollback not in ROLLBACK_STRATEGIES:
-            raise ValueError(
-                f"rollback must be one of {ROLLBACK_STRATEGIES}, "
-                f"got {rollback!r}"
             )
         self.platform = platform
         self.state = AllocationState(platform)
@@ -429,7 +387,6 @@ class Kairos:
         self.validation_mode = validation_mode
         self.validation_max_firings = validation_max_firings
         self.validation_method = validation_method
-        self.rollback = rollback
         #: the observability bundle (see repro.obs) — DISABLED by
         #: default: counters still count, but nothing is retained and
         #: spans are no-ops, so decisions and perf are untouched
@@ -464,31 +421,10 @@ class Kairos:
 
     # -- allocation --------------------------------------------------------
 
-    def allocate(
-        self, app: Application, app_id: str | None = None
-    ) -> ExecutionLayout:
-        """Deprecated admission entry point (compat shim since PR 5).
-
-        New code should use :class:`repro.api.AdmissionController`:
-        ``admit()`` for the one-shot decision, or ``plan()`` +
-        ``commit()`` for the two-phase protocol.  This shim routes
-        through plan+commit — behaviour, layouts and churn digests are
-        bit-identical to the historical implementation (asserted
-        against ``benchmarks/seed_reference`` by the test suite) — and
-        re-raises the plan's :class:`AllocationFailure` on rejection.
-        """
-        warnings.warn(
-            "Kairos.allocate is deprecated; use "
-            "repro.api.AdmissionController.admit (or plan/commit)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        controller = self.controller
-        plan = controller.plan(app, app_id)
-        decision = controller.commit(plan)
-        if not decision.admitted:
-            raise decision.failure
-        return decision.layout
+    def admit(self, app: Application, app_id: str | None = None):
+        """One atomic admission attempt as a :class:`repro.api.Decision`
+        (:meth:`repro.api.AdmissionController.admit` on this manager)."""
+        return self.controller.admit(app, app_id)
 
     @property
     def controller(self):
@@ -505,8 +441,7 @@ class Kairos:
     ) -> ExecutionLayout:
         """One atomic allocation attempt, committed and registered.
 
-        The historical ``allocate`` hot path, used by the façade's
-        ``admit()`` and by fault recovery.  Raises
+        The hot path under the façade's ``admit()``.  Raises
         :class:`AllocationFailure` with the failing phase; the
         allocation state is untouched in that case.
         """
@@ -531,11 +466,21 @@ class Kairos:
 
         ``hold=True`` keeps the successful attempt's mutations (the
         admission path); ``hold=False`` is the *planning* path — the
-        pipeline runs to completion, then the journal (or snapshot)
-        restores the pre-attempt state bit-exactly, so the returned
-        layout describes resources that are **not** held.  Neither
-        path registers the layout in :attr:`admitted` — callers do.
+        pipeline runs to completion, then the journal restores the
+        pre-attempt state bit-exactly, so the returned layout describes
+        resources that are **not** held.  Neither path registers the
+        layout in :attr:`admitted` — callers do.
+
+        An attempt must start from a committed state: inside an open
+        transaction the epoch is uncommitted, and a later committed
+        history can re-reach the same counter value with a different
+        ledger, so the gate's memo would replay rejections against a
+        state it never observed.
         """
+        if self.state.in_transaction():
+            raise AllocationError(
+                "admission attempts cannot start inside an open transaction"
+            )
         app_id = app_id or f"{app.name}#{next(self._counter)}"
         if app_id in self.admitted:
             raise ValueError(f"app_id {app_id!r} already admitted")
@@ -577,34 +522,19 @@ class Kairos:
                     failure.timings = timings
                     raise
         try:
-            if self.rollback == "snapshot" and not self.state.in_transaction():
-                # legacy strategy: full ledger copy up front, restore
-                # on failure — or on success when only planning.
-                # Inside an open transaction (batch planning) restore()
-                # is illegal, so the journal strategy takes over there;
-                # the two are equivalence-tested (tests/test_transactions)
-                snapshot = self.state.snapshot()
-                try:
-                    layout = self._run_phases(app, app_id, timings)
-                except AllocationFailure:
-                    self.state.restore(snapshot)
-                    raise
-                if not hold:
-                    self.state.restore(snapshot)
+            # any exception (phase failure or bug) rolls back exactly
+            # the mutations this attempt made; a plan-only attempt
+            # rolls back its own success
+            mark = self.state._tx_begin()
+            try:
+                layout = self._run_phases(app, app_id, timings)
+            except BaseException:
+                self.state._tx_rollback(mark)
+                raise
+            if hold:
+                self.state._tx_commit()
             else:
-                # journal strategy: any exception (phase failure or
-                # bug) rolls back exactly the mutations this attempt
-                # made; a plan-only attempt rolls back its own success
-                mark = self.state._tx_begin()
-                try:
-                    layout = self._run_phases(app, app_id, timings)
-                except BaseException:
-                    self.state._tx_rollback(mark)
-                    raise
-                if hold:
-                    self.state._tx_commit()
-                else:
-                    self.state._tx_rollback(mark)
+                self.state._tx_rollback(mark)
         except AllocationFailure as failure:
             failure.timings = timings
             if gate is not None:
@@ -621,9 +551,9 @@ class Kairos:
         if gate is None:
             return {"memo_hits": 0, "gate_rejections": 0, "gate_passes": 0}
         return {
-            "memo_hits": gate.memo_hits,
-            "gate_rejections": gate.gate_rejections,
-            "gate_passes": gate.gate_passes,
+            "memo_hits": gate.c_memo_hits.value,
+            "gate_rejections": gate.c_gate_rejections.value,
+            "gate_passes": gate.c_gate_passes.value,
         }
 
     @property
@@ -738,6 +668,15 @@ class Kairos:
         return engine.recovery_pass(applications=applications).report()
 
     # -- metrics ----------------------------------------------------------------
+
+    @property
+    def epoch(self) -> int:
+        """The state's capacity epoch (equal epochs ⇒ identical state)."""
+        return self.state.epoch
+
+    def touch(self) -> None:
+        """Invalidate equality with every previously observed epoch."""
+        self.state.touch()
 
     def external_fragmentation(self) -> float:
         return self.state.external_fragmentation()

@@ -22,12 +22,13 @@ upgrade:
   budget, expiring at the application's natural departure instant
   (reviving an app whose service time already ended would leak it).
 
-Every re-admission runs through the manager's
-:class:`~repro.api.AdmissionController`, so recovery outcomes are
-structured :class:`~repro.api.Decision` objects and each attempt is
-transactional: a failure unwinds in O(mutations of that attempt), and
-a pass over an already-consistent state is a no-op — the engine is
-idempotent (asserted by ``tests/test_resilience.py``).
+Every re-admission runs through the backend's ``admit`` (a
+:class:`~repro.manager.kairos.Kairos` or a cluster — the surface is
+listed in :class:`~repro.sim.service.AdmissionService`), so recovery
+outcomes are structured :class:`~repro.api.Decision` objects and each
+attempt is transactional: a failure unwinds in O(mutations of that
+attempt), and a pass over an already-consistent state is a no-op — the
+engine is idempotent (asserted by ``tests/test_resilience.py``).
 
 The engine is simulation-agnostic: it never touches the event kernel.
 The sim service schedules :data:`~repro.sim.events.EventKind.RECOVERY_RETRY`
@@ -163,7 +164,7 @@ class RecoveryOutcome:
 
 
 class RecoveryEngine:
-    """Recovery passes and the requeue, over one Kairos manager."""
+    """Recovery passes and the requeue, over one admission backend."""
 
     def __init__(
         self,
@@ -281,8 +282,8 @@ class RecoveryEngine:
             return
         app = lookup[app_id]
         manager.release(app_id)
-        epoch = manager.state.epoch
-        decision = manager.controller.admit(app, app_id)
+        epoch = manager.epoch
+        decision = manager.admit(app, app_id)
         outcome.decisions[app_id] = decision
         if decision.admitted:
             outcome.recovered[app_id] = decision.layout
@@ -328,12 +329,12 @@ class RecoveryEngine:
 
     def _drain_entries(self, entries, manager, policy, now, results) -> None:
         for entry in entries:
-            epoch = manager.state.epoch
+            epoch = manager.epoch
             if entry.last_epoch == epoch:
                 continue
             entry.attempts += 1
             self._c_retries.inc()
-            decision = manager.controller.admit(entry.app, entry.app_id)
+            decision = manager.admit(entry.app, entry.app_id)
             if decision.admitted:
                 del self._pending[entry.app_id]
                 results.append(DrainAttempt(

@@ -81,7 +81,12 @@ from repro.overload import (
     WatermarkController,
 )
 from repro.reasons import ReasonCode
-from repro.resilience import HealthRegistry, HealthState, ResilienceConfig
+from repro.resilience import (
+    HealthRegistry,
+    HealthState,
+    RecoveryEngine,
+    ResilienceConfig,
+)
 from repro.sim.events import Event, EventKernel, EventKind
 from repro.sim.metrics import ServiceMetrics, SimSample
 from repro.sim.trace import TraceRecorder, diff_traces, read_trace, write_trace
@@ -404,14 +409,21 @@ def make_policy(name: str, params: dict | None = None) -> QueuePolicy:
 
 
 class AdmissionService:
-    """Kairos behind a queue policy, driven by kernel events.
+    """An admission backend behind a queue policy, driven by kernel events.
 
-    Admission runs through the :class:`repro.api.AdmissionController`
-    façade (``manager.controller``): every attempt yields a structured
-    :class:`~repro.api.Decision` carrying the failing phase and its
-    :class:`~repro.reasons.ReasonCode` — no exception handling on the
-    hot path.  Decisions, traces and metrics are bit-identical to the
-    pre-façade implementation.
+    ``manager`` is a :class:`~repro.manager.kairos.Kairos` or a
+    :class:`~repro.cluster.service.ClusterManager`.  The surface both
+    implement, which this service and the
+    :class:`~repro.resilience.RecoveryEngine` call directly:
+    ``admit(app, app_id) -> Decision`` (phase and
+    :class:`~repro.reasons.ReasonCode` on rejection, never raises for
+    one), ``release(app_id)`` (``KeyError`` when unknown), ``epoch``
+    (equality-comparable; equal ⇒ identical state), ``touch()``
+    (invalidate every observed epoch), ``utilization()``,
+    ``external_fragmentation()``, ``stranded_by_faults()``,
+    ``admitted``, ``specifications`` and ``obs``.  Element faults and
+    the health registry (``state``, ``health``, ``recover``) are
+    single-platform only.
     """
 
     def __init__(
@@ -425,7 +437,6 @@ class AdmissionService:
         overload: OverloadConfig | None = None,
     ) -> None:
         self.manager = manager
-        self.controller = manager.controller
         self.policy = policy
         self.kernel = kernel
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -453,11 +464,11 @@ class AdmissionService:
         #: (legacy mode) preserves the pre-resilience event stream
         #: byte-exactly — recorded traces replay unchanged.
         self.resilience = resilience
-        self.health = manager.health
+        self.health = getattr(manager, "health", None)
         self._engine = None
         if resilience is not None:
-            self._engine = manager.controller.recovery_engine(
-                resilience.recovery
+            self._engine = RecoveryEngine(
+                manager, resilience.recovery, health=self.health
             )
             #: (kind, target) -> count of unrepaired transient faults;
             #: an element repairs only when its last outstanding fault
@@ -565,7 +576,7 @@ class AdmissionService:
                 "a traffic class to sample one from"
             )
         request.attempts += 1
-        epoch = self.manager.state.epoch
+        epoch = self.manager.epoch
         if request.last_failed_epoch == epoch:
             self.metrics.probes_short_circuited += 1
             self._c_short_circuits.inc()
@@ -573,7 +584,7 @@ class AdmissionService:
                 request.last_failed_phase, request.last_failed_code
             )
             return False
-        decision = self.controller.admit(request.app, request.app_id)
+        decision = self.manager.admit(request.app, request.app_id)
         if not decision.admitted:
             request.last_failed_epoch = epoch
             request.last_failed_phase = decision.phase.value
@@ -889,7 +900,7 @@ class AdmissionService:
             # the capacity epoch so gate memos and the probe
             # short-circuit cannot replay outcomes computed against
             # the old cost surface
-            self.manager.state.touch()
+            self.manager.touch()
             self._note_transitions(transitions, now)
 
     def _note_transitions(self, transitions, now: float) -> None:
@@ -927,7 +938,7 @@ class AdmissionService:
                 # levels change the decision function (mapper, search
                 # depth): bump the epoch so gate memos and the probe
                 # short-circuit cannot replay pre-transition outcomes
-                self.manager.state.touch()
+                self.manager.touch()
                 self.metrics.brownout_transitions += 1
                 self.metrics.max_brownout_level = max(
                     self.metrics.max_brownout_level, level

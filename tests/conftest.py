@@ -121,6 +121,15 @@ def diamond_app(cycles: int = 40) -> Application:
     return app
 
 
+def admit_or_raise(manager, app, app_id=None):
+    """Admit through the façade; return the layout or raise the
+    decision's :class:`AllocationFailure` (exception-style assertions)."""
+    decision = manager.controller.admit(app, app_id)
+    if not decision.admitted:
+        raise decision.failure
+    return decision.layout
+
+
 @pytest.fixture
 def chain4():
     return chain_app(4)

@@ -6,17 +6,15 @@ a verbatim copy of the repository's original implementation):
 
 * the 12x12-mesh churn workload runs >= 3x faster than the seed
   snapshot/restore implementation,
-* placements and routes are bit-identical across the seed reference,
-  the legacy snapshot rollback strategy, and the transaction journal,
+* placements and routes are bit-identical between the seed reference
+  and the transaction journal,
 * failed-attempt rollback cost no longer scales with platform size
-  (16x16 within ~2x of 4x4), while a full snapshot/restore cycle
-  demonstrably does.
+  (16x16 within ~2x of 4x4).
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.arch import AllocationState, mesh
+from repro.arch import mesh
 from repro.experiments import (
     CHURN_BENCH_CONFIG as CONFIG,
     CHURN_BENCH_POOL_SIZE,
@@ -52,36 +50,22 @@ def churn_runs():
         key=lambda r: r.elapsed_seconds,
     )
     transaction = min(
-        (
-            run_admission_churn(
-                POOL, mesh(12, 12), CONFIG, rollback="transaction"
-            )
-            for _ in range(2)
-        ),
+        (run_admission_churn(POOL, mesh(12, 12), CONFIG) for _ in range(2)),
         key=lambda r: r.elapsed_seconds,
     )
-    snapshot = run_admission_churn(
-        POOL, mesh(12, 12), CONFIG, rollback="snapshot"
-    )
-    return seed, transaction, snapshot
+    return seed, transaction
 
 
 class TestChurnEquivalence:
     def test_workload_exercises_fill_and_churn(self, churn_runs):
-        _seed, transaction, _snapshot = churn_runs
+        _seed, transaction = churn_runs
         assert transaction.fill_admitted > 10
         assert transaction.released >= CONFIG.steps - 1
         assert transaction.admitted > transaction.fill_admitted
         assert transaction.final_utilization > 0.5
 
-    def test_rollback_strategies_produce_identical_layouts(self, churn_runs):
-        _seed, transaction, snapshot = churn_runs
-        assert transaction.layouts == snapshot.layouts
-        assert transaction.admitted == snapshot.admitted
-        assert transaction.rejected == snapshot.rejected
-
     def test_matches_seed_implementation_layouts(self, churn_runs):
-        seed, transaction, _snapshot = churn_runs
+        seed, transaction = churn_runs
         assert transaction.layouts == seed.layouts
         assert transaction.admitted == seed.admitted
         assert transaction.rejected == seed.rejected
@@ -90,7 +74,7 @@ class TestChurnEquivalence:
 @pytest.mark.perf
 class TestChurnSpeedup:
     def test_at_least_3x_faster_than_seed(self, churn_runs):
-        seed, transaction, _snapshot = churn_runs
+        seed, transaction = churn_runs
         speedup = seed.elapsed_seconds / transaction.elapsed_seconds
         assert speedup >= MIN_SPEEDUP, (
             f"churn speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor "
@@ -114,17 +98,3 @@ class TestRollbackScaling:
             f"rollback on 16x16 costs {ratio:.2f}x a 4x4 rollback "
             f"({large * 1e6:.1f}us vs {small * 1e6:.1f}us)"
         )
-
-    def test_snapshot_cost_grows_with_platform_size(self):
-        """Contrast: the legacy full-copy rollback is O(platform)."""
-
-        def snapshot_restore(rows: int, repeats: int = 100) -> float:
-            state = AllocationState(mesh(rows, rows))
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                state.restore(state.snapshot())
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        assert snapshot_restore(16) > 3.0 * snapshot_restore(4)

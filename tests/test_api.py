@@ -1,5 +1,5 @@
 """The repro.api façade: plan/commit soundness, strategy registry,
-reason codes, and the Kairos.allocate deprecation shim.
+reason codes, and the removed pre-façade entry points.
 
 The heart of this file is the plan/commit contract of ISSUE 5:
 
@@ -11,16 +11,16 @@ The heart of this file is the plan/commit contract of ISSUE 5:
   concurrent admit/release/fault moves the epoch before commit;
 * the four baseline mappers run through the ``PhasePipeline``
   registry and match their direct invocations;
-* ``Kairos.allocate`` emits exactly one DeprecationWarning per call
-  and stays lockstep-identical with plan+commit over random churn
-  (digests asserted against the frozen seed reference).
+* ``Kairos.allocate``, ``rollback=``, ``plan_batch``/``commit_batch``
+  and ``AllocationState.restore`` are gone, loudly; plan+commit stays
+  lockstep-identical with admit over random churn (digests asserted
+  against the frozen seed reference).
 """
 
 from __future__ import annotations
 
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -38,7 +38,7 @@ from repro.api import (
 )
 from repro.api.pipeline import _MAPPERS
 from repro.apps import GeneratorConfig, generate
-from repro.arch import mesh
+from repro.arch import AllocationError, AllocationState, mesh
 from repro.baselines import first_fit_map, optimal_map, random_map
 from repro.binding import bind
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
@@ -109,12 +109,26 @@ class TestPlan:
         assert isinstance(plan.code, ReasonCode)
         assert state_fingerprint(controller.state) == before
 
-    def test_plan_holds_nothing_with_snapshot_rollback(self):
-        controller = fresh_controller(rollback="snapshot")
-        before = state_fingerprint(controller.state)
-        plan = controller.plan(app_of(1))
-        assert plan.ok
-        assert state_fingerprint(controller.state) == before
+    def test_attempt_inside_open_transaction_is_refused(self):
+        """The gate memo is keyed on committed epochs, so an attempt
+        that would observe an uncommitted one raises before the memo is
+        read or written — the recorded entry survives and replays."""
+        controller = fresh_controller(2, 2)
+        loser = app_of(7, internals=60)
+        assert not controller.admit(loser).admitted   # memoized rejection
+        gate = controller.manager._gate
+        memo = dict(gate._memo)
+        assert len(memo) == 1
+        state = controller.state
+        with state.transaction():
+            mark = state.savepoint()
+            state.fail_element("dsp_0_0")            # uncommitted epoch
+            for attempt in (controller.plan, controller.admit):
+                with pytest.raises(AllocationError, match="open transaction"):
+                    attempt(loser)
+            state.rollback_to(mark)
+        assert gate._memo == memo                    # neither evicted nor added
+        assert controller.admit(loser).memoized      # O(1) replay still works
 
     def test_plan_describe_mentions_epoch_and_outcome(self):
         controller = fresh_controller()
@@ -285,99 +299,6 @@ class TestEpochConflicts:
         for app_id in list(controller.admitted):
             controller.release(app_id)
         assert controller.manager.utilization() == 0.0
-
-
-# ---------------------------------------------------------------------------
-# plan_batch: one pipeline pass, cheap ordered commits
-# ---------------------------------------------------------------------------
-
-
-class TestPlanBatch:
-    def test_batch_leaves_state_untouched(self):
-        controller = fresh_controller()
-        before = state_fingerprint(controller.state)
-        plans = controller.plan_batch([app_of(1), app_of(2), app_of(3)])
-        assert len(plans) == 3
-        assert state_fingerprint(controller.state) == before
-
-    def test_ordered_commit_never_replans(self):
-        controller = fresh_controller()
-        apps = [app_of(seed) for seed in range(1, 5)]
-        plans = controller.plan_batch(apps, [f"b{i}" for i in range(4)])
-        decisions = controller.commit_batch(plans)
-        for plan, decision in zip(plans, decisions):
-            if plan.ok:
-                assert decision.admitted and not decision.replanned
-
-    def test_batch_matches_sequential_admission(self):
-        batch_side = fresh_controller()
-        seq_side = fresh_controller()
-        apps = [app_of(seed, internals=4) for seed in range(1, 7)]
-        ids = [f"s{i}" for i in range(len(apps))]
-        plans = batch_side.plan_batch(apps, ids)
-        decisions = batch_side.commit_batch(plans)
-        for app, app_id, decision in zip(apps, ids, decisions):
-            reference = seq_side.admit(app, app_id)
-            assert decision.admitted == reference.admitted
-            if decision.admitted:
-                assert layout_digest(decision.layout) == layout_digest(
-                    reference.layout
-                )
-        assert state_fingerprint(batch_side.state) == state_fingerprint(
-            seq_side.state
-        )
-
-    def test_batch_with_infeasible_member(self):
-        controller = fresh_controller(2, 2)
-        apps = [app_of(1), app_of(2, internals=40), app_of(3)]
-        plans = controller.plan_batch(apps)
-        assert plans[0].ok and not plans[1].ok
-        decisions = controller.commit_batch(plans)
-        assert decisions[0].admitted and not decisions[1].admitted
-
-    def test_batch_works_with_snapshot_rollback(self):
-        """The snapshot strategy cannot restore() inside the batch's
-        open transaction; the journal strategy takes over there."""
-        controller = fresh_controller(2, 2, rollback="snapshot")
-        before = state_fingerprint(controller.state)
-        apps = [app_of(1), app_of(2, internals=40), app_of(3)]
-        plans = controller.plan_batch(apps)
-        assert state_fingerprint(controller.state) == before
-        assert plans[0].ok and not plans[1].ok
-        decisions = controller.commit_batch(plans)
-        assert decisions[0].admitted and not decisions[1].admitted
-        controller.release_all()
-        assert controller.manager.utilization() == 0.0
-
-    def test_batch_probe_does_not_evict_valid_memo_entries(self):
-        """A memo entry recorded at a committed epoch must survive
-        probes made at the batch's uncommitted epochs."""
-        controller = fresh_controller(2, 2)
-        loser = app_of(7, internals=60)
-        first = controller.admit(loser)          # memoized rejection
-        assert not first.admitted
-        gate = controller.manager._gate
-        assert len(gate._memo) == 1
-        # batch: an admissible app moves the (uncommitted) epoch, then
-        # the loser is probed again inside the batch
-        controller.plan_batch([app_of(8), loser])
-        assert len(gate._memo) == 1              # entry not evicted
-        replay = controller.admit(loser)
-        assert replay.memoized                   # O(1) replay still works
-
-    def test_batch_failures_are_not_memoized(self):
-        """Rejections at uncommitted epochs must not poison the memo."""
-        controller = fresh_controller(3, 3)
-        filler = app_of(5, internals=6)
-        big = app_of(6, internals=8)
-        plans = controller.plan_batch([filler, big])
-        gate = controller.manager._gate
-        memo_after_batch = dict(gate._memo)
-        # no entry may be keyed at an epoch above the committed one
-        assert all(
-            entry[0] <= controller.state.epoch
-            for entry in memo_after_batch.values()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -636,37 +557,21 @@ class TestReasonCodes:
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shim (ISSUE 5 satellite)
+# the removed shim and toggles; plan+commit == admit
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecationShim:
-    def test_single_deprecation_warning_per_call(self):
-        manager = Kairos(mesh(4, 4), validation_mode="skip")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            manager.allocate(app_of(1), "w")
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "Kairos.allocate is deprecated" in str(
-            deprecations[0].message
-        )
-
-    def test_shim_raises_original_failure_type(self):
-        manager = Kairos(mesh(2, 2), validation_mode="skip")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(AllocationFailure) as excinfo:
-                manager.allocate(app_of(1, internals=60))
-        assert excinfo.value.phase == Phase.BINDING
-        assert isinstance(excinfo.value.code, ReasonCode)
+    def test_removed_entry_points_fail_loudly(self):
+        with pytest.raises(TypeError):
+            Kairos(mesh(2, 2), rollback="snapshot")
+        assert not hasattr(Kairos, "allocate")
+        assert not hasattr(AdmissionController, "plan_batch")
+        assert not hasattr(AdmissionController, "commit_batch")
+        assert not hasattr(AllocationState, "restore")
 
     def test_shim_lockstep_with_plan_commit_over_random_churn(self):
-        """allocate == plan+commit == admit over a random churn mix."""
-        shim = Kairos(mesh(5, 5), validation_mode="skip")
+        """plan+commit == admit over a random churn mix."""
         two_phase = AdmissionController(mesh(5, 5), validation_mode="skip")
         one_shot = AdmissionController(mesh(5, 5), validation_mode="skip")
         rng = random.Random(21)
@@ -674,20 +579,11 @@ class TestDeprecationShim:
         for step in range(80):
             if resident and rng.random() < 0.4:
                 app_id = resident.pop(rng.randrange(len(resident)))
-                shim.release(app_id)
                 two_phase.release(app_id)
                 one_shot.release(app_id)
                 continue
             app = app_of(rng.randrange(40))
             app_id = f"c{step}"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                try:
-                    shim_layout = shim.allocate(app, app_id)
-                except AllocationFailure as failure:
-                    shim_outcome = (False, failure.phase, failure.code)
-                else:
-                    shim_outcome = (True, layout_digest(shim_layout))
             decision = two_phase.commit(two_phase.plan(app, app_id))
             direct = one_shot.admit(app, app_id)
             if decision.admitted:
@@ -699,15 +595,11 @@ class TestDeprecationShim:
                 direct_outcome = (True, layout_digest(direct.layout))
             else:
                 direct_outcome = (False, direct.phase, direct.code)
-            assert shim_outcome == pc_outcome == direct_outcome, step
-            assert (
-                shim.state.epoch
-                == two_phase.state.epoch
-                == one_shot.state.epoch
-            ), step
-        assert state_fingerprint(shim.state) == state_fingerprint(
-            two_phase.state
-        ) == state_fingerprint(one_shot.state)
+            assert pc_outcome == direct_outcome, step
+            assert two_phase.state.epoch == one_shot.state.epoch, step
+        assert state_fingerprint(two_phase.state) == state_fingerprint(
+            one_shot.state
+        )
 
     def test_plan_commit_churn_digests_match_seed_reference(self):
         """The two-phase route reproduces the frozen seed digests."""
@@ -717,7 +609,7 @@ class TestDeprecationShim:
         config = ChurnConfig(steps=40, target_utilization=0.7, seed=3)
         platform = mesh(6, 6)
         seed_result = run_seed_churn(pool, mesh(6, 6), config)
-        for path in ("admit", "plan_commit", "direct"):
+        for path in ("admit", "plan_commit"):
             live = run_admission_churn(pool, platform, config, path=path)
             assert live.layouts == seed_result.layouts, path
             assert (live.admitted, live.rejected) == (

@@ -49,6 +49,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.registry import ROUTABLE_STATES
 from repro.manager.layout import Phase, PhaseTimings
 from repro.reasons import ReasonCode
+from repro.resilience import RecoveryEngine
 from repro.sim import build_recipe, run_recipe
 from repro.sim.trace import read_trace, trace_digest
 from tests.conftest import chain_app, simple_dsp_task
@@ -530,7 +531,7 @@ class TestClusterManager:
         cluster.liveness.demote("s0", 1.0)
         second = cluster.epoch
         assert first != second  # generation folded into the epoch
-        cluster.state.touch()
+        cluster.touch()
         assert cluster.epoch != second
         before = cluster.epoch
         cluster.admit(chain_app(2), "a")
@@ -590,7 +591,7 @@ class TestClusterRecovery:
         cluster.admit(chain_app(2), "a")
         ((shard_id, _),) = cluster.admitted["a"]
         cluster.by_id[shard_id].kill()
-        engine = cluster.controller.recovery_engine()
+        engine = RecoveryEngine(cluster)
         outcome = engine.recovery_pass(now=1.0)
         assert "a" in outcome.recovered
         ((new_shard, _),) = cluster.admitted["a"]

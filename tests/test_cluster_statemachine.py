@@ -35,6 +35,7 @@ from hypothesis.stateful import (
 
 from repro.cluster import ClusterManager, build_shards
 from repro.cluster.registry import ROUTABLE_STATES
+from repro.resilience import RecoveryEngine
 from tests.conftest import chain_app
 
 
@@ -131,9 +132,7 @@ class ClusterMachine(RuleBasedStateMachine):
     @rule()
     def recover_stranded(self):
         stranded = self.cluster.stranded_by_faults()
-        outcome = self.cluster.controller.recovery_engine().recovery_pass(
-            now=self.now
-        )
+        outcome = RecoveryEngine(self.cluster).recovery_pass(now=self.now)
         assert tuple(outcome.stranded) == stranded
         # a recovery pass resolves every stranded app one way or the
         # other: re-placed, lost, or parked in the requeue (in which

@@ -29,12 +29,11 @@ FAST_EXAMPLES = [
 
 
 def run_example(script: str) -> subprocess.CompletedProcess:
-    # the deprecated shim is an error here, so no example can drift
-    # back to teaching ``Kairos.allocate``
+    # deprecations are errors here, so no example can teach one
     return subprocess.run(
         [
             sys.executable,
-            "-W", "error:Kairos.allocate is deprecated:DeprecationWarning",
+            "-W", "error::DeprecationWarning",
             str(EXAMPLES / script),
         ],
         capture_output=True, text=True, timeout=180,
@@ -61,7 +60,6 @@ def test_plan_commit_output_contract():
     result = run_example("plan_commit.py")
     assert "resources held: none" in result.stdout
     assert "replanned=True" in result.stdout      # the epoch-conflict demo
-    assert "0 replans" in result.stdout           # ordered batch commits
     assert "utilization 0.0%" in result.stdout    # released cleanly
 
 

@@ -39,6 +39,7 @@ from repro.sim import (
     replay_trace,
     run_simulation,
 )
+from tests.conftest import admit_or_raise
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -136,17 +137,6 @@ class TestEpochs:
         assert state.epoch == inner
         assert_aggregates_exact(state)
 
-    def test_snapshot_restore_roundtrips_epoch_and_aggregates(self):
-        state = AllocationState(mesh(3, 3))
-        state.occupy("dsp_0_0", "a", "t", REQ)
-        snapshot = state.snapshot()
-        epoch = state.epoch
-        state.occupy("dsp_0_1", "b", "t", REQ)
-        state.fail_element("dsp_1_0")
-        state.restore(snapshot)
-        assert state.epoch == epoch
-        assert_aggregates_exact(state)
-
     def test_vacate_on_failed_element_keeps_aggregates_consistent(self):
         state = AllocationState(mesh(3, 3))
         state.occupy("dsp_0_0", "a", "t", REQ)
@@ -225,7 +215,7 @@ class TestMemoAndGate:
         for index in range(300):
             app = pool[index % len(pool)]
             try:
-                manager.allocate(app, f"fill{index}")
+                admit_or_raise(manager, app, f"fill{index}")
                 admitted.append(f"fill{index}")
             except AllocationFailure:
                 failed_app = app
@@ -239,11 +229,11 @@ class TestMemoAndGate:
         _admitted, failed_app = self._fill_until_rejection(manager, pool)
         hits = manager.fastpath_stats["memo_hits"]
         with pytest.raises(AllocationFailure) as first:
-            manager.allocate(failed_app, "probe1")
+            admit_or_raise(manager, failed_app, "probe1")
         assert manager.fastpath_stats["memo_hits"] == hits + 1
         assert first.value.memoized
         with pytest.raises(AllocationFailure) as second:
-            manager.allocate(failed_app, "probe2")
+            admit_or_raise(manager, failed_app, "probe2")
         assert second.value.phase is first.value.phase
         assert second.value.reason == first.value.reason
 
@@ -252,11 +242,11 @@ class TestMemoAndGate:
         pool = churn_pool(count=6, seed=1)
         admitted, failed_app = self._fill_until_rejection(manager, pool)
         with pytest.raises(AllocationFailure):
-            manager.allocate(failed_app, "probe")
+            admit_or_raise(manager, failed_app, "probe")
         # capacity freed -> epoch moved -> the pipeline must re-run
         for app_id in admitted:
             manager.release(app_id)
-        layout = manager.allocate(failed_app, "retry")
+        layout = admit_or_raise(manager, failed_app, "retry")
         assert layout.placement  # admitted on the emptied platform
 
     def test_fault_and_heal_invalidate_the_memo(self):
@@ -264,15 +254,15 @@ class TestMemoAndGate:
         pool = churn_pool(count=6, seed=1)
         _admitted, failed_app = self._fill_until_rejection(manager, pool)
         with pytest.raises(AllocationFailure) as memoized:
-            manager.allocate(failed_app, "p1")
+            admit_or_raise(manager, failed_app, "p1")
         assert memoized.value.memoized
         manager.state.fail_element("dsp_0_0")
         with pytest.raises(AllocationFailure) as fresh:
-            manager.allocate(failed_app, "p2")
+            admit_or_raise(manager, failed_app, "p2")
         assert not fresh.value.memoized
         manager.state.heal_element("dsp_0_0")
         with pytest.raises(AllocationFailure) as after_heal:
-            manager.allocate(failed_app, "p3")
+            admit_or_raise(manager, failed_app, "p3")
         assert not after_heal.value.memoized
 
     def test_gate_rejects_aggregate_overdemand_like_the_binder(self):
@@ -293,9 +283,9 @@ class TestMemoAndGate:
         gated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=True)
         ungated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=False)
         with pytest.raises(AllocationFailure) as gated_exc:
-            gated.allocate(app, "x")
+            admit_or_raise(gated, app, "x")
         with pytest.raises(AllocationFailure) as ungated_exc:
-            ungated.allocate(app, "x")
+            admit_or_raise(ungated, app, "x")
         assert gated_exc.value.gated
         assert gated_exc.value.reason.startswith("aggregate demand")
         assert gated_exc.value.phase is ungated_exc.value.phase is Phase.BINDING
@@ -308,9 +298,9 @@ class TestMemoAndGate:
         gated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=True)
         ungated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=False)
         with pytest.raises(AllocationFailure) as gated_exc:
-            gated.allocate(app, "x")
+            admit_or_raise(gated, app, "x")
         with pytest.raises(AllocationFailure) as ungated_exc:
-            ungated.allocate(app, "x")
+            admit_or_raise(ungated, app, "x")
         assert gated_exc.value.gated
         # per-task gate rejections reproduce the binder's message
         assert gated_exc.value.reason == ungated_exc.value.reason
@@ -338,7 +328,7 @@ class TestMemoAndGate:
                 outcomes = []
                 for manager in (gated, ungated):
                     try:
-                        layout = manager.allocate(app, app_id)
+                        layout = admit_or_raise(manager, app, app_id)
                         outcomes.append((
                             "ok",
                             tuple(sorted(layout.placement.items())),

@@ -19,7 +19,7 @@ from repro.arch.faults import (
     stranded_applications,
 )
 from repro.manager import Kairos
-from tests.conftest import chain_app
+from tests.conftest import admit_or_raise, chain_app
 
 
 class TestFault:
@@ -229,7 +229,7 @@ class TestRecoverDefaultSpecs:
     def test_recover_uses_remembered_specifications(self, mesh3x3):
         manager = Kairos(mesh3x3, validation_mode="skip")
         app = chain_app(2)
-        layout = manager.allocate(app, "app")
+        layout = admit_or_raise(manager, app, "app")
         manager.state.fail_element(layout.placement["t0"])
         report = manager.recover()  # no specs supplied: registry used
         assert "app" in report.recovered
@@ -237,7 +237,7 @@ class TestRecoverDefaultSpecs:
 
     def test_explicit_specs_still_override(self, mesh3x3):
         manager = Kairos(mesh3x3, validation_mode="skip")
-        layout = manager.allocate(chain_app(2), "app")
+        layout = admit_or_raise(manager, chain_app(2), "app")
         manager.state.fail_element(layout.placement["t0"])
         report = manager.recover({})  # explicit empty dict: legacy path
         assert report.lost == {
@@ -246,7 +246,7 @@ class TestRecoverDefaultSpecs:
 
     def test_release_forgets_the_specification(self, mesh3x3):
         manager = Kairos(mesh3x3, validation_mode="skip")
-        manager.allocate(chain_app(2), "app")
+        admit_or_raise(manager, chain_app(2), "app")
         assert "app" in manager.specifications
         manager.release("app")
         assert manager.specifications == {}
@@ -255,7 +255,7 @@ class TestRecoverDefaultSpecs:
 class TestStranded:
     def test_element_fault_strands_resident_app(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        layout = manager.allocate(chain_app(2), "app")
+        layout = admit_or_raise(manager, chain_app(2), "app")
         element = layout.placement["t0"]
         fault = Fault("element", (element,))
         assert stranded_applications(manager.state, fault) == ("app",)
@@ -263,7 +263,7 @@ class TestStranded:
     def test_element_fault_strands_route_transit(self, mesh4x4):
         manager = Kairos(mesh4x4)
         app = chain_app(2)
-        layout = manager.allocate(app, "app")
+        layout = admit_or_raise(manager, app, "app")
         route = next(iter(layout.routes.values()), None)
         if route is None:
             pytest.skip("co-located; no transit to test")
@@ -274,7 +274,7 @@ class TestStranded:
 
     def test_link_fault_strands_crossing_app(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        layout = manager.allocate(chain_app(2), "app")
+        layout = admit_or_raise(manager, chain_app(2), "app")
         route = next(iter(layout.routes.values()), None)
         if route is None:
             pytest.skip("co-located; no route")
@@ -284,7 +284,7 @@ class TestStranded:
 
     def test_unrelated_fault_strands_nobody(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        layout = manager.allocate(chain_app(2), "app")
+        layout = admit_or_raise(manager, chain_app(2), "app")
         used = set(layout.placement.values()) | {
             node for r in layout.routes.values() for node in r.path
         }
@@ -298,7 +298,7 @@ class TestStranded:
 class TestDegradeSequence:
     def test_trail_records_victims(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        layout = manager.allocate(chain_app(2), "app")
+        layout = admit_or_raise(manager, chain_app(2), "app")
         campaign = FaultCampaign()
         campaign.add_element_fault(layout.placement["t0"])
         trail = degrade_sequence(manager.state, campaign)
@@ -313,7 +313,7 @@ class TestDegradeSequence:
         platform = mesh(3, 3)
         manager = Kairos(platform, validation_mode="skip")
         app = chain_app(2, cycles=60)
-        manager.allocate(app, "app")
+        admit_or_raise(manager, app, "app")
         specs = {"app": app}
         survived = 0
         for round_index in range(5):

@@ -18,6 +18,7 @@ from repro.core import BOTH, CostWeights
 from repro.io import pack_application, unpack_application
 from repro.manager import AllocationFailure, Kairos, generate_plan
 from repro.routing import DijkstraRouter
+from tests.conftest import admit_or_raise
 
 
 def small_app(seed=0):
@@ -41,7 +42,7 @@ class TestFullPipelineAcrossPlatforms:
         the CRISP chain."""
         platform = platform_factory()
         manager = Kairos(platform, validation_mode="report")
-        layout = manager.allocate(small_app())
+        layout = admit_or_raise(manager, small_app())
         assert layout.validation is not None
         assert layout.validation.throughput.of(
             next(iter(layout.placement))
@@ -51,7 +52,7 @@ class TestFullPipelineAcrossPlatforms:
 
     def test_dijkstra_router_variant(self):
         manager = Kairos(mesh(4, 4), router=DijkstraRouter())
-        layout = manager.allocate(small_app())
+        layout = admit_or_raise(manager, small_app())
         assert layout.routes or layout.local_channels
 
 
@@ -60,7 +61,7 @@ class TestBeamformerEndToEnd:
         manager = Kairos(crisp(), weights=CostWeights(1, 1),
                          validation_mode="report")
         app = beamforming_application()
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         # all 45 DSPs used (the paper: "requires all 45 DSPs")
         dsp_elements = {
             element for element in layout.placement.values()
@@ -82,7 +83,7 @@ class TestBeamformerEndToEnd:
                          validation_mode="skip")
         data = pack_application(beamforming_application())
         restored = unpack_application(data)
-        layout = manager.allocate(restored)
+        layout = admit_or_raise(manager, restored)
         assert len(layout.placement) == 53
 
 
@@ -95,7 +96,7 @@ class TestAdmissionSequence:
         admitted = rejected = 0
         for index, app in enumerate(apps):
             try:
-                manager.allocate(app, f"a{index}")
+                admit_or_raise(manager, app, f"a{index}")
                 admitted += 1
             except AllocationFailure:
                 rejected += 1
@@ -116,7 +117,7 @@ class TestAdmissionSequence:
         failed_app = None
         for index, app in enumerate(apps):
             try:
-                layout = manager.allocate(app, f"a{index}")
+                layout = admit_or_raise(manager, app, f"a{index}")
                 admitted_ids.append(layout.app_id)
             except AllocationFailure:
                 failed_app = app
@@ -126,7 +127,7 @@ class TestAdmissionSequence:
         # release half the admitted applications and retry
         for app_id in admitted_ids[: len(admitted_ids) // 2]:
             manager.release(app_id)
-        manager.allocate(failed_app, "retry")  # must now succeed
+        admit_or_raise(manager, failed_app, "retry")  # must now succeed
 
     def test_fragmentation_metric_moves_with_occupancy(self):
         manager = Kairos(crisp(), weights=BOTH, validation_mode="skip")
@@ -137,7 +138,7 @@ class TestAdmissionSequence:
         )
         for index, app in enumerate(apps):
             try:
-                layouts.append(manager.allocate(app, f"a{index}"))
+                layouts.append(admit_or_raise(manager, app, f"a{index}"))
             except AllocationFailure:
                 pass
         if layouts:
@@ -155,7 +156,7 @@ class TestFaultRecoveryOnCrisp:
                             utilization_low=0.3, utilization_high=0.6),
             seed=21,
         )
-        layout = manager.allocate(app, "victim")
+        layout = admit_or_raise(manager, app, "victim")
         dsp_used = next(
             (element for element in layout.placement.values()
              if manager.platform.element(element).kind == ElementType.DSP),
@@ -174,7 +175,7 @@ class TestFaultRecoveryOnCrisp:
         manager = Kairos(crisp(), weights=CostWeights(1, 1),
                          validation_mode="skip")
         app = beamforming_application()
-        manager.allocate(app, "beam")
+        admit_or_raise(manager, app, "beam")
         manager.state.fail_element("p2_dsp_1_0")
         report = manager.recover({"beam": app})
         assert "beam" in report.lost

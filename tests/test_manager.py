@@ -18,28 +18,28 @@ from repro.manager import (
     timings_by_task_count,
 )
 from repro.manager.bootstrap import LoadTask, ProgramRoute, StartTask
-from tests.conftest import chain_app, diamond_app
+from tests.conftest import admit_or_raise, chain_app, diamond_app
 
 
 class TestAllocate:
     def test_successful_allocation(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(3)
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         assert set(layout.placement) == set(app.tasks)
         assert layout.app_id in manager.admitted
         assert layout.timings.total > 0
 
     def test_phase_timings_populated(self, mesh3x3):
         manager = Kairos(mesh3x3, validation_mode="report")
-        layout = manager.allocate(chain_app(3))
+        layout = admit_or_raise(manager, chain_app(3))
         ms = layout.timings.as_milliseconds()
         assert set(ms) == {"binding", "mapping", "routing", "validation"}
         assert all(v >= 0 for v in ms.values())
 
     def test_skip_validation_mode(self, mesh3x3):
         manager = Kairos(mesh3x3, validation_mode="skip")
-        layout = manager.allocate(chain_app(3))
+        layout = admit_or_raise(manager, chain_app(3))
         assert layout.validation is None
         assert layout.timings.validation == 0.0
 
@@ -51,21 +51,21 @@ class TestAllocate:
         manager = Kairos(mesh3x3)
         app = chain_app(3, cycles=1000)  # fits nowhere
         with pytest.raises(AllocationFailure) as info:
-            manager.allocate(app)
+            admit_or_raise(manager, app)
         assert info.value.phase is Phase.BINDING
 
     def test_invalid_app_rejected_as_binding_failure(self, mesh3x3):
         from repro.apps import Application
         manager = Kairos(mesh3x3)
         with pytest.raises(AllocationFailure) as info:
-            manager.allocate(Application("empty"))
+            admit_or_raise(manager, Application("empty"))
         assert info.value.phase is Phase.BINDING
 
     def test_failure_rolls_back_state(self, mesh3x3):
         manager = Kairos(mesh3x3)
         baseline = manager.state.snapshot()
         with pytest.raises(AllocationFailure):
-            manager.allocate(chain_app(3, cycles=1000))
+            admit_or_raise(manager, chain_app(3, cycles=1000))
         assert manager.state.snapshot() == baseline
         assert manager.admitted == {}
 
@@ -75,7 +75,7 @@ class TestAllocate:
         app.add_constraint(ThroughputConstraint(1e9))
         baseline = manager.state.snapshot()
         with pytest.raises(AllocationFailure) as info:
-            manager.allocate(app)
+            admit_or_raise(manager, app)
         assert info.value.phase is Phase.VALIDATION
         assert manager.state.snapshot() == baseline
 
@@ -83,19 +83,19 @@ class TestAllocate:
         manager = Kairos(mesh3x3, validation_mode="report")
         app = chain_app(3)
         app.add_constraint(ThroughputConstraint(1e9))
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         assert not layout.validation.satisfied
 
     def test_duplicate_app_id_rejected(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        manager.allocate(chain_app(2), "same")
+        admit_or_raise(manager, chain_app(2), "same")
         with pytest.raises(ValueError):
-            manager.allocate(chain_app(2), "same")
+            admit_or_raise(manager, chain_app(2), "same")
 
     def test_auto_app_ids_unique(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        first = manager.allocate(chain_app(2))
-        second = manager.allocate(chain_app(2))
+        first = admit_or_raise(manager, chain_app(2))
+        second = admit_or_raise(manager, chain_app(2))
         assert first.app_id != second.app_id
 
     def test_routing_failure_tagged(self):
@@ -108,7 +108,7 @@ class TestAllocate:
         for index in range(4):
             app = chain_app(2, cycles=20)
             try:
-                manager.allocate(app, f"a{index}")
+                admit_or_raise(manager, app, f"a{index}")
             except AllocationFailure as failure:
                 phases.append(failure.phase)
         assert Phase.ROUTING in phases
@@ -118,7 +118,7 @@ class TestRelease:
     def test_release_restores_resources(self, mesh3x3):
         manager = Kairos(mesh3x3)
         baseline = manager.state.snapshot()
-        layout = manager.allocate(diamond_app())
+        layout = admit_or_raise(manager, diamond_app())
         manager.release(layout.app_id)
         after = manager.state.snapshot()
         after.pop("wear")   # wear and epoch odometers survive release
@@ -134,8 +134,8 @@ class TestRelease:
 
     def test_release_all(self, mesh3x3):
         manager = Kairos(mesh3x3)
-        manager.allocate(chain_app(2), "a")
-        manager.allocate(chain_app(2), "b")
+        admit_or_raise(manager, chain_app(2), "a")
+        admit_or_raise(manager, chain_app(2), "b")
         manager.release_all()
         assert manager.admitted == {}
         assert manager.utilization() == 0.0
@@ -145,7 +145,7 @@ class TestRelease:
         manager = Kairos(mesh3x3)
         baseline = manager.state.snapshot()
         for _ in range(5):
-            layout = manager.allocate(diamond_app())
+            layout = admit_or_raise(manager, diamond_app())
             manager.release(layout.app_id)
         after = manager.state.snapshot()
         after.pop("wear")   # wear and epoch odometers survive release
@@ -159,7 +159,7 @@ class TestRecovery:
     def test_stranded_detection_by_element(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(3)
-        layout = manager.allocate(app, "victim")
+        layout = admit_or_raise(manager, app, "victim")
         element = layout.placement["t1"]
         manager.state.fail_element(element)
         assert manager.stranded_by_faults() == ("victim",)
@@ -167,7 +167,7 @@ class TestRecovery:
     def test_stranded_detection_by_route(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(2)
-        layout = manager.allocate(app, "victim")
+        layout = admit_or_raise(manager, app, "victim")
         route = next(iter(layout.routes.values()), None)
         if route is None:
             pytest.skip("tasks co-located; no route to fail")
@@ -178,7 +178,7 @@ class TestRecovery:
     def test_recover_remaps_victim(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(3, cycles=30)
-        layout = manager.allocate(app, "victim")
+        layout = admit_or_raise(manager, app, "victim")
         manager.state.fail_element(layout.placement["t0"])
         report = manager.recover({"victim": app})
         assert report.stranded == ("victim",)
@@ -190,7 +190,7 @@ class TestRecovery:
         platform = mesh(1, 2)
         manager = Kairos(platform, validation_mode="skip")
         app = chain_app(2, cycles=80)
-        layout = manager.allocate(app, "victim")
+        layout = admit_or_raise(manager, app, "victim")
         # fail one of the two elements: no room to remap both tasks
         manager.state.fail_element(layout.placement["t0"])
         report = manager.recover({"victim": app})
@@ -199,8 +199,8 @@ class TestRecovery:
 
     def test_unaffected_apps_untouched(self, mesh4x4):
         manager = Kairos(mesh4x4)
-        a = manager.allocate(chain_app(2, cycles=20), "a")
-        b = manager.allocate(chain_app(2, cycles=20), "b")
+        a = admit_or_raise(manager, chain_app(2, cycles=20), "a")
+        b = admit_or_raise(manager, chain_app(2, cycles=20), "b")
         used_by_b = set(b.placement.values()) | {
             node for r in b.routes.values() for node in r.path
         }
@@ -217,7 +217,7 @@ class TestBootstrap:
     def test_plan_covers_layout(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = diamond_app()
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         plan = generate_plan(app, layout)
         loads = plan.loads()
         assert {l.task for l in loads} == set(app.tasks)
@@ -229,7 +229,7 @@ class TestBootstrap:
         the layout's placement and routes."""
         manager = Kairos(mesh3x3)
         app = diamond_app()
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         plan = generate_plan(app, layout)
         rebuilt_placement = {l.task: l.element for l in plan.loads()}
         assert rebuilt_placement == layout.placement
@@ -241,7 +241,7 @@ class TestBootstrap:
     def test_consumers_start_before_producers(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(3)
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         plan = generate_plan(app, layout)
         order = [s.task for s in plan.starts()]
         assert order.index("t2") < order.index("t1") < order.index("t0")
@@ -249,7 +249,7 @@ class TestBootstrap:
     def test_script_render(self, mesh3x3):
         manager = Kairos(mesh3x3)
         app = chain_app(2)
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         script = generate_plan(app, layout).as_script()
         assert "load" in script and "start" in script
 

@@ -155,17 +155,20 @@ class TestMappingFailure:
 
     def test_failure_leaves_partial_state_for_caller_rollback(self, state3x3):
         """map_application mutates state on failure; the manager rolls
-        back via snapshot — verify the documented contract."""
-        snapshot = state3x3.snapshot()
+        back via the journal — verify the documented contract."""
         app = chain_app(9, cycles=95)  # 9 near-full tasks on 9 elements is
         # feasible; squeeze harder: pre-occupy some elements
         state3x3.occupy("dsp_0_0", "blocker", "b0", ResourceVector(cycles=90))
         state3x3.occupy("dsp_1_1", "blocker", "b1", ResourceVector(cycles=90))
-        try:
-            bind_and_map(app, state3x3)
-        except Exception:
-            pass
-        state3x3.restore(snapshot)
+        snapshot = state3x3.snapshot()
+        with state3x3.transaction():
+            mark = state3x3.savepoint()
+            try:
+                bind_and_map(app, state3x3)
+            except Exception:
+                pass
+            state3x3.rollback_to(mark)
+        assert state3x3.snapshot() == snapshot
         assert state3x3.placements_of(app.name) == {}
 
 
@@ -278,10 +281,11 @@ class TestMappingOnCrisp:
                                 io_elements=("fpga", "arm")),
                 seed=seed,
             )
-            snapshot = crisp_state.snapshot()
-            result = bind_and_map(app, crisp_state)
-            assert set(result.placement) == set(app.tasks)
-            crisp_state.restore(snapshot)
+            with crisp_state.transaction():
+                mark = crisp_state.savepoint()
+                result = bind_and_map(app, crisp_state)
+                assert set(result.placement) == set(app.tasks)
+                crisp_state.rollback_to(mark)
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,7 +21,7 @@ from repro.validation import (
     maximum_cycle_ratio,
     validate_layout,
 )
-from tests.conftest import chain_app, diamond_app
+from tests.conftest import admit_or_raise, chain_app, diamond_app
 
 
 def ring(durations, tokens=1):
@@ -140,6 +140,6 @@ class TestOnLayouts:
     def test_kairos_analytical_manager(self):
         from repro.manager import Kairos
         manager = Kairos(mesh(3, 3), validation_method="analytical")
-        layout = manager.allocate(chain_app(3))
+        layout = admit_or_raise(manager, chain_app(3))
         assert layout.validation is not None
         assert not layout.validation.deadlocked

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.search import SparseDistanceMatrix
 from repro.manager import Kairos
-from tests.conftest import chain_app, diamond_app
+from tests.conftest import admit_or_raise, chain_app, diamond_app
 
 
 @pytest.fixture
@@ -45,8 +45,12 @@ class TestWearOdometer:
         req = ResourceVector(cycles=10)
         state3x3.occupy("dsp_0_0", "a", "t", req)
         snapshot = state3x3.snapshot()
-        state3x3.occupy("dsp_0_1", "a", "u", req)
-        state3x3.restore(snapshot)
+        with state3x3.transaction():
+            mark = state3x3.savepoint()
+            state3x3.occupy("dsp_0_1", "a", "u", req)
+            assert state3x3.snapshot() != snapshot
+            state3x3.rollback_to(mark)
+        assert state3x3.snapshot() == snapshot
         assert state3x3.wear("dsp_0_0") == 1
         assert state3x3.wear("dsp_0_1") == 0
 
@@ -172,7 +176,7 @@ class TestCompositeCost:
                              validation_mode="skip")
             touched = set()
             for round_index in range(8):
-                layout = manager.allocate(chain_app(2, cycles=30),
+                layout = admit_or_raise(manager, chain_app(2, cycles=30),
                                           f"r{round_index}")
                 touched.update(layout.placement.values())
                 manager.release(layout.app_id)

@@ -17,6 +17,7 @@ from repro.partition import (
     partition_to_application,
     random_operation_graph,
 )
+from tests.conftest import admit_or_raise
 
 
 def pipeline_graph(stages: int = 6, cycles: int = 10) -> OperationGraph:
@@ -159,5 +160,5 @@ class TestToApplication:
         partition = partition_operations(graph, Ceiling(cycles=60, memory=24))
         app = partition_to_application(partition)
         manager = Kairos(mesh(4, 4), validation_mode="report")
-        layout = manager.allocate(app)
+        layout = admit_or_raise(manager, app)
         assert set(layout.placement) == set(app.tasks)

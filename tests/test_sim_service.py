@@ -326,7 +326,7 @@ class TestReviewRegressions:
         )
         with pytest.raises(ValueError):
             service.offer(bad, 0.0)
-        # the check fires before Kairos.allocate: nothing leaked
+        # the check fires before admission: nothing leaked
         assert manager.admitted == {}
         assert manager.utilization() == 0.0
 
@@ -398,6 +398,37 @@ class TestReviewRegressions:
                     default_traffic_classes(pool_size=2), RejectPolicy(),
                     SimulationConfig(duration=5.0), **events,
                 )
+
+    def test_both_backends_offer_the_same_surface(self):
+        """The calls AdmissionService and RecoveryEngine make, made on
+        each backend directly — there is no adapter in between."""
+        from repro.api import Decision
+        from repro.cluster import ClusterManager, build_shards
+        from repro.resilience import RecoveryEngine, RecoveryPolicy
+
+        for backend in (
+            Kairos(mesh(2, 2), validation_mode="skip"),
+            ClusterManager(build_shards(2, 2, 1)),
+        ):
+            before = backend.epoch
+            first = backend.admit(big_app(1), "a")
+            assert isinstance(first, Decision) and first.admitted
+            assert backend.epoch != before
+            before = backend.epoch
+            probe = backend.admit(big_app(2), "b")
+            assert isinstance(probe, Decision) and not probe.admitted
+            assert backend.epoch == before  # a rejected probe leaves no trace
+            backend.touch()
+            assert backend.epoch != before
+            with pytest.raises(KeyError):
+                backend.release("nope")
+            assert 0.0 < backend.utilization() <= 1.0
+            outcome = RecoveryEngine(
+                backend, RecoveryPolicy(requeue=False)
+            ).recovery_pass()
+            assert outcome.stranded == () and "a" in backend.admitted
+            backend.release("a")
+            assert backend.utilization() == 0.0
 
     def test_short_run_still_gets_a_final_sample(self):
         recipe = build_recipe(

@@ -208,19 +208,6 @@ class TestFragmentation:
 
 
 class TestSnapshots:
-    def test_snapshot_restore_roundtrip(self, state3x3):
-        state3x3.occupy("dsp_0_0", "a", "t0", REQ)
-        snapshot = state3x3.snapshot()
-        state3x3.occupy("dsp_0_1", "a", "t1", REQ)
-        state3x3.reserve_route(
-            "a", "c0", ["dsp_0_0", "r_0_0", "r_0_1", "dsp_0_1"], 5.0
-        )
-        state3x3.fail_element("dsp_2_2")
-        state3x3.restore(snapshot)
-        assert state3x3.placements_of("a") == {"t0": "dsp_0_0"}
-        assert state3x3.reservations_of("a") == ()
-        assert not state3x3.is_failed("dsp_2_2")
-
     def test_snapshot_is_isolated_from_later_changes(self, state3x3):
         snapshot = state3x3.snapshot()
         state3x3.occupy("dsp_0_0", "a", "t0", REQ)

@@ -115,30 +115,24 @@ def _apply(state: AllocationState, op: tuple) -> None:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_abort_equals_snapshot_restore(seed):
-    """Rolled-back transaction == legacy snapshot/restore, any interleaving."""
+    """Rolled-back transaction == the pre-batch snapshot, any interleaving."""
     rng = random.Random(seed)
     scratch = AllocationState(mesh(3, 3))
     prefix = _random_ops(rng, scratch, 6)     # non-empty starting state
     batch = _random_ops(rng, scratch, 10)     # the aborted batch
 
-    state_tx = AllocationState(mesh(3, 3))
-    state_legacy = AllocationState(mesh(3, 3))
+    state = AllocationState(mesh(3, 3))
     for op in prefix:
-        _apply(state_tx, op)
-        _apply(state_legacy, op)
+        _apply(state, op)
+    snapshot = state.snapshot()
 
     with pytest.raises(_Abort):
-        with state_tx.transaction():
+        with state.transaction():
             for op in batch:
-                _apply(state_tx, op)
+                _apply(state, op)
             raise _Abort()
 
-    snapshot = state_legacy.snapshot()
-    for op in batch:
-        _apply(state_legacy, op)
-    state_legacy.restore(snapshot)
-
-    assert state_tx.snapshot() == state_legacy.snapshot()
+    assert state.snapshot() == snapshot
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -212,14 +206,6 @@ def test_savepoint_requires_open_transaction():
         state.rollback_to(0)
 
 
-def test_restore_inside_transaction_rejected():
-    state = AllocationState(mesh(3, 3))
-    snapshot = state.snapshot()
-    with state.transaction():
-        with pytest.raises(AllocationError):
-            state.restore(snapshot)
-
-
 def test_wear_rolls_back_with_the_transaction():
     """Wear survives releases but an aborted attempt never happened."""
     state = AllocationState(mesh(3, 3))
@@ -237,7 +223,7 @@ def test_wear_rolls_back_with_the_transaction():
 def test_float_bandwidth_rollback_is_bit_exact():
     """Undo restores the exact pre-mutation ledger values: inverting
     the arithmetic ((1.1 + 2.2) - 2.2 != 1.1) would leave float drift
-    that a snapshot restore does not."""
+    that the pre-mutation snapshot does not carry."""
     path = ["dsp_0_0", "r_0_0", "r_0_1", "dsp_0_1"]
     state = AllocationState(mesh(3, 3))
     state.reserve_route("resident", "base", path, 1.1)
