@@ -12,7 +12,7 @@ scalar: energy, licensing, QoS penalty...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.arch.elements import ElementType, ProcessingElement
 from repro.arch.resources import ResourceVector
@@ -20,12 +20,6 @@ from repro.arch.resources import ResourceVector
 
 class ImplementationError(ValueError):
     """Raised for malformed implementation specifications."""
-
-
-#: bounds of the per-implementation compatibility memos; on overflow
-#: the memo is cleared (it is a cache, not state)
-_COMPAT_CACHE_LIMIT = 4096
-_PLATFORM_CACHE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +41,10 @@ class Implementation:
     cost: float = 1.0
     target_kind: ElementType | None = None
     target_element: str | None = None
+    #: everything static compatibility depends on, as one derived key
+    #: that hashes without a Python-level call: the platform answers
+    #: ``static_hosts`` per shape, not per implementation object
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -64,107 +62,26 @@ class Implementation:
             raise ImplementationError(
                 f"implementation {self.name!r} has negative cost"
             )
-        # memos for runs_on / compatible_on / compatible_positions: the
-        # answers are static per element (resp. platform), but the
-        # binder and mapper ask them inside platform-wide scans on
-        # every admission.  Keyed by object identity; the references in
-        # the values keep ids stable.  All caches are bounded (cleared
-        # on overflow) so an implementation reused across many
-        # platforms cannot pin retired platforms in memory forever.
-        object.__setattr__(self, "_compat", {})
-        object.__setattr__(self, "_platform_compat", {})
-        object.__setattr__(self, "_platform_positions", {})
-        object.__setattr__(self, "_platform_nodes", {})
+        object.__setattr__(self, "shape", (
+            None if self.target_kind is None else self.target_kind.value,
+            self.target_element,
+            frozenset(self.requirement._data.items()),
+        ))
 
     def runs_on(self, element: ProcessingElement) -> bool:
         """Static compatibility: type/pin match and capacity is sufficient.
 
         Run-time availability (enough *free* resources) is the
         allocation state's ``av(e, t)``; this check ignores occupancy.
+        Platform-wide scans iterate
+        :meth:`repro.arch.topology.Platform.static_hosts` instead of
+        asking this per element.
         """
-        cached = self._compat.get(id(element))
-        if cached is not None and cached[0] is element:
-            return cached[1]
         if self.target_element is not None:
-            result = (
-                element.name == self.target_element
-                and self.requirement.fits_in(element.capacity)
-            )
+            matches = element.name == self.target_element
         else:
-            result = (
-                element.kind == self.target_kind
-                and self.requirement.fits_in(element.capacity)
-            )
-        if len(self._compat) >= _COMPAT_CACHE_LIMIT:
-            self._compat.clear()
-        self._compat[id(element)] = (element, result)
-        return result
-
-    def compatible_on(self, platform) -> tuple[tuple[int, object], ...]:
-        """Statically compatible elements of a platform, with positions.
-
-        Returns ``(position, element)`` pairs, where ``position``
-        indexes ``platform.elements`` — the scan order every allocation
-        phase uses.  Cached per platform, so platform-wide hot loops
-        iterate only the elements that can ever host this
-        implementation instead of re-checking ``runs_on`` each time.
-        """
-        cached = self._platform_compat.get(id(platform))
-        if cached is not None and cached[0] is platform:
-            return cached[1]
-        pairs = tuple(
-            (position, element)
-            for position, element in enumerate(platform.elements)
-            if self.runs_on(element)
-        )
-        if not platform.frozen:
-            return pairs  # mutable platform: the list may still grow
-        if len(self._platform_compat) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_compat.clear()
-        self._platform_compat[id(platform)] = (platform, pairs)
-        return pairs
-
-    def compatible_positions(self, platform) -> frozenset[int]:
-        """Positions of :meth:`compatible_on` as a frozen set.
-
-        The GAP solver and the mapping layer's availability probe test
-        (task, element) compatibility once per candidate element per
-        layer; a static membership set turns each test into one hash
-        probe of an int.
-        """
-        cached = self._platform_positions.get(id(platform))
-        if cached is not None and cached[0] is platform:
-            return cached[1]
-        positions = frozenset(
-            position for position, _element in self.compatible_on(platform)
-        )
-        if not platform.frozen:
-            return positions  # mutable platform: the set may still grow
-        if len(self._platform_positions) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_positions.clear()
-        self._platform_positions[id(platform)] = (platform, positions)
-        return positions
-
-    def compatible_nodes(self, platform) -> tuple[tuple[int, object], ...]:
-        """:meth:`compatible_on` with interned node ids instead of
-        positions — ``(node_id, element)`` pairs, for scans that index
-        the allocation ledgers directly."""
-        cached = self._platform_nodes.get(id(platform))
-        if cached is not None and cached[0] is platform:
-            return cached[1]
-        if not platform.frozen:
-            raise ImplementationError(
-                "compatible_nodes requires a frozen platform"
-            )
-        element_ids = platform._element_ids
-        pairs = tuple(
-            (element_ids[position], element)
-            for position, element in self.compatible_on(platform)
-        )
-        if len(self._platform_nodes) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_nodes.clear()
-        self._platform_nodes[id(platform)] = (platform, pairs)
-        return pairs
+            matches = element.kind == self.target_kind
+        return matches and self.requirement.fits_in(element.capacity)
 
     @property
     def pinned(self) -> bool:

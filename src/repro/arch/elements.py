@@ -20,7 +20,7 @@ from repro.arch.resources import ResourceVector
 
 
 class ElementType(enum.Enum):
-    """The heterogeneous element classes appearing in the CRISP platform."""
+    """The heterogeneous element kinds appearing in the CRISP platform."""
 
     GPP = "gpp"          #: general-purpose processor (the ARM926)
     DSP = "dsp"          #: digital signal processor core
@@ -89,7 +89,7 @@ def is_element(node: Node) -> bool:
 
 
 def default_capacity(kind: ElementType) -> ResourceVector:
-    """Reference capacities per element class.
+    """Reference capacities per element kind.
 
     These mirror the qualitative description of the CRISP tiles: DSPs
     are compute-heavy with modest local memory, memory tiles offer

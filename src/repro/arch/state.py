@@ -31,7 +31,7 @@ partial undo (used by the exhaustive baseline's branch-and-bound).
 The state also maintains **capacity epochs** for the admission fast
 path (see :mod:`repro.manager.kairos`): a monotonic mutation counter
 (:attr:`epoch`) bumped by every committed mutation, plus per-resource-
-kind aggregate free counters — platform-wide and per element class —
+kind aggregate free counters — platform-wide and per element kind —
 updated incrementally by occupy/vacate/fail/heal.  Both are journaled
 like every other ledger, so a rolled-back attempt restores them
 bit-exactly; equal epochs therefore certify identical allocation
@@ -212,7 +212,7 @@ class AvailabilityCache:
             array_b = free_arrays.get(kind_b)
             if array_a is None or array_b is None:
                 return (impl, 0, None, None, best_slack, ())
-        for element_id, element in impl.compatible_nodes(platform):
+        for element_id, element in platform.static_hosts(impl).nodes:
             if failed and element_id in failed:
                 continue
             if arity == 1:
@@ -326,7 +326,7 @@ class AllocationState:
         # rollback restores it, so equal epochs mean identical state
         self._epoch = 0
         #: element kind per node id (None for routers), for the
-        #: per-class aggregate updates on the occupy/vacate hot path
+        #: per-kind aggregate updates on the occupy/vacate hot path
         self._kind_by_id = [
             node.kind if mask[index] else None
             for index, node in enumerate(platform._nodes_by_id)

@@ -33,6 +33,11 @@ back to names only at public API boundaries:
   reverse direction; ``slot >> 1`` recovers the undirected link id,
 * ``slot_vc`` / ``slot_bw`` — per-slot capacity arrays mirroring the
   :class:`Link` attributes.
+
+Freezing also partitions the elements into **element classes** by
+``(kind, capacity)`` — all that static compatibility reads of an
+element — from which :meth:`Platform.static_hosts` answers "which
+elements can ever host this implementation", once per shape.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.arch.elements import Node, ProcessingElement, Router, is_element
 
@@ -85,6 +91,17 @@ class Link:
         return frozenset((self.a.name, self.b.name))
 
 
+class StaticHosts(NamedTuple):
+    """Where one implementation shape can statically run: three views
+    of the same elements, each in platform scan order."""
+
+    #: ``(position, element)``, position indexing ``platform.elements``
+    pairs: tuple[tuple[int, ProcessingElement], ...]
+    positions: frozenset[int]
+    #: ``(node_id, element)``, for scans over the allocation ledgers
+    nodes: tuple[tuple[int, ProcessingElement], ...]
+
+
 class Platform:
     """An immutable-after-freeze heterogeneous MPSoC model.
 
@@ -118,6 +135,12 @@ class Platform:
         self._routers_tuple: tuple[Router, ...] = ()
         self._element_neighbor_ids: dict[str, tuple[int, ...]] = {}
         self._element_pair_ids: tuple[tuple[int, int], ...] = ()
+        #: largest :meth:`element_connectivity` (the border-bonus base)
+        self.max_connectivity = 0
+        # static compatibility tables (see static_hosts)
+        self._element_classes: tuple[tuple[int, ...], ...] = ()
+        self._hosts_by_positions: dict[tuple[int, ...], StaticHosts] = {}
+        self._hosts_by_shape: dict[tuple, StaticHosts] = {}
 
     # -- construction -------------------------------------------------
 
@@ -191,6 +214,11 @@ class Platform:
             id(element): position
             for position, element in enumerate(self._elements_tuple)
         }
+        classes: dict[tuple, list[int]] = {}
+        for position, element in enumerate(self._elements_tuple):
+            key = (element.kind, element.capacity)
+            classes.setdefault(key, []).append(position)
+        self._element_classes = tuple(map(tuple, classes.values()))
         self._links_by_id = tuple(self._links.values())
         slot_vc: list[int] = []
         slot_bw: list[float] = []
@@ -366,6 +394,54 @@ class Platform:
         """Per-slot bandwidth capacities."""
         return self._slot_bw
 
+    # -- static compatibility (frozen platforms only) ---------------------
+
+    @property
+    def element_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Positions in ``elements`` of each ``(kind, capacity)`` class."""
+        self._require_frozen()
+        return self._element_classes
+
+    def static_hosts(self, impl) -> StaticHosts:
+        """The elements whose kind (or name, for a pin) and total
+        capacity admit ``impl``; occupancy is ignored.
+
+        Answered once per implementation *shape*: equal shapes receive
+        the same object, and shapes that fit the same elements share
+        it too, so the per-shape table costs one pointer per entry.
+        """
+        hosts = self._hosts_by_shape.get(impl.shape)
+        if hosts is None:
+            self._require_frozen()
+            hosts = self._hosts_by_shape[impl.shape] = self._derive_hosts(impl)
+        return hosts
+
+    def _derive_hosts(self, impl) -> StaticHosts:
+        elements = self._elements_tuple
+        classes = self._element_classes
+        if impl.target_element is not None:
+            # a pin names at most one element: a class of its own
+            node = self._nodes.get(impl.target_element)
+            pinned = self._element_position.get(id(node))
+            classes = () if pinned is None else ((pinned,),)
+        # one runs_on per class; classes interleave in ``elements``,
+        # sorting merges them back into platform scan order
+        positions = tuple(sorted(
+            position
+            for members in classes
+            if impl.runs_on(elements[members[0]])
+            for position in members
+        ))
+        hosts = self._hosts_by_positions.get(positions)
+        if hosts is None:
+            element_ids = self._element_ids
+            hosts = self._hosts_by_positions[positions] = StaticHosts(
+                tuple((p, elements[p]) for p in positions),
+                frozenset(positions),
+                tuple((element_ids[p], elements[p]) for p in positions),
+            )
+        return hosts
+
     # -- distances and neighbourhoods -----------------------------------
 
     def bfs_distances(
@@ -465,6 +541,9 @@ class Platform:
         self._element_pairs = tuple(
             tuple(sorted((self.element(x) for x in pair), key=lambda e: e.name))
             for pair in sorted(pairs, key=sorted)
+        )
+        self.max_connectivity = max(
+            map(len, self._element_neighbors.values()), default=0
         )
         self._element_neighbor_ids = {
             name: tuple(self._node_ids[e.name] for e in found)

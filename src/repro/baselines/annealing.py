@@ -75,9 +75,10 @@ def annealed_map(
     for task in sorted(app.tasks):
         implementation = binding[task]
         options = [
-            e.name for e in state.platform.elements
-            if implementation.runs_on(e)
-            and state.is_available(e, implementation.requirement)
+            e.name
+            for _position, e
+            in state.platform.static_hosts(implementation).pairs
+            if state.is_available(e, implementation.requirement)
         ]
         if not options:
             raise MappingError(f"annealing: no element for task {task!r}")

@@ -82,9 +82,9 @@ def optimal_map(
         implementation = binding[task]
         options = [
             element
-            for element in state.platform.elements
-            if implementation.runs_on(element)
-            and state.is_available(element, implementation.requirement)
+            for _position, element
+            in state.platform.static_hosts(implementation).pairs
+            if state.is_available(element, implementation.requirement)
         ]
         if not options:
             raise ValueError(f"task {task!r} has no feasible element")

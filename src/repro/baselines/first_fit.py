@@ -38,14 +38,12 @@ def first_fit_map(
     app_id = app_id or app.name
     order = _bfs_task_order(app)
     result = MappingResult(placement={}, anchors={})
-    elements = state.platform.elements
+    platform = state.platform
     for task in order:
         implementation = binding[task]
         chosen = None
-        for element in elements:
-            if implementation.runs_on(element) and state.is_available(
-                element, implementation.requirement
-            ):
+        for _position, element in platform.static_hosts(implementation).pairs:
+            if state.is_available(element, implementation.requirement):
                 chosen = element
                 break
         if chosen is None:

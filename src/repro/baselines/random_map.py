@@ -36,9 +36,9 @@ def random_map(
         implementation = binding[task]
         candidates = [
             element
-            for element in state.platform.elements
-            if implementation.runs_on(element)
-            and state.is_available(element, implementation.requirement)
+            for _position, element
+            in state.platform.static_hosts(implementation).pairs
+            if state.is_available(element, implementation.requirement)
         ]
         if not candidates:
             raise MappingError(

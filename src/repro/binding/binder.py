@@ -90,8 +90,8 @@ class _CapacityPool:
     def __init__(self, state: AllocationState):
         self.platform = state.platform
         #: provisional free capacity indexed like ``platform.elements``
-        #: (None marks failed elements), so the per-implementation
-        #: static compatibility lists can index it directly
+        #: (None marks failed elements), so the platform's static-host
+        #: positions can index it directly
         self._free: list[ResourceVector | None] = []
         #: id(element) -> position in ``platform.elements`` — the
         #: platform's interned table (static per frozen platform)
@@ -140,7 +140,7 @@ class _CapacityPool:
         keeps the provisional packing tight, so binding only fails when
         the platform is genuinely close to full.
         """
-        if not impl.runs_on(self.platform.elements[position]):
+        if position not in self.platform.static_hosts(impl).positions:
             return None
         free = self._free[position]
         requirement = impl.requirement
@@ -156,7 +156,7 @@ class _CapacityPool:
         # dicts: same comparisons, same float divisions in the same
         # order, one traversal instead of two method calls per element
         requirement_items = tuple(impl.requirement._data.items())
-        for position, element in impl.compatible_on(self.platform):
+        for position, element in self.platform.static_hosts(impl).pairs:
             available = free[position]
             if available is None:
                 continue

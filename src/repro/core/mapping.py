@@ -165,7 +165,7 @@ def map_application(
     element_position = state.platform._element_position
     platform = state.platform
     positions_of = {
-        task: binding[task].compatible_positions(platform)
+        task: platform.static_hosts(binding[task]).positions
         for task in app.tasks
     }
 

@@ -84,7 +84,7 @@ class AdmissionGate:
        tasks of the componentwise *minimum* requirement across each
        task's implementations is a lower bound on what any binding
        consumes; if it exceeds the platform-wide (or, for tasks whose
-       implementations all target one element class, the per-class)
+       implementations all target one element kind, the per-kind)
        aggregate free counter, the binder's provisional pool cannot
        possibly fit the application, so binding must fail.
     3. **Per-implementation feasible-element checks** — a task none of
@@ -115,7 +115,7 @@ class AdmissionGate:
         #: self-invalidate when the epoch moves on and are pruned on
         #: mismatch
         self._memo: dict[str, tuple[int, Phase, str, ReasonCode]] = {}
-        #: digest -> (app, total demand, per-element-class demand);
+        #: digest -> (app, total demand, per-element-kind demand);
         #: demands are platform-static per specification
         self._demand: dict[str, tuple] = {}
         registry = DISABLED.registry if registry is None else registry
@@ -175,7 +175,7 @@ class AdmissionGate:
         self, app: Application, digest: str
     ) -> tuple[str, ReasonCode] | None:
         state = self.state
-        total, by_class = self._demand_of(app, digest)
+        total, by_kind = self._demand_of(app, digest)
         agg = state._agg_free
         # the incremental aggregate counters can drift from the ledger
         # sum by float ULPs under churn with float quantities, so the
@@ -191,7 +191,7 @@ class AdmissionGate:
                     ReasonCode.AGGREGATE_CAPACITY,
                 )
         agg_kind = state._agg_free_kind
-        for kind, demand in by_class.items():
+        for kind, demand in by_kind.items():
             bucket = agg_kind.get(kind)
             for resource, needed in demand.items():
                 have = bucket.get(resource, 0) if bucket else 0
@@ -228,13 +228,13 @@ class AdmissionGate:
         if len(self._demand) >= _MEMO_LIMIT:
             self._demand.clear()  # cache, not state — like the memo
         total: dict = {}
-        by_class: dict = {}
+        by_kind: dict = {}
         for task in app.tasks.values():
             mins: dict = {}
             kinds = set()
             first = True
             for impl in task.implementations:
-                kinds.add(self._impl_class(impl))
+                kinds.add(self._impl_kind(impl))
                 data = impl.requirement._data
                 if first:
                     mins.update(data)
@@ -253,14 +253,14 @@ class AdmissionGate:
             if len(kinds) == 1:
                 kind = next(iter(kinds))
                 if kind is not None:
-                    bucket = by_class.setdefault(kind, {})
+                    bucket = by_kind.setdefault(kind, {})
                     for resource, quantity in mins.items():
                         bucket[resource] = bucket.get(resource, 0) + quantity
-        self._demand[digest] = (app, total, by_class)
-        return total, by_class
+        self._demand[digest] = (app, total, by_kind)
+        return total, by_kind
 
-    def _impl_class(self, impl):
-        """Element class an implementation charges, or None if unknown."""
+    def _impl_kind(self, impl):
+        """Element kind an implementation charges, or None if unknown."""
         if impl.target_kind is not None:
             return impl.target_kind
         node_id = self.platform._node_ids.get(impl.target_element)

@@ -47,7 +47,7 @@ class ReasonCode(enum.StrEnum):
     INVALID_SPECIFICATION = "invalid_specification"
 
     # -- admission gate / binding phase --------------------------------------
-    #: aggregate demand provably exceeds platform (or element-class)
+    #: aggregate demand provably exceeds platform (or element-kind)
     #: free capacity — the gate's layer-2 rejection
     AGGREGATE_CAPACITY = "aggregate_capacity"
     #: some task has no implementation with any feasible element right

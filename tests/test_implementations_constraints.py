@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.apps import (
@@ -15,8 +18,10 @@ from repro.apps.implementations import (
     dsp_implementation,
     pinned_implementation,
 )
-from repro.arch import ElementType, ProcessingElement, ResourceVector
+from repro.apps.generator import GeneratorConfig, generate
+from repro.arch import ElementType, ProcessingElement, ResourceVector, mesh
 from repro.arch.elements import default_capacity
+from repro.manager import Kairos
 
 
 def dsp_element(name: str = "d0") -> ProcessingElement:
@@ -68,6 +73,39 @@ class TestImplementation:
         impl = dsp_implementation("x", cycles=1)
         assert not impl.pinned
         assert impl.runs_on(dsp_element("whatever"))
+
+    def test_value_semantics_ignore_the_derived_shape(self):
+        impl = dsp_implementation("x", cycles=10, memory=4)
+        twin = dsp_implementation("x", cycles=10, memory=4)
+        assert impl == twin and hash(impl) == hash(twin)
+        assert impl != dsp_implementation("y", cycles=10, memory=4)
+        pricier = dataclasses.replace(impl, cost=2.0)
+        assert pricier.cost == 2.0 and pricier != impl
+        assert pricier.shape == impl.shape
+        bigger = dataclasses.replace(
+            impl, requirement=ResourceVector(cycles=11, memory=4)
+        )
+        assert bigger.shape != impl.shape
+
+    def test_implementations_carry_no_platform_state(self):
+        """Above the old 4 096-element memo limit: equal shapes share
+        the platform's answer, and an admission leaves nothing behind
+        on the implementation objects."""
+        platform = mesh(65, 65)
+        first = dsp_implementation("a", cycles=30, memory=8)
+        second = dsp_implementation("b", cycles=30, memory=8, cost=3.0)
+        hosts = platform.static_hosts(first)
+        assert platform.static_hosts(second) is hosts
+        assert len(hosts.pairs) == len(hosts.nodes) == 65 * 65
+
+        app = generate(GeneratorConfig(), seed=3)
+        implementations = [
+            impl for task in app.tasks.values()
+            for impl in task.implementations
+        ]
+        before = [pickle.dumps(impl) for impl in implementations]
+        assert Kairos(platform).controller.admit(app, "a").admitted
+        assert [pickle.dumps(impl) for impl in implementations] == before
 
 
 class TestThroughputConstraint:

@@ -13,11 +13,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.apps.generator import GeneratorConfig, generate
+from repro.apps.implementations import Implementation, pinned_implementation
 from repro.arch import (
     AllocationState,
+    ElementType,
+    ProcessingElement,
     ResourceVector,
     TopologyError,
     crisp,
+    fat_tree,
+    heterogeneous_mesh,
     irregular,
     mesh,
     torus,
@@ -30,6 +36,16 @@ from benchmarks.seed_reference.search import RingSearch as SeedRingSearch
 from benchmarks.seed_reference.state import AllocationState as SeedState
 
 
+def _two_dsp_capacities(row: int, col: int) -> ProcessingElement:
+    """Alternating full and reduced DSP tiles: two element classes of
+    one kind, which no stock builder yields."""
+    capacity = (
+        ResourceVector(cycles=100, memory=32) if (row + col) % 2 == 0
+        else ResourceVector(cycles=40, memory=12)
+    )
+    return ProcessingElement(f"dsp_{row}_{col}", ElementType.DSP, capacity)
+
+
 def platforms():
     return [
         mesh(3, 3),
@@ -37,11 +53,17 @@ def platforms():
         torus(3, 4),
         irregular(4, 4, drop_fraction=0.3, seed=2),
         crisp(packages=2),
+        fat_tree(16),
+        heterogeneous_mesh(4, 4),
+        mesh(4, 4, _two_dsp_capacities),
     ]
 
 
-@pytest.fixture(params=range(5), ids=["mesh3x3", "mesh4x6", "torus3x4",
-                                      "irregular4x4", "crisp2pkg"])
+PLATFORM_IDS = ["mesh3x3", "mesh4x6", "torus3x4", "irregular4x4",
+                "crisp2pkg", "fattree16", "hetmesh4x4", "twodsp4x4"]
+
+
+@pytest.fixture(params=range(len(PLATFORM_IDS)), ids=PLATFORM_IDS)
 def platform(request):
     return platforms()[request.param]
 
@@ -114,6 +136,119 @@ class TestIdTables:
             ]
             by_name = [e.name for e in platform.element_neighbors(element)]
             assert by_id == by_name
+
+
+    def test_max_connectivity_is_the_largest_element_connectivity(
+        self, platform
+    ):
+        assert platform.max_connectivity == max(
+            platform.element_connectivity(e) for e in platform.elements
+        )
+
+
+def _implementation_pool(platform) -> list[Implementation]:
+    """Generated implementations of every default target kind, plus
+    the shapes the generator never draws and the pinned corner cases."""
+    pool = [
+        implementation
+        for seed in range(12)
+        for task in generate(GeneratorConfig(), seed).tasks.values()
+        for implementation in task.implementations
+    ]
+    pinned_to = platform.elements[len(platform.elements) // 2]
+    pool += [
+        Implementation("mem", ResourceVector(memory=64),
+                       target_kind=ElementType.MEMORY),
+        Implementation("huge", ResourceVector(cycles=10_000),
+                       target_kind=ElementType.DSP),
+        Implementation("free", ResourceVector(),
+                       target_kind=ElementType.DSP),
+        pinned_implementation("pin", pinned_to.name, ResourceVector()),
+        pinned_implementation(
+            "pin_too_big", pinned_to.name, pinned_to.capacity * 2
+        ),
+        pinned_implementation(
+            "pin_router", platform.routers[0].name, ResourceVector()
+        ),
+        pinned_implementation("pin_ghost", "ghost", ResourceVector()),
+    ]
+    return pool
+
+
+class TestStaticHosts:
+    CLASS_COUNTS = dict(zip(PLATFORM_IDS, [1, 1, 1, 1, 5, 1, 2, 2]))
+
+    def test_classes_partition_the_elements(self, platform, request):
+        classes = platform.element_classes
+        expected = self.CLASS_COUNTS[request.node.callspec.id]
+        assert len(classes) == expected
+        assert sorted(p for cls in classes for p in cls) == list(
+            range(len(platform.elements))
+        )
+        for cls in classes:
+            assert list(cls) == sorted(cls)
+            assert len({
+                (platform.elements[p].kind, platform.elements[p].capacity)
+                for p in cls
+            }) == 1
+
+    def test_views_equal_brute_force_runs_on_in_scan_order(self, platform):
+        for implementation in _implementation_pool(platform):
+            brute = tuple(
+                (i, e) for i, e in enumerate(platform.elements)
+                if implementation.runs_on(e)
+            )
+            hosts = platform.static_hosts(implementation)
+            assert hosts.pairs == brute, implementation
+            assert hosts.positions == frozenset(i for i, _e in brute)
+            assert hosts.nodes == tuple(
+                (platform.element_ids[i], e) for i, e in brute
+            )
+
+    def test_pinned_cases_resolve_to_one_element_or_none(self, platform):
+        sizes = {
+            implementation.name: len(platform.static_hosts(implementation).pairs)
+            for implementation in _implementation_pool(platform)
+            if implementation.pinned
+        }
+        assert sizes == {
+            "pin": 1, "pin_too_big": 0, "pin_router": 0, "pin_ghost": 0,
+        }
+
+    def test_two_classes_of_one_kind_merge_into_scan_order(self):
+        platform = platforms()[PLATFORM_IDS.index("twodsp4x4")]
+        matched = {
+            len(platform.static_hosts(implementation).pairs)
+            for implementation in _implementation_pool(platform)
+            if implementation.target_kind is ElementType.DSP
+        }
+        # nothing, the full-size class alone, both classes interleaved
+        assert matched == {0, 8, 16}
+        both = platform.static_hosts(
+            Implementation("free", ResourceVector(),
+                           target_kind=ElementType.DSP)
+        )
+        assert [i for i, _e in both.pairs] == list(range(16))
+
+    def test_equal_shapes_share_one_answer(self, platform):
+        first, second = (
+            Implementation(name, ResourceVector(cycles=20, memory=4),
+                           cost=cost, target_kind=ElementType.DSP)
+            for name, cost in (("a", 1.0), ("b", 2.0))
+        )
+        assert platform.static_hosts(first) is platform.static_hosts(second)
+        # a different shape that fits the same classes shares the tuples
+        third = Implementation("c", ResourceVector(cycles=21, memory=4),
+                               target_kind=ElementType.DSP)
+        assert platform.static_hosts(third) is platform.static_hosts(first)
+
+    def test_unfrozen_platform_rejected(self):
+        from repro.arch import Platform
+
+        with pytest.raises(TopologyError):
+            Platform().static_hosts(
+                pinned_implementation("pin", "ghost", ResourceVector())
+            )
 
 
 def _twin_states(platform_factory):

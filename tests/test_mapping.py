@@ -18,6 +18,7 @@ from repro.binding import bind
 from repro.core import (
     BOTH,
     COMMUNICATION,
+    FRAGMENTATION,
     NONE,
     CostWeights,
     MappingCost,
@@ -257,6 +258,31 @@ class TestCostFunction:
             state3x3, {},
         )
         assert corner > center
+
+    def test_border_bonus_of_a_shared_cost_follows_the_platform(self):
+        """A cost object that outlives its platforms reads each new
+        platform's own maximum connectivity — a value remembered under
+        a dead platform's recycled ``id()`` would disagree with a
+        fresh cost object within a handful of trials."""
+        import gc
+
+        from repro.arch import line
+
+        shared = MappingCost(FRAGMENTATION)
+
+        def corner_bonus(cost, platform):
+            return cost.fragmentation_bonus(
+                None, "a", "t", platform.elements[0],
+                AllocationState(platform), {}, _neighbors=(),
+            )
+
+        for trial in range(200):
+            platform = line(3) if trial % 2 == 0 else mesh(4, 4)
+            assert corner_bonus(shared, platform) == corner_bonus(
+                MappingCost(FRAGMENTATION), platform
+            ), trial
+            del platform
+            gc.collect()
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
