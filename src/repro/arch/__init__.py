@@ -28,7 +28,6 @@ from repro.arch.resources import (
     fraction_of,
     vector_sum,
 )
-from repro.arch.scratch import ScratchPool
 from repro.arch.state import (
     AllocationError,
     AllocationState,
@@ -49,7 +48,6 @@ __all__ = [
     "ResourceError",
     "ResourceVector",
     "Router",
-    "ScratchPool",
     "TopologyError",
     "ZERO",
     "crisp",

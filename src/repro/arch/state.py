@@ -60,7 +60,6 @@ from dataclasses import dataclass
 
 from repro.arch.elements import Node, ProcessingElement
 from repro.arch.resources import ResourceError, ResourceVector
-from repro.arch.scratch import ScratchPool
 from repro.arch.topology import Platform, TopologyError
 
 
@@ -347,7 +346,6 @@ class AllocationState:
         # transaction journal: None when no transaction is open
         self._journal: list[tuple] | None = None
         self._tx_depth = 0
-        self._scratch: ScratchPool | None = None
         self._availability: AvailabilityCache | None = None
 
     # -- transactions ------------------------------------------------------
@@ -518,13 +516,6 @@ class AllocationState:
         if self._journal is not None:
             raise AllocationError("touch() is illegal inside a transaction")
         self._epoch += 1
-
-    @property
-    def scratch(self) -> ScratchPool:
-        """Per-state scratch buffers shared by the allocation hot loops."""
-        if self._scratch is None:
-            self._scratch = ScratchPool()
-        return self._scratch
 
     @property
     def availability(self) -> AvailabilityCache:

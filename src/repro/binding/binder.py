@@ -31,11 +31,6 @@ from repro.reasons import ReasonCode
 #: they are bound first, before any flexible task eats their capacity.
 SINGLE_OPTION_REGRET = float("inf")
 
-#: bound of the per-application sorted-options cache kept on the
-#: state's scratch; cleared wholesale on overflow (it is a cache — a
-#: fresh Application per request must not accumulate forever)
-_OPTIONS_CACHE_LIMIT = 4096
-
 
 class BindingError(RuntimeError):
     """The binding phase found no feasible implementation for a task.
@@ -89,10 +84,21 @@ class _CapacityPool:
 
     def __init__(self, state: AllocationState):
         self.platform = state.platform
+        free_by_node = state._free
+        failed = state._failed_elements
+        element_ids = state.platform.element_ids
         #: provisional free capacity indexed like ``platform.elements``
         #: (None marks failed elements), so the platform's static-host
-        #: positions can index it directly
-        self._free: list[ResourceVector | None] = []
+        #: positions can index it directly; filled from the live
+        #: ledgers (id-indexed, no name hashing)
+        self._free: list[ResourceVector | None]
+        if failed:
+            self._free = [
+                None if element_id in failed else free_by_node[element_id]
+                for element_id in element_ids
+            ]
+        else:
+            self._free = [free_by_node[element_id] for element_id in element_ids]
         #: id(element) -> position in ``platform.elements`` — the
         #: platform's interned table (static per frozen platform)
         self._position: dict[int, int] = state.platform._element_position
@@ -104,33 +110,6 @@ class _CapacityPool:
         #: scans are delegated to the state's epoch-stamped
         #: availability cache (one shared scan per implementation per
         #: epoch across the gate, the anchors and this pool)
-        self._pristine = True
-        self.reset(state)
-
-    def reset(self, state: AllocationState) -> None:
-        """Refill from the live ledgers (id-indexed, no name hashing).
-
-        The pool object itself is reused across binding runs via the
-        state's scratch cache — the free list and the best-fit cache's
-        hash table are recycled storage, their *contents* always come
-        from the current allocation state.
-        """
-        free_by_node = state._free
-        failed = state._failed_elements
-        element_ids = state.platform.element_ids
-        pool_free = self._free
-        pool_free.clear()
-        if failed:
-            pool_free.extend(
-                None if element_id in failed else free_by_node[element_id]
-                for element_id in element_ids
-            )
-        else:
-            pool_free.extend(
-                free_by_node[element_id] for element_id in element_ids
-            )
-        self._best.clear()
-        self._availability = state.availability
         self._pristine = True
 
     def _slack(self, impl: Implementation, position: int) -> float | None:
@@ -228,57 +207,24 @@ def bind(
     Raises :class:`BindingError` naming the first task that has no
     feasible implementation left.
     """
-    # the provisional pool's storage is recycled across binding runs
-    # (one bind at a time per state); its contents are reset from the
-    # live ledgers on every acquisition
-    scratch_objects = state.scratch.objects
-    pool = scratch_objects.get("binder.pool")
-    if pool is None or pool.platform is not state.platform:
-        pool = _CapacityPool(state)
-        scratch_objects["binder.pool"] = pool
-    else:
-        pool.reset(state)
+    pool = _CapacityPool(state)
     result = BindingResult(choice={})
     unbound = sorted(app.tasks)
 
     def score(impl: Implementation) -> float:
         return impl.cost + quality_weight * impl.execution_time
 
-    # implementations pre-sorted by (score, name) once per application
-    # (static given the quality weight): the regret of a round needs
-    # only the two cheapest *feasible* options, which filtering a
-    # sorted list yields without re-sorting per round
-    options_key = ("binder.options", id(app), quality_weight)
-    if len(scratch_objects) >= _OPTIONS_CACHE_LIMIT:
-        # a cache, not state: callers minting a fresh Application per
-        # request must not pin every one of them for the state's life
-        pool_entry = scratch_objects.get("binder.pool")
-        scratch_objects.clear()
-        if pool_entry is not None:
-            scratch_objects["binder.pool"] = pool_entry
-    # guarded by the identity of every Task object: in-place task
-    # replacement (the documented mutation pattern of
-    # Application.invalidate_graph_cache) swaps frozen Task instances,
-    # so a stale options list can never be served
-    task_signature = tuple(map(id, app.tasks.values()))
-    cached_options = scratch_objects.get(options_key)
-    if cached_options is not None and cached_options[0] is app and (
-        cached_options[1] == task_signature
-    ):
-        task_options = cached_options[3]
-    else:
-        task_options = {
-            task: sorted(
-                ((score(impl), impl)
-                 for impl in app.task(task).implementations),
-                key=lambda item: (item[0], item[1].name),
-            )
-            for task in unbound
-        }
-        scratch_objects[options_key] = (
-            # the Task tuple keeps the signature ids alive
-            app, task_signature, tuple(app.tasks.values()), task_options,
+    # implementations sorted by (score, name) once per bind: the
+    # regret of a round needs only the two cheapest *feasible*
+    # options, which filtering a sorted list yields without
+    # re-sorting per round
+    task_options = {
+        task: sorted(
+            ((score(impl), impl) for impl in app.task(task).implementations),
+            key=lambda item: (item[0], item[1].name),
         )
+        for task in unbound
+    }
 
     while unbound:
         # evaluate regret for every unbound task against the current pool

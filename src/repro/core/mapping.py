@@ -320,9 +320,7 @@ def _map_layer(
         # elements of the previous layer / anchors
         origins = sorted(set(result.placement.values()))
 
-    search = RingSearch(
-        state, origins, options.respect_congestion, scratch=state.scratch
-    )
+    search = RingSearch(state, origins, options.respect_congestion)
 
     if type(cost) is MappingCost:
         # the committed placement is frozen while this layer's GAP

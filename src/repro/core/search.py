@@ -50,32 +50,22 @@ class SparseDistanceMatrix:
     tests and callers working.
     """
 
-    __slots__ = ("_platform", "_node_ids", "_rows", "_fallback", "_pool")
+    __slots__ = ("_platform", "_node_ids", "_rows", "_fallback")
 
-    def __init__(self, platform: Platform | None = None, pool=None) -> None:
+    def __init__(self, platform: Platform | None = None) -> None:
         self._platform = platform
         self._node_ids = platform._node_ids if platform is not None else None
         #: origin node id -> per-node distance row (-1 = unknown)
         self._rows: dict[int, list[int]] = {}
         #: legacy symmetric name-keyed store (no-platform mode)
         self._fallback: dict[tuple[str, str], int] = {}
-        #: optional scratch pool lending reusable row storage; pooled
-        #: rows are transient — :meth:`merge` copies them out, so only
-        #: provably short-lived matrices (the mapping phase's per-layer
-        #: searches) opt in
-        self._pool = pool
 
     def row(self, origin_id: int) -> list[int]:
         """The (mutable) distance row of ``origin_id`` (hot path)."""
         rows = self._rows
         row = rows.get(origin_id)
         if row is None:
-            if self._pool is not None:
-                row = rows[origin_id] = self._pool.row(
-                    self._platform.node_count, -1
-                )
-            else:
-                row = rows[origin_id] = [-1] * self._platform.node_count
+            row = rows[origin_id] = [-1] * self._platform.node_count
         return row
 
     def record(self, origin: str, node: str, distance: int) -> None:
@@ -183,14 +173,7 @@ class RingSearch:
         state: AllocationState,
         origins: Iterable[ProcessingElement | str],
         respect_congestion: bool = True,
-        scratch=None,
     ) -> None:
-        """``scratch`` (a :class:`~repro.arch.scratch.ScratchPool`)
-        opts into reusable visited masks and distance rows.  Only pass
-        it when this search provably cannot interleave with another
-        scratch-backed search on the same state — the mapping phase
-        (one search per layer, strictly sequential) qualifies; ad-hoc
-        or concurrent searches must use the default fresh arrays."""
         self.state = state
         self.platform = state.platform
         self.respect_congestion = respect_congestion
@@ -206,22 +189,11 @@ class RingSearch:
             raise ValueError("RingSearch needs at least one origin element")
         self.origins = tuple(origin_names)
         self._origin_ids = tuple(origin_ids)
-        # per-origin BFS state: byte visited masks and id frontiers,
-        # pooled (zeroed on acquire) when a scratch pool is provided
+        # per-origin BFS state: byte visited masks and id frontiers
         node_count = self.platform.node_count
-        if scratch is not None:
-            scratch.begin_rows()
-            self.distances = SparseDistanceMatrix(self.platform, pool=scratch)
-            self._visited = scratch.zeroed_bytes_family(
-                "ring.visited", len(origin_ids), node_count
-            )
-            self._seen_elements = scratch.zeroed_bytes("ring.seen", node_count)
-        else:
-            self.distances = SparseDistanceMatrix(self.platform)
-            self._visited = [
-                bytearray(node_count) for _ in origin_ids
-            ]
-            self._seen_elements = bytearray(node_count)
+        self.distances = SparseDistanceMatrix(self.platform)
+        self._visited = [bytearray(node_count) for _ in origin_ids]
+        self._seen_elements = bytearray(node_count)
         self._frontier: list[list[int]] = []
         self._exhausted = False  # maintained by advance()
         self._ring = 0

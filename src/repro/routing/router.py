@@ -22,6 +22,7 @@ the public ``find_path`` wrapper and the reservations they return.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.apps.taskgraph import Application, Channel
@@ -211,25 +212,18 @@ class BfsRouter(BaseRouter):
         bw_used = state._bw_used
         saturated = state._slot_saturated
         failed_links = state._failed_links
-        # parent ids with generation-stamped lazy clearing: a cell is
-        # visited iff its stamp equals this call's generation, so the
-        # per-call O(nodes) rebuild is one counter bump instead
-        scratch = state.scratch
-        parents, stamp, generation = scratch.stamped(
-            "router.bfs", platform.node_count
-        )
-        parents[source_id] = -1  # -1 marks the root
-        stamp[source_id] = generation
+        # parent id per visited node (a node is visited iff it has a
+        # parent), sized by the visited region rather than the platform
+        parents = {source_id: -1}  # -1 marks the root
         if source_id == target_id:
             return _unwind(parents, target_id)
-        queue = scratch.deque("router.bfs.queue")
-        queue.append(source_id)
+        queue = deque((source_id,))
         while queue:
             current = queue.popleft()
             ids = neighbor_ids[current]
             slots = neighbor_slots[current]
             for neighbor, slot in zip(ids, slots):
-                if stamp[neighbor] == generation:
+                if neighbor in parents:
                     continue
                 if saturated[slot]:
                     continue
@@ -237,7 +231,6 @@ class BfsRouter(BaseRouter):
                     continue
                 if failed_links and (slot >> 1) in failed_links:
                     continue
-                stamp[neighbor] = generation
                 parents[neighbor] = current
                 if neighbor == target_id:
                     # the BFS parent of a node is fixed at discovery,
@@ -280,36 +273,22 @@ class DijkstraRouter(BaseRouter):
         nodes = platform.nodes
         congestion_weight = self.congestion_weight
         infinity = float("inf")
-        # dist/parent/done arrays with generation-stamped lazy clearing
-        scratch = state.scratch
-        node_count = platform.node_count
-        # parents needs no stamp: cells are written on discovery and
-        # read only along the found path, every node of which was
-        # discovered this call
-        parents = scratch.plain("router.dijkstra.parents", node_count)
-        best, best_stamp, best_generation = scratch.stamped(
-            "router.dijkstra.best", node_count
-        )
-        _done, done_stamp, done_generation = scratch.stamped(
-            "router.dijkstra.done", node_count
-        )
-        parents[source_id] = -1
-        best[source_id] = 0.0
-        best_stamp[source_id] = best_generation
+        parents = {source_id: -1}
+        best = {source_id: 0.0}
+        done: set[int] = set()
         # ties broken by node *name* to keep historical determinism
-        heap = scratch.list("router.dijkstra.heap")
-        heap.append((0.0, nodes[source_id].name, source_id))
+        heap = [(0.0, nodes[source_id].name, source_id)]
         while heap:
             cost, _name, current = heapq.heappop(heap)
-            if done_stamp[current] == done_generation:
+            if current in done:
                 continue
-            done_stamp[current] = done_generation
+            done.add(current)
             if current == target_id:
                 return _unwind(parents, target_id)
             ids = neighbor_ids[current]
             slots = neighbor_slots[current]
             for neighbor, slot in zip(ids, slots):
-                if done_stamp[neighbor] == done_generation:
+                if neighbor in done:
                     continue
                 if saturated[slot]:
                     continue
@@ -320,13 +299,8 @@ class DijkstraRouter(BaseRouter):
                     continue
                 edge = 1.0 + congestion_weight * (bw_used[slot] / capacity)
                 candidate = cost + edge
-                known = (
-                    best[neighbor]
-                    if best_stamp[neighbor] == best_generation else infinity
-                )
-                if candidate < known:
+                if candidate < best.get(neighbor, infinity):
                     best[neighbor] = candidate
-                    best_stamp[neighbor] = best_generation
                     parents[neighbor] = current
                     heapq.heappush(
                         heap, (candidate, nodes[neighbor].name, neighbor)
@@ -334,7 +308,7 @@ class DijkstraRouter(BaseRouter):
         return None
 
 
-def _unwind(parents: list[int], target_id: int) -> list[int]:
+def _unwind(parents: dict[int, int], target_id: int) -> list[int]:
     path = [target_id]
     while parents[path[-1]] != -1:
         path.append(parents[path[-1]])

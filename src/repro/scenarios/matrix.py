@@ -169,11 +169,13 @@ class ScenarioMatrix:
         cell_id = (
             f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}|sh{shards}"
         )
-        # the seed ignores the wall-clock toggle: cells differing only
-        # in fastpath share one recipe, so a toggled pair has the same
-        # decision stream (what makes speedup tables an
-        # apples-to-apples comparison — asserted in tests)
-        condition_id = f"{topology}|{traffic}|{mapper}|sh{shards}"
+        # the seed ignores the wall-clock toggle and the mapper: cells
+        # differing only in fastpath share one recipe, so a toggled
+        # pair has the same decision stream (what makes speedup tables
+        # an apples-to-apples comparison), and mappers of one condition
+        # face the same arrivals (what makes best-mapper tables one) —
+        # both asserted in tests
+        condition_id = f"{topology}|{traffic}|sh{shards}"
         seed = _cell_seed(self.seed, condition_id)
         duration = float(
             self.duration_overrides.get(topology, self.duration)

@@ -11,8 +11,10 @@ The heart of this file is the plan/commit contract of ISSUE 5:
   concurrent admit/release/fault moves the epoch before commit;
 * the four baseline mappers run through the ``PhasePipeline``
   registry and match their direct invocations;
-* ``Kairos.allocate``, ``rollback=``, ``plan_batch``/``commit_batch``
-  and ``AllocationState.restore`` are gone, loudly; plan+commit stays
+* ``Kairos.allocate``, ``rollback=``, ``plan_batch``/``commit_batch``,
+  ``AllocationState.restore`` and the per-state scratch pool (with
+  its ``RingSearch(scratch=)`` / ``SparseDistanceMatrix(pool=)``
+  parameters) are gone, loudly; plan+commit stays
   lockstep-identical with admit over random churn (digests asserted
   against the frozen seed reference).
 """
@@ -29,6 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+import repro.arch
 from repro.api import (
     AdmissionController,
     PhasePipeline,
@@ -41,6 +44,7 @@ from repro.apps import GeneratorConfig, generate
 from repro.arch import AllocationError, AllocationState, mesh
 from repro.baselines import first_fit_map, optimal_map, random_map
 from repro.binding import bind
+from repro.core.search import RingSearch, SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
 
@@ -569,6 +573,16 @@ class TestDeprecationShim:
         assert not hasattr(AdmissionController, "plan_batch")
         assert not hasattr(AdmissionController, "commit_batch")
         assert not hasattr(AllocationState, "restore")
+        # the recycled-storage layer: hot loops own their working memory
+        platform = mesh(2, 2)
+        state = AllocationState(platform)
+        assert not hasattr(state, "scratch")
+        assert "ScratchPool" not in repro.arch.__all__
+        origins = [platform.elements[0].name]
+        with pytest.raises(TypeError):
+            RingSearch(state, origins, scratch=None)
+        with pytest.raises(TypeError):
+            SparseDistanceMatrix(platform, pool=None)
 
     def test_shim_lockstep_with_plan_commit_over_random_churn(self):
         """plan+commit == admit over a random churn mix."""

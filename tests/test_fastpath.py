@@ -1,4 +1,4 @@
-"""The admission fast path: epochs, aggregates, memo, gate, scratch.
+"""The admission fast path: epochs, aggregates, memo, gate, availability.
 
 The fast path's entire contract is *make failure cheap without
 changing a single decision*.  These tests pin both halves:
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.apps import Application, Task, dsp_implementation
 from repro.arch import AllocationError, AllocationState, ResourceVector, mesh
-from repro.arch.scratch import ScratchPool
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
 from repro.sim import (
@@ -437,43 +436,7 @@ class TestServiceFastPath:
             assert row["count"] > 0
 
 
-class TestScratchPool:
-    def test_stamped_arrays_invalidate_wholesale(self):
-        pool = ScratchPool()
-        data, stamp, generation = pool.stamped("x", 8)
-        data[3] = 42
-        stamp[3] = generation
-        data2, stamp2, generation2 = pool.stamped("x", 8)
-        assert data2 is data and stamp2 is stamp
-        assert generation2 == generation + 1
-        assert stamp2[3] != generation2  # cell 3 is stale again
-
-    def test_stamped_arrays_grow(self):
-        pool = ScratchPool()
-        data, stamp, _gen = pool.stamped("x", 4)
-        data2, stamp2, _gen2 = pool.stamped("x", 16)
-        assert len(data2) >= 16 and len(stamp2) >= 16
-
-    def test_zeroed_bytes_and_families_reset(self):
-        pool = ScratchPool()
-        mask = pool.zeroed_bytes("m", 6)
-        mask[2] = 1
-        again = pool.zeroed_bytes("m", 6)
-        assert again is mask and again[2] == 0
-        family = pool.zeroed_bytes_family("f", 3, 5)
-        family[1][0] = 7
-        family2 = pool.zeroed_bytes_family("f", 3, 5)
-        assert family2[1][0] == 0
-
-    def test_rows_reset_between_leases(self):
-        pool = ScratchPool()
-        pool.begin_rows()
-        row = pool.row(5)
-        row[0] = 3
-        pool.begin_rows()
-        row2 = pool.row(5)
-        assert row2 is row and row2[0] == -1
-
+class TestAvailabilityCache:
     def test_cache_entries_from_rolled_back_epochs_never_survive(self):
         # a cache entry stamped at an *uncommitted* epoch observes state
         # that a rollback then erases; a later committed mutation

@@ -32,6 +32,7 @@ from repro.core.search import RingSearch
 from repro.routing import BfsRouter, DijkstraRouter
 
 from benchmarks.seed_reference.router import BfsRouter as SeedBfsRouter
+from benchmarks.seed_reference.router import DijkstraRouter as SeedDijkstraRouter
 from benchmarks.seed_reference.search import RingSearch as SeedRingSearch
 from benchmarks.seed_reference.state import AllocationState as SeedState
 
@@ -343,3 +344,32 @@ class TestSeedAgreement:
             b = bfs.find_path(live, source, target, 1.0)
             assert a is not None and b is not None
             assert len(a) == len(b)
+
+    def test_dijkstra_paths_match_seed(self, factory):
+        """Congestion-weighted Dijkstra returns the seed's exact path."""
+        live, seed = _twin_states(factory)
+        for state in (live, seed):
+            _occupy_some(state)
+            _inject_faults(state)
+            # uneven link load, so the congestion weight steers paths
+            for index, link in enumerate(state.platform.links[::3]):
+                a, b = link.a.name, link.b.name
+                bandwidth = 5.0 * (1 + index % 4)
+                if state.can_traverse(a, b, bandwidth):
+                    state.reserve_route("skew", f"s{index}", [a, b], bandwidth)
+        elements = [e.name for e in live.platform.elements]
+        probes = [
+            (source, target)
+            for source in elements[::2] for target in elements[1::3]
+            if source != target
+        ]
+        seed_router = SeedDijkstraRouter()
+        expected = {
+            probe: seed_router.find_path(seed, *probe, 5.0) for probe in probes
+        }
+        live_router = DijkstraRouter()
+        # forward, then backward on the same state: no search may leak
+        # working memory into the next
+        for probe in probes + probes[::-1]:
+            assert live_router.find_path(live, *probe, 5.0) == \
+                expected[probe], probe

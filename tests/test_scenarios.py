@@ -20,6 +20,7 @@ from repro.scenarios import (
     smoke_matrix,
     storm_matrix,
 )
+from repro.sim.service import run_recipe
 
 
 def tiny_matrix(**overrides) -> ScenarioMatrix:
@@ -52,8 +53,37 @@ class TestMatrix:
         assert a[-1].startswith("torus:6x6|")
 
     def test_cell_seeds_differ_across_conditions(self):
-        cells = tiny_matrix().expand()
-        assert len({cell.seed for cell in cells}) == len(cells)
+        # a condition is (topology, traffic, shards): every mapper of one
+        # condition shares its seed, every other axis changes it
+        cells = tiny_matrix(
+            mappers=("kairos", "first_fit", "random", "annealing"),
+        ).expand()
+        seeds: dict[tuple, set[int]] = {}
+        for cell in cells:
+            seeds.setdefault((cell.topology, cell.traffic), set()).add(
+                cell.seed
+            )
+        assert all(len(group) == 1 for group in seeds.values())
+        assert len(set.union(*seeds.values())) == len(seeds) == 4
+        sharded = tiny_matrix(
+            topologies=("mesh:6x6",), mappers=("kairos",), shards=(1, 2),
+        ).expand()
+        assert len({cell.seed for cell in sharded}) == len(sharded) == 4
+
+    def test_mappers_of_one_condition_see_the_same_arrivals(self):
+        cells = tiny_matrix(
+            topologies=("mesh:6x6",), traffic=("default",),
+            mappers=("kairos", "first_fit"),
+        ).expand()
+        streams = [
+            [
+                {key: value for key, value in record.items() if key != "i"}
+                for record in run_recipe(cell.recipe).trace
+                if record["kind"] == "arrival"
+            ]
+            for cell in cells
+        ]
+        assert streams[0] and streams[0] == streams[1]
 
     def test_toggles_share_seed_and_recipe(self):
         matrix = tiny_matrix(
