@@ -6,6 +6,17 @@ claim under test is the *shape*: binding is the bottleneck for the
 53-task application ("although binding is fast for small applications,
 here it is actually the bottleneck") while mapping "scales quite well"
 and routing stays cheapest.
+
+Known deviation: binding no longer dominates mapping.  The binder
+answers its best-fit queries from the allocation state's capacity
+index (one test per distinct free vector of an element class), so
+binding the beamformer on CRISP takes about 1.5 ms against mapping's
+5.2 ms (best of three, 2-vCPU linux VM; 10.6 ms when every query
+rescanned every element).  That claim is kept as the strict expected
+failure ``tests/test_experiments.py::TestFig10::
+test_case_study_binding_dominates_mapping``; the two claims that still
+hold are asserted here.  Routing now undercuts binding by only about
+8 % (1.4 ms), so heavy CPU contention during one run can flip it.
 """
 
 from __future__ import annotations
@@ -25,6 +36,5 @@ def bench_case_study(benchmark, platform):
           {k: round(v, 1) for k, v in ms.items()})
     print("case study per-phase ms (paper):   ", PAPER_CASE_STUDY_MS)
 
-    assert ms["binding"] > ms["mapping"], "binding should dominate mapping"
     assert ms["routing"] < ms["binding"], "routing should be cheapest"
     assert ms["mapping"] < 200, "mapping must stay in run-time range"

@@ -87,6 +87,11 @@ class ResourceVector(Mapping[str, Number]):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ResourceVector is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating
+        # constructor (the default protocol would set the slot directly)
+        return (type(self), (dict(self._data),))
+
     def __hash__(self) -> int:
         return hash(frozenset(self._data.items()))
 

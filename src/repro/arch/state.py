@@ -37,6 +37,14 @@ like every other ledger, so a rolled-back attempt restores them
 bit-exactly; equal epochs therefore certify identical allocation
 state, which is what makes negative-result memoization sound.
 
+Availability questions (:class:`AvailabilityCache`) are answered from
+a **capacity index**: per element class, the non-failed elements
+grouped by current free vector, each group split by the elements'
+busy-neighbour counts.  The sites that journal occupy/vacate/fail/heal
+adjust it and their undo entries adjust it back, so a query visits the
+distinct free vectors of a class rather than its elements.
+:meth:`check_invariants` rebuilds it from the ledgers.
+
 :meth:`snapshot` — a full O(platform) copy of every ledger — is for
 whole-state capture and comparison, not rollback.
 
@@ -55,6 +63,7 @@ three modules (and nothing else; external code uses the public API).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -105,159 +114,174 @@ _OP_HEAL_LINK = 7
 _BW_EPSILON = 1e-9
 
 
-class AvailabilityCache:
-    """Epoch-stamped per-implementation availability summaries.
+class _Bucket:
+    """The non-failed elements of one element class whose free vector
+    is currently ``vector`` (``key`` is its components as a frozenset,
+    which hashes in C and caches its hash).
 
-    Several callers ask the same question about the same specification
-    pool many times per admission attempt: *which elements can host
-    this implementation right now?*  The admission gate needs "at
-    least one", the mapping phase's anchor detection needs "exactly
-    one, and which".  Both are answered by one platform scan whose
-    result is a pure function of (implementation, allocation state) —
-    so the scan is cached and keyed by the capacity epoch: any
-    mutation invalidates wholesale, and within one epoch (one gate
-    check plus the binding phase, which never mutates state) every
-    repeat is O(1).
-
-    ``summary(impl)`` returns ``(count, first)`` where ``count`` is
-    0, 1 or 2 (2 meaning *two or more*) and ``first`` is the first
-    available element in platform scan order (None when count is 0).
-    ``best_fit(impl)`` returns the binder's best-fit answer over the
-    raw state — ``(element, slack)`` with minimal leftover on the
-    bottleneck resource, name-tie-broken — which the binding phase's
-    provisional pool reuses for its pristine (pre-reservation) round.
-    Both come from one platform scan.
+    ``scores`` holds their name ranks in name order, split by the
+    elements' anchor score — busy neighbours and missing connectivity,
+    the only per-element inputs of the stock mapping cost with an empty
+    placement, packed as ``busy * stride + missing`` (see
+    :attr:`AllocationState._score`).
     """
 
-    __slots__ = ("_state", "_epoch", "_summaries", "memo")
+    __slots__ = ("key", "vector", "data", "scores")
+
+    def __init__(self, key: frozenset, vector: ResourceVector) -> None:
+        self.key = key
+        self.vector = vector
+        self.data = vector._data
+        self.scores: dict[int, list[int]] = {}
+
+    def first_rank(self) -> int:
+        """Least name rank in the bucket."""
+        return min([ranks[0] for ranks in self.scores.values()])
+
+    def view(self) -> tuple:
+        return (self.vector, self.scores)
+
+
+def _bottleneck(requirement: tuple, data: dict) -> float:
+    """``requirement.bottleneck(free)`` when it fits ``free``'s
+    components ``data``, else -1.0 — the comparisons and divisions of
+    ``ResourceVector.fits_in`` / ``.bottleneck``, fused."""
+    worst = 0.0
+    for kind, quantity in requirement:
+        have = data.get(kind)
+        if have is None or quantity > have:
+            return -1.0
+        ratio = quantity / have
+        if ratio > worst:
+            worst = ratio
+    return worst
+
+
+class AvailabilityCache:
+    """Which elements can host an implementation right now.
+
+    The admission gate needs "at least one", the mapping phase's
+    anchor detection "exactly one, and which", the binder's pristine
+    round the best fit — ``(element, slack)`` with minimal leftover on
+    the bottleneck resource, name-tie-broken — and the stock anchor
+    rule the cheapest element.  Every answer is a query over the
+    state's capacity index: per element class, the elements grouped by
+    current free vector.  A query tests each *distinct free vector* of
+    the implementation's static-host classes once, so its cost follows
+    the number of distinct vectors, not the number of elements.
+
+    ``summary(impl)`` returns ``(count, sole)`` where ``count`` is
+    0, 1 or 2 (2 meaning *two or more*) and ``sole`` is the available
+    element when count is 1 (None otherwise);
+    ``best_fit(impl)`` returns ``(element, slack)``.  Both come from
+    one pass, kept per implementation shape until the epoch moves
+    (within one epoch the gate, the binder and the anchors ask about
+    the same shapes).
+    """
+
+    __slots__ = ("_state", "_epoch", "_summaries")
 
     def __init__(self, state: "AllocationState") -> None:
         self._state = state
         self._epoch = -1
-        #: id(impl) -> (impl, count, first, best, best_slack) — impl
-        #: kept in the value so a recycled id can never alias a dead
-        #: object
-        self._summaries: dict[int, tuple] = {}
-        #: free-form epoch-scoped memo for callers whose derived values
-        #: are pure functions of (their key, allocation state) — e.g.
-        #: the mapping phase's anchor-element choice.  Cleared together
-        #: with the summaries whenever the epoch moves.
-        self.memo: dict = {}
+        #: impl.shape -> (count, sole, best, best_slack)
+        self._summaries: dict[tuple, tuple] = {}
 
     def summary(self, impl) -> tuple[int, ProcessingElement | None]:
         entry = self._entry(impl)
-        return entry[1], entry[2]
+        return entry[0], entry[1]
 
     def best_fit(self, impl) -> tuple[ProcessingElement | None, float]:
         entry = self._entry(impl)
-        return entry[3], entry[4]
+        return entry[2], entry[3]
 
     def available(self, impl) -> tuple:
-        """All currently available elements, in platform scan order."""
-        return self._entry(impl)[5]
+        """All currently available elements, in no particular order."""
+        platform = self._state.platform
+        nodes, ids_by_name = platform._nodes_by_id, platform._ids_by_name
+        return tuple(
+            nodes[ids_by_name[rank]]
+            for _worst, bucket in self.fitting(impl)
+            for ranks in bucket.scores.values()
+            for rank in ranks
+        )
 
-    def epoch_memo(self) -> dict:
-        """The epoch-scoped free-form memo (cleared on any mutation)."""
-        if self._epoch != self._state._epoch:
-            self._summaries.clear()
-            self.memo.clear()
-            self._epoch = self._state._epoch
-        return self.memo
+    def cheapest(self, impl, cost_of) -> ProcessingElement | None:
+        """The available element of least ``(cost_of(busy, missing),
+        name)``, where ``busy`` counts its neighbours hosting tasks and
+        ``missing`` is ``max_connectivity`` minus its connectivity."""
+        stride = self._state._stride
+        values: dict = {}
+        best = None
+        for _worst, bucket in self.fitting(impl):
+            for score, ranks in bucket.scores.items():
+                value = values.get(score)
+                if value is None:
+                    value = values[score] = cost_of(*divmod(score, stride))
+                candidate = (value, ranks[0])
+                if best is None or candidate < best:
+                    best = candidate
+        if best is None:
+            return None
+        platform = self._state.platform
+        return platform._nodes_by_id[platform._ids_by_name[best[1]]]
+
+    def fitting(self, impl):
+        """``(worst, bucket)`` for every bucket of ``impl``'s static
+        hosts whose free vector can host it; ``worst`` is the bottleneck
+        ratio, so ``1.0 - worst`` is the best-fit slack."""
+        state = self._state
+        hosts = state.platform.static_hosts(impl)
+        requirement = tuple(impl.requirement._data.items())
+        if hosts.classes is None:
+            # a pin inside a larger class: its element on its own
+            buckets = [
+                state._single_bucket(element_id)
+                for element_id, _element in hosts.nodes
+                if state._bucket_of[element_id] is not None
+            ]
+        elif len(hosts.classes) == 1:
+            buckets = state._index[hosts.classes[0]].values()
+        else:
+            index = state._index
+            buckets = [
+                bucket for c in hosts.classes for bucket in index[c].values()
+            ]
+        for bucket in buckets:
+            worst = _bottleneck(requirement, bucket.data)
+            if worst >= 0.0:
+                yield worst, bucket
 
     def _entry(self, impl) -> tuple:
-        state = self._state
-        epoch = state._epoch
+        epoch = self._state._epoch
         if self._epoch != epoch:
             self._summaries.clear()
-            self.memo.clear()
             self._epoch = epoch
-        key = id(impl)
-        cached = self._summaries.get(key)
-        if cached is not None and cached[0] is impl:
-            return cached
-        entry = self._scan(impl)
-        self._summaries[key] = entry
+        entry = self._summaries.get(impl.shape)
+        if entry is None:
+            entry = self._summaries[impl.shape] = self._scan(impl)
         return entry
 
     def _scan(self, impl) -> tuple:
-        state = self._state
-        platform = state.platform
-        requirement_items = tuple(impl.requirement._data.items())
-        failed = state._failed_elements
         count = 0
-        first: ProcessingElement | None = None
-        best: ProcessingElement | None = None
+        best_rank = None
         best_slack = float("inf")
-        available_elements: list = []
-        # fits + bottleneck fused over the state's per-kind free
-        # arrays: identical comparisons and divisions (in the same
-        # order) as ResourceVector.fits_in / .bottleneck, but each
-        # probe is one flat-array read; the one- and two-kind
-        # requirement shapes (virtually every generated implementation)
-        # skip the inner loop entirely.  A requirement kind no element
-        # ever offered has no array — nothing can fit.
-        free_arrays = state._free_arrays
-        arity = len(requirement_items)
-        array_a = array_b = None
-        quantity_a = quantity_b = None
-        if arity == 1:
-            ((kind_a, quantity_a),) = requirement_items
-            array_a = free_arrays.get(kind_a)
-            if array_a is None:
-                return (impl, 0, None, None, best_slack, ())
-        elif arity == 2:
-            (kind_a, quantity_a), (kind_b, quantity_b) = requirement_items
-            array_a = free_arrays.get(kind_a)
-            array_b = free_arrays.get(kind_b)
-            if array_a is None or array_b is None:
-                return (impl, 0, None, None, best_slack, ())
-        for element_id, element in platform.static_hosts(impl).nodes:
-            if failed and element_id in failed:
-                continue
-            if arity == 1:
-                have = array_a[element_id]
-                if quantity_a > have:
-                    continue
-                worst = quantity_a / have
-            elif arity == 2:
-                have = array_a[element_id]
-                if quantity_a > have:
-                    continue
-                worst = quantity_a / have
-                have = array_b[element_id]
-                if quantity_b > have:
-                    continue
-                ratio = quantity_b / have
-                if ratio > worst:
-                    worst = ratio
-            else:
-                available = state._free[element_id]._data
-                worst = 0.0
-                for kind, quantity in requirement_items:
-                    have = available.get(kind)
-                    if have is None or quantity > have:
-                        worst = -1.0
-                        break
-                    ratio = quantity / have
-                    if ratio > worst:
-                        worst = ratio
-                if worst < 0.0:
-                    continue
-            if count == 0:
-                first = element
-                count = 1
-            elif count == 1:
-                count = 2
-            available_elements.append(element)
+        for worst, bucket in self.fitting(impl):
+            if count < 2:
+                count += sum(map(len, bucket.scores.values()))
             slack = 1.0 - worst
-            if slack < best_slack or (
-                slack == best_slack
-                and best is not None and element.name < best.name
-            ):
-                best = element
-                best_slack = slack
-        return (impl, count, first, best, best_slack,
-                tuple(available_elements))
+            if slack <= best_slack:
+                rank = bucket.first_rank()
+                if slack < best_slack or rank < best_rank:
+                    best_rank = rank
+                    best_slack = slack
+        platform = self._state.platform
+        best = (
+            None if best_rank is None
+            else platform._nodes_by_id[platform._ids_by_name[best_rank]]
+        )
+        # with one element available, it is also the best fit
+        return min(count, 2), best if count == 1 else None, best, best_slack
 
 
 class _Transaction:
@@ -332,20 +356,21 @@ class AllocationState:
         ]
         # aggregate free counters over NON-FAILED elements: platform
         # totals per resource kind, and the same split per element kind
-        self._agg_free: dict = {}
-        self._agg_free_kind: dict = {}
-        self._recompute_aggregates()
-        # per-kind mirror of the free vectors (node-id-indexed flat
-        # arrays, zero for missing kinds): the platform-wide scans of
-        # the availability cache and the mapping probes index these
-        # instead of hashing into each element's component dict.
-        # Maintained by occupy/vacate (and their undos) cell-exactly —
-        # every write copies the value the vector ledger carries.
-        self._free_arrays: dict = {}
-        self._rebuild_free_arrays()
-        # transaction journal: None when no transaction is open
+        self._agg_free, self._agg_free_kind = self._sum_aggregates()
+        #: placed tasks per application id
+        self._app_tasks: dict[str, int] = {}
+        # the capacity index (see "the capacity index" below): static
+        # per-element tables first, then the live parts
+        self._class_of = platform._class_of_id
+        self._neighbors = platform._element_neighbor_table
+        self._rank = platform._name_rank
+        self._stride = platform.max_connectivity + 1
+        self._score, self._index, self._bucket_of = self._build_index()
+        # transaction journal: None when no transaction is open; the
+        # epoch the outermost transaction began at
         self._journal: list[tuple] | None = None
         self._tx_depth = 0
+        self._tx_epoch = 0
         self._availability: AvailabilityCache | None = None
 
     # -- transactions ------------------------------------------------------
@@ -376,7 +401,7 @@ class AllocationState:
         while len(journal) > mark:
             self._undo(journal.pop())
         # a later committed mutation will re-reach the epoch values this
-        # rolled-back span used, so any cache entries stamped with an
+        # rolled-back span used, so cached summaries stamped with an
         # uncommitted (greater) epoch must not survive — they observed
         # state that no longer exists.  Entries stamped at or before
         # the restored epoch observed exactly the restored state and
@@ -388,6 +413,7 @@ class AllocationState:
     def _tx_begin(self) -> int:
         if self._journal is None:
             self._journal = []
+            self._tx_epoch = self._epoch
         self._tx_depth += 1
         return len(self._journal)
 
@@ -411,22 +437,31 @@ class AllocationState:
         op = entry[0]
         if op == _OP_OCCUPY:
             _op, element_id, key, old_free, old_allocated, agg = entry
-            occupant = self._occupants[element_id].pop()
+            occupants = self._occupants[element_id]
+            occupants.pop()
             self._free[element_id] = old_free
             del self._placements[key]
+            self._count_app(key[0], -1)
             self._wear[element_id] -= 1
             self._allocated_total = old_allocated
             self._agg_restore(element_id, agg)
-            self._mirror_free(element_id, occupant.requirement._data)
+            self._refile(element_id)
+            if not occupants:
+                self._flip_busy(element_id, -1)
         elif op == _OP_VACATE:
             (_op, element_id, key, occupant, index,
              old_free, old_allocated, agg) = entry
-            self._occupants[element_id].insert(index, occupant)
+            occupants = self._occupants[element_id]
+            occupants.insert(index, occupant)
             self._free[element_id] = old_free
             self._placements[key] = element_id
+            self._count_app(key[0], 1)
             self._allocated_total = old_allocated
             self._agg_restore(element_id, agg)
-            self._mirror_free(element_id, occupant.requirement._data)
+            if self._bucket_of[element_id] is not None:
+                self._refile(element_id)
+            if len(occupants) == 1:
+                self._flip_busy(element_id, 1)
         elif op == _OP_RESERVE:
             _op, key, old_bws = entry
             self._reservations.pop(key)
@@ -460,11 +495,13 @@ class AllocationState:
             if not was_failed:
                 self._failed_elements.discard(element_id)
                 self._agg_restore(element_id, agg)
+                self._file(element_id)
         elif op == _OP_HEAL_ELEMENT:
             _op, element_id, was_failed, agg = entry
             if was_failed:
                 self._failed_elements.add(element_id)
                 self._agg_restore(element_id, agg)
+                self._unfile(element_id)
         elif op == _OP_FAIL_LINK:
             _op, link_id, was_failed = entry
             if not was_failed:
@@ -567,29 +604,7 @@ class AllocationState:
             agg[resource] = total
             by_kind[resource] = per_kind
 
-    def _rebuild_free_arrays(self) -> None:
-        arrays: dict = {}
-        node_count = self.platform.node_count
-        for element_id in self.platform.element_ids:
-            for kind, quantity in self._free[element_id]._data.items():
-                array = arrays.get(kind)
-                if array is None:
-                    array = arrays[kind] = [0] * node_count
-                array[element_id] = quantity
-        self._free_arrays = arrays
-
-    def _mirror_free(self, element_id: int, kinds) -> None:
-        """Copy the named components of ``_free[element_id]`` into the
-        per-kind arrays (called after every free-vector update)."""
-        data = self._free[element_id]._data
-        arrays = self._free_arrays
-        for kind in kinds:
-            array = arrays.get(kind)
-            if array is None:
-                array = arrays[kind] = [0] * self.platform.node_count
-            array[element_id] = data.get(kind, 0)
-
-    def _recompute_aggregates(self) -> None:
+    def _sum_aggregates(self) -> tuple[dict, dict]:
         agg: dict = {}
         agg_kind: dict = {}
         failed = self._failed_elements
@@ -603,8 +618,213 @@ class AllocationState:
             for resource, quantity in self._free[element_id]._data.items():
                 agg[resource] = agg.get(resource, 0) + quantity
                 by_kind[resource] = by_kind.get(resource, 0) + quantity
-        self._agg_free = agg
-        self._agg_free_kind = agg_kind
+        return agg, agg_kind
+
+    def _count_app(self, app_id: str, delta: int) -> None:
+        count = self._app_tasks.get(app_id, 0) + delta
+        if count:
+            self._app_tasks[app_id] = count
+        else:
+            del self._app_tasks[app_id]
+
+    # -- the capacity index -------------------------------------------------
+    #
+    # Per element class, the non-failed elements grouped by current free
+    # vector (``_index[class][key]`` is a :class:`_Bucket`), plus two
+    # per-element arrays: ``_score``, the anchor score ``busy * _stride
+    # + missing`` — ``busy`` neighbours hosting tasks (kept for failed
+    # elements too), ``missing`` = ``max_connectivity`` minus the
+    # element's connectivity — and ``_bucket_of``, the bucket it is
+    # filed in (None while failed).  Every site that changes a free
+    # vector, an occupant list's emptiness or a failure flag — occupy /
+    # vacate / fail / heal and their undos — refiles the element or
+    # rescores its neighbours, so the index never needs a rebuild;
+    # :meth:`check_invariants` compares it with one.
+
+    def _build_index(self) -> tuple[list, list, list]:
+        platform, neighbors = self.platform, self._neighbors
+        max_connectivity, stride = platform.max_connectivity, self._stride
+        score = [
+            (max_connectivity - len(ids)) if flag else 0
+            for ids, flag in zip(neighbors, platform._is_element_mask)
+        ]
+        for element_id in platform.element_ids:
+            if self._occupants[element_id]:
+                for neighbor_id in neighbors[element_id]:
+                    score[neighbor_id] += stride
+        index: list[dict] = [{} for _ in platform.element_classes]
+        bucket_of: list = [None] * platform.node_count
+        for element_id in platform.element_ids:
+            if element_id in self._failed_elements:
+                continue
+            vector = self._free[element_id]
+            key = frozenset(vector._data.items())
+            buckets = index[self._class_of[element_id]]
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = _Bucket(key, vector)
+            bucket.scores.setdefault(score[element_id], []).append(
+                self._rank[element_id]
+            )
+            bucket_of[element_id] = bucket
+        for buckets in index:
+            for bucket in buckets.values():
+                for ranks in bucket.scores.values():
+                    ranks.sort()
+        return score, index, bucket_of
+
+    def _file(self, element_id: int) -> None:
+        """Add a non-failed element to the bucket of its free vector."""
+        vector = self._free[element_id]
+        key = frozenset(vector._data.items())
+        buckets = self._index[self._class_of[element_id]]
+        bucket = buckets.get(key)
+        score = self._score[element_id]
+        rank = self._rank[element_id]
+        if bucket is None:
+            bucket = buckets[key] = _Bucket(key, vector)
+        ranks = bucket.scores.get(score)
+        if ranks is None:
+            bucket.scores[score] = [rank]
+        else:
+            insort(ranks, rank)
+        self._bucket_of[element_id] = bucket
+
+    def _unfile(self, element_id: int) -> None:
+        """Remove an element from its bucket (it failed, or its free
+        vector changed and :meth:`_file` follows)."""
+        bucket = self._bucket_of[element_id]
+        self._bucket_of[element_id] = None
+        scores = bucket.scores
+        score = self._score[element_id]
+        ranks = scores[score]
+        if len(ranks) > 1:
+            del ranks[bisect_left(ranks, self._rank[element_id])]
+        elif len(scores) > 1:
+            del scores[score]
+        else:
+            del self._index[self._class_of[element_id]][bucket.key]
+
+    def _refile(self, element_id: int) -> None:
+        """Move a filed element to the bucket of its new free vector."""
+        self._unfile(element_id)
+        self._file(element_id)
+
+    def _flip_busy(self, element_id: int, delta: int) -> None:
+        """``element_id`` started (+1) or stopped (-1) hosting tasks:
+        each neighbour's busy count, and its score, moves by ``delta``."""
+        score, bucket_of, rank_of = self._score, self._bucket_of, self._rank
+        step = delta * self._stride
+        for neighbor_id in self._neighbors[element_id]:
+            old = score[neighbor_id]
+            new = score[neighbor_id] = old + step
+            bucket = bucket_of[neighbor_id]
+            if bucket is None:
+                continue
+            scores = bucket.scores
+            rank = rank_of[neighbor_id]
+            ranks = scores[old]
+            if len(ranks) == 1:
+                del scores[old]
+            else:
+                del ranks[bisect_left(ranks, rank)]
+            ranks = scores.get(new)
+            if ranks is None:
+                scores[new] = [rank]
+            else:
+                insort(ranks, rank)
+
+    def _single_bucket(self, element_id: int) -> _Bucket:
+        """A detached one-element bucket (for a pin inside a class)."""
+        vector = self._free[element_id]
+        bucket = _Bucket(frozenset(vector._data.items()), vector)
+        bucket.scores[self._score[element_id]] = [self._rank[element_id]]
+        return bucket
+
+    def has_placements(self, app_id: str) -> bool:
+        """True when any task of ``app_id`` occupies an element."""
+        return app_id in self._app_tasks
+
+    def check_invariants(self) -> None:
+        """Recompute every derived structure from the raw ledgers (free
+        vectors, occupant lists, placements, failure flags, journal)
+        and raise AssertionError where the incrementally maintained
+        copy differs: the capacity index, busy-neighbour counts,
+        bucket links, per-app task counts, aggregates, the allocated
+        total and the epoch.  O(platform); for tests."""
+
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise AssertionError(f"AllocationState invariant: {what}")
+
+        def close(a, b) -> bool:
+            # exact for integer quantities; float sums may differ by
+            # the rounding of their summation order
+            return a == b or abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+        score, index, bucket_of = self._build_index()
+        check(score == self._score, "busy-neighbour counts")
+        check(
+            [{k: b.view() for k, b in buckets.items()} for buckets in index]
+            == [{k: b.view() for k, b in buckets.items()}
+                for buckets in self._index],
+            "capacity index buckets",
+        )
+        for element_id in self.platform.element_ids:
+            bucket = self._bucket_of[element_id]
+            if bucket_of[element_id] is None:
+                check(bucket is None, "failed element filed")
+            else:
+                check(
+                    bucket is self._index[self._class_of[element_id]].get(
+                        frozenset(self._free[element_id]._data.items())
+                    ) and bucket.vector == self._free[element_id],
+                    "bucket link",
+                )
+            check(
+                self._wear[element_id] >= len(self._occupants[element_id]),
+                "wear below occupancy",
+            )
+        apps: dict[str, int] = {}
+        for app_id, _task in self._placements:
+            apps[app_id] = apps.get(app_id, 0) + 1
+        check(apps == self._app_tasks, "per-application task counts")
+        check(
+            sum(map(len, filter(None, self._occupants)))
+            == len(self._placements),
+            "occupants vs placements",
+        )
+        agg, agg_kind = self._sum_aggregates()
+        for live, fresh in [(self._agg_free, agg)] + [
+            (self._agg_free_kind.get(kind, {}), values)
+            for kind, values in agg_kind.items()
+        ]:
+            for resource in set(live) | set(fresh):
+                check(
+                    close(live.get(resource, 0), fresh.get(resource, 0)),
+                    f"aggregate free {resource!r}",
+                )
+        allocated = sum(
+            occupant.requirement.total()
+            for occupants in self._occupants if occupants
+            for occupant in occupants
+        )
+        check(close(self._allocated_total, allocated), "allocated total")
+        if self._journal is not None:
+            # every journaled mutation moved the epoch by exactly one
+            check(
+                self._epoch == self._tx_epoch + len(self._journal),
+                "epoch vs journal depth",
+            )
+        # each placement came from an occupy, each occupation that has
+        # ended from a vacate, each route and fault from at least one op
+        occupations = sum(self._wear)
+        check(
+            self._epoch >= 2 * occupations - len(self._placements)
+            + len(self._reservations) + len(self._failed_elements)
+            + len(self._failed_links),
+            "epoch below the mutations the ledgers record",
+        )
 
     def _unapply_slots(self, slots: tuple[int, ...], bandwidth: float) -> None:
         vc_used, bw_used = self._vc_used, self._bw_used
@@ -659,8 +879,10 @@ class AllocationState:
             raise AllocationError(
                 f"element {name} cannot host {task_id!r}: {exc}"
             ) from exc
-        self._occupants[element_id].append(Occupant(app_id, task_id, requirement))
+        occupants = self._occupants[element_id]
+        occupants.append(Occupant(app_id, task_id, requirement))
         self._placements[key] = element_id
+        self._count_app(app_id, 1)
         self._wear[element_id] += 1
         old_allocated = self._allocated_total
         self._allocated_total = old_allocated + requirement.total()
@@ -670,7 +892,9 @@ class AllocationState:
                  self._agg_entries(element_id, requirement))
             )
         self._agg_apply(element_id, requirement, -1)
-        self._mirror_free(element_id, requirement._data)
+        self._refile(element_id)
+        if len(occupants) == 1:
+            self._flip_busy(element_id, 1)
         self._epoch += 1
 
     def vacate(self, app_id: str, task_id: str) -> None:
@@ -705,7 +929,10 @@ class AllocationState:
                     )
                 if not failed:
                     self._agg_apply(element_id, occupant.requirement, 1)
-                self._mirror_free(element_id, occupant.requirement._data)
+                    self._refile(element_id)
+                self._count_app(app_id, -1)
+                if not occupants:
+                    self._flip_busy(element_id, -1)
                 self._epoch += 1
                 return
         raise AssertionError("placement table and occupant list disagree")
@@ -911,6 +1138,7 @@ class AllocationState:
             )
         if not was_failed:
             self._agg_apply(element_id, self._free[element_id], -1)
+            self._unfile(element_id)
         self._failed_elements.add(element_id)
         self._epoch += 1
 
@@ -924,9 +1152,10 @@ class AllocationState:
             self._journal.append(
                 (_OP_HEAL_ELEMENT, element_id, was_failed, agg)
             )
+        self._failed_elements.discard(element_id)
         if was_failed:
             self._agg_apply(element_id, self._free[element_id], 1)
-        self._failed_elements.discard(element_id)
+            self._file(element_id)
         self._epoch += 1
 
     def fail_link(self, a: Node | str, b: Node | str) -> None:

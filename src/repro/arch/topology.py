@@ -93,13 +93,17 @@ class Link:
 
 class StaticHosts(NamedTuple):
     """Where one implementation shape can statically run: three views
-    of the same elements, each in platform scan order."""
+    of the same elements, each in platform scan order, plus the
+    element classes they make up."""
 
     #: ``(position, element)``, position indexing ``platform.elements``
     pairs: tuple[tuple[int, ProcessingElement], ...]
     positions: frozenset[int]
     #: ``(node_id, element)``, for scans over the allocation ledgers
     nodes: tuple[tuple[int, ProcessingElement], ...]
+    #: indices into ``element_classes`` whose union is exactly these
+    #: elements, or None when they cover only part of a class (a pin)
+    classes: tuple[int, ...] | None
 
 
 class Platform:
@@ -134,11 +138,17 @@ class Platform:
         self._elements_tuple: tuple[ProcessingElement, ...] = ()
         self._routers_tuple: tuple[Router, ...] = ()
         self._element_neighbor_ids: dict[str, tuple[int, ...]] = {}
+        self._element_neighbor_table: tuple[tuple[int, ...], ...] = ()
         self._element_pair_ids: tuple[tuple[int, int], ...] = ()
+        #: element node ids in name order, and each id's place in it
+        self._ids_by_name: tuple[int, ...] = ()
+        self._name_rank: tuple[int, ...] = ()
         #: largest :meth:`element_connectivity` (the border-bonus base)
         self.max_connectivity = 0
         # static compatibility tables (see static_hosts)
         self._element_classes: tuple[tuple[int, ...], ...] = ()
+        #: class index per node id (-1 for routers)
+        self._class_of_id: tuple[int, ...] = ()
         self._hosts_by_positions: dict[tuple[int, ...], StaticHosts] = {}
         self._hosts_by_shape: dict[tuple, StaticHosts] = {}
 
@@ -219,6 +229,11 @@ class Platform:
             key = (element.kind, element.capacity)
             classes.setdefault(key, []).append(position)
         self._element_classes = tuple(map(tuple, classes.values()))
+        class_of = [-1] * len(names)
+        for index, members in enumerate(self._element_classes):
+            for position in members:
+                class_of[self._element_ids[position]] = index
+        self._class_of_id = tuple(class_of)
         self._links_by_id = tuple(self._links.values())
         slot_vc: list[int] = []
         slot_bw: list[float] = []
@@ -435,10 +450,16 @@ class Platform:
         hosts = self._hosts_by_positions.get(positions)
         if hosts is None:
             element_ids = self._element_ids
+            class_of = self._class_of_id
+            touched = sorted({class_of[element_ids[p]] for p in positions})
+            whole = sum(
+                len(self._element_classes[c]) for c in touched
+            ) == len(positions)
             hosts = self._hosts_by_positions[positions] = StaticHosts(
                 tuple((p, elements[p]) for p in positions),
                 frozenset(positions),
                 tuple((element_ids[p], elements[p]) for p in positions),
+                tuple(touched) if whole else None,
             )
         return hosts
 
@@ -553,6 +574,20 @@ class Platform:
             (self._node_ids[a.name], self._node_ids[b.name])
             for a, b in self._element_pairs
         )
+        # the same adjacency and the name order, indexed by node id
+        # (routers: empty / -1), for the allocation state's capacity index
+        node_count = len(self._nodes_by_id)
+        neighbor_table: list[tuple[int, ...]] = [()] * node_count
+        for name, ids in self._element_neighbor_ids.items():
+            neighbor_table[self._node_ids[name]] = ids
+        self._element_neighbor_table = tuple(neighbor_table)
+        self._ids_by_name = tuple(sorted(
+            self._element_ids, key=lambda i: self._nodes_by_id[i].name
+        ))
+        rank = [-1] * node_count
+        for position, node_id in enumerate(self._ids_by_name):
+            rank[node_id] = position
+        self._name_rank = tuple(rank)
 
     def element_neighbors(self, element: ProcessingElement | str) -> tuple[ProcessingElement, ...]:
         """Adjacent elements of ``element`` (see class docstring)."""

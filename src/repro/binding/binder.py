@@ -69,51 +69,34 @@ class BindingResult:
 
 
 class _CapacityPool:
-    """Provisional free capacities during one binding run.
+    """Provisional free capacities during one binding run: the live
+    capacity index plus an overlay of the few elements this run has
+    provisionally charged.
 
     The regret loop asks for every unbound implementation's best-fit
-    element on every round, which used to rescan the whole platform
-    each time — O(rounds x impls x elements).  Since reservations only
-    ever *shrink* one element's capacity, the best-fit answer per
-    implementation is cached and maintained incrementally: a reserve
-    invalidates only the implementations whose cached best is the
-    touched element, and for all others the touched element is simply
-    re-compared against the cached best (shrinking an element can make
-    it a better best-fit or infeasible, never change other elements).
+    element on every round.  Since reservations only ever *shrink* one
+    element's capacity, the best-fit answer per implementation shape is
+    cached and maintained incrementally: a reserve invalidates only the
+    shapes whose cached best is the touched element, and for all others
+    the touched element is simply re-compared against the cached best
+    (shrinking an element can make it a better best-fit or infeasible,
+    never change other elements).  A recomputation asks the state's
+    index for the best fit among the uncharged elements and compares
+    the charged ones by hand.
     """
 
     def __init__(self, state: AllocationState):
+        self._state = state
         self.platform = state.platform
-        free_by_node = state._free
-        failed = state._failed_elements
-        element_ids = state.platform.element_ids
-        #: provisional free capacity indexed like ``platform.elements``
-        #: (None marks failed elements), so the platform's static-host
-        #: positions can index it directly; filled from the live
-        #: ledgers (id-indexed, no name hashing)
-        self._free: list[ResourceVector | None]
-        if failed:
-            self._free = [
-                None if element_id in failed else free_by_node[element_id]
-                for element_id in element_ids
-            ]
-        else:
-            self._free = [free_by_node[element_id] for element_id in element_ids]
-        #: id(element) -> position in ``platform.elements`` — the
-        #: platform's interned table (static per frozen platform)
-        self._position: dict[int, int] = state.platform._element_position
-        #: id(impl) -> (impl, best element, best slack) or (impl, None, 0.0)
-        self._best: dict[int, tuple[Implementation, ProcessingElement | None, float]] = {}
-        self._availability = state.availability
-        #: True until the first provisional reservation: while pristine
-        #: the pool's free vectors equal the raw state's, so best-fit
-        #: scans are delegated to the state's epoch-stamped
-        #: availability cache (one shared scan per implementation per
-        #: epoch across the gate, the anchors and this pool)
-        self._pristine = True
+        #: node id -> (position in ``platform.elements``, provisional
+        #: free vector) for every element charged so far
+        self._reserved: dict[int, tuple[int, ResourceVector]] = {}
+        #: impl.shape -> (impl, best element, best slack) or (impl, None, inf)
+        self._best: dict[tuple, tuple[Implementation, ProcessingElement | None, float]] = {}
 
-    def _slack(self, impl: Implementation, position: int) -> float | None:
-        """Best-fit score of the element at ``position``; None when unfit.
+    def _slack(self, impl: Implementation, position: int, free) -> float | None:
+        """Best-fit score of the element at ``position`` with ``free``
+        capacity; None when unfit.
 
         Smaller is better: minimal leftover on the bottleneck resource
         keeps the provisional packing tight, so binding only fails when
@@ -121,63 +104,61 @@ class _CapacityPool:
         """
         if position not in self.platform.static_hosts(impl).positions:
             return None
-        free = self._free[position]
         requirement = impl.requirement
-        if free is None or not requirement.fits_in(free):
+        if not requirement.fits_in(free):
             return None
         return 1.0 - requirement.bottleneck(free)
 
     def _scan(self, impl: Implementation) -> tuple[ProcessingElement | None, float]:
-        best: ProcessingElement | None = None
+        reserved = self._reserved
+        ids_by_name = self.platform._ids_by_name
+        best_rank = None
         best_slack = float("inf")
-        free = self._free
-        # fits_in + bottleneck fused into one pass over the component
-        # dicts: same comparisons, same float divisions in the same
-        # order, one traversal instead of two method calls per element
-        requirement_items = tuple(impl.requirement._data.items())
-        for position, element in self.platform.static_hosts(impl).pairs:
-            available = free[position]
-            if available is None:
-                continue
-            data = available._data
-            worst = 0.0
-            for kind, quantity in requirement_items:
-                have = data.get(kind)
-                if have is None or quantity > have:
-                    worst = -1.0
-                    break
-                ratio = quantity / have
-                if ratio > worst:
-                    worst = ratio
-            if worst < 0.0:
-                continue
+        for worst, bucket in self._state.availability.fitting(impl):
             slack = 1.0 - worst
-            if slack < best_slack or (
-                slack == best_slack and best is not None and element.name < best.name
+            if slack > best_slack:
+                continue
+            # the bucket's least name among its uncharged elements
+            for ranks in bucket.scores.values():
+                for rank in ranks:
+                    if slack == best_slack and rank >= best_rank:
+                        break
+                    if ids_by_name[rank] not in reserved:
+                        best_rank, best_slack = rank, slack
+                        break
+        name_rank = self.platform._name_rank
+        for element_id, (position, free) in reserved.items():
+            slack = self._slack(impl, position, free)
+            if slack is not None and (
+                slack < best_slack
+                or (slack == best_slack and name_rank[element_id] < best_rank)
             ):
-                best = element
-                best_slack = slack
-        return best, best_slack
+                best_rank, best_slack = name_rank[element_id], slack
+        if best_rank is None:
+            return None, best_slack
+        return self.platform._nodes_by_id[ids_by_name[best_rank]], best_slack
 
     def feasible_element(self, impl: Implementation) -> ProcessingElement | None:
         """Best-fit element that can still host ``impl``, or None."""
-        key = id(impl)
-        cached = self._best.get(key)
+        cached = self._best.get(impl.shape)
         if cached is None:
-            if self._pristine:
+            if self._reserved:
+                best, best_slack = self._scan(impl)
+            else:
                 # no provisional reservations yet: the answer over the
                 # raw state is shared via the availability cache
-                best, best_slack = self._availability.best_fit(impl)
-            else:
-                best, best_slack = self._scan(impl)
-            self._best[key] = (impl, best, best_slack)
+                best, best_slack = self._state.availability.best_fit(impl)
+            self._best[impl.shape] = (impl, best, best_slack)
             return best
         return cached[1]
 
     def reserve(self, element: ProcessingElement, impl: Implementation) -> None:
-        self._pristine = False
-        position = self._position[id(element)]
-        self._free[position] = self._free[position] - impl.requirement
+        position = self.platform._element_position[id(element)]
+        element_id = self.platform._element_ids[position]
+        entry = self._reserved.get(element_id)
+        free = self._state._free[element_id] if entry is None else entry[1]
+        free = free - impl.requirement
+        self._reserved[element_id] = (position, free)
         for key, (cached_impl, best, best_slack) in list(self._best.items()):
             if best is None:
                 continue  # nothing fit before; a shrink changes nothing
@@ -185,7 +166,7 @@ class _CapacityPool:
                 # the cached winner shrank: recompute lazily on next ask
                 del self._best[key]
                 continue
-            slack = self._slack(cached_impl, position)
+            slack = self._slack(cached_impl, position, free)
             if slack is not None and (
                 slack < best_slack
                 or (slack == best_slack and element.name < best.name)

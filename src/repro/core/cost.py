@@ -145,6 +145,26 @@ class MappingCost:
             )
         return cost
 
+    def isolated_cost(self, busy_neighbors: int, missing: int) -> float:
+        """What :meth:`__call__` returns with an empty placement, for an
+        application that occupies no element yet, on an element with
+        ``busy_neighbors`` neighbours hosting tasks and ``missing`` =
+        ``max_connectivity`` minus its connectivity.
+
+        No peer is mapped, so the communication term is zero and every
+        busy neighbour earns :data:`BONUS_OTHER_APP`; the arithmetic
+        mirrors :meth:`_fragmentation_ids` step for step, so the value
+        is bit-identical to the full evaluation.
+        """
+        fragmentation = self.weights.fragmentation
+        if self.weights.disabled or not fragmentation:
+            return 0.0
+        bonus = 0.0
+        for _ in range(busy_neighbors):
+            bonus += BONUS_OTHER_APP
+        bonus += BONUS_BORDER * missing
+        return 0.0 - fragmentation * bonus
+
     def _communication_ids(
         self,
         element: ProcessingElement,

@@ -113,14 +113,6 @@ class GapSolver:
                     elif quantity < minimums[kind]:
                         minimums[kind] = quantity
         self._min_requirement_items = tuple(minimums.items())
-        #: the minimums paired with the state's per-kind free arrays
-        #: (mutated in place by occupy/vacate, so the references stay
-        #: current); a kind no element offers has no array — no element
-        #: can ever host the layer then
-        self._min_checks = tuple(
-            (state._free_arrays.get(kind), quantity)
-            for kind, quantity in minimums.items()
-        )
         self.compatible = compatible
         self.pair_cost = pair_cost
         self.state = state
@@ -183,50 +175,23 @@ class GapSolver:
         busy platform that is most candidates, and skipping them leaves
         every observable of the solver untouched).
         """
-        state = self.state
-        platform = state.platform
-        element_position = platform._element_position
-        element_ids = platform._element_ids
-        failed = state._failed_elements
-        free = state._free
-        load = self._load
         seen = self._elements_seen
-        min_checks = self._min_checks
+        minimums = self._min_requirement_items
         for element in new_elements:
             name = element.name
             if name in seen:
                 continue
             seen.add(name)
-            # lower-bound prefilter over the state's per-kind free
-            # arrays (unloaded elements need no capacity vector)
-            position = element_position.get(id(element))
-            capacity = None
-            if position is not None and name not in load:
-                element_id = element_ids[position]
-                if element_id in failed:
-                    if self._min_requirement_items:
-                        continue  # zero capacity hosts no minimum
-                    capacity = ResourceVector()
-                else:
-                    fits = True
-                    for array, quantity in min_checks:
-                        if array is None or quantity > array[element_id]:
-                            fits = False
-                            break
-                    if not fits:
-                        continue
-                    capacity = free[element_id]
-            else:
-                capacity = self.free_capacity(element)
-                capacity_data = capacity._data
-                fits = True
-                for kind, quantity in self._min_requirement_items:
-                    have = capacity_data.get(kind)
-                    if have is None or quantity > have:
-                        fits = False
-                        break
-                if not fits:
-                    continue
+            capacity = self.free_capacity(element)
+            capacity_data = capacity._data
+            fits = True
+            for kind, quantity in minimums:
+                have = capacity_data.get(kind)
+                if have is None or quantity > have:
+                    fits = False
+                    break
+            if not fits:
+                continue
             self._process_element(element, capacity)
         return self.assignment()
 

@@ -106,14 +106,10 @@ def available_elements(
     """All elements that can host the bound implementation *now*.
 
     This is the paper's ``{e | av(e, t)}``: static compatibility of the
-    implementation and sufficient free resources in the current state.
-    Served from the state's epoch-stamped availability cache — the
-    admission gate and the anchor detection scanned the same
-    implementations at the same epoch.
+    implementation and sufficient free resources in the current state,
+    read from the state's capacity index.
     """
     return list(state.availability.available(implementation))
-
-
 
 
 def _single_available_element(
@@ -123,11 +119,11 @@ def _single_available_element(
     """The element of a single-option task, or None when 0 or >= 2 fit.
 
     Anchor detection only needs to know whether *exactly one* element
-    is available, so it asks the state's epoch-stamped
+    is available, so it asks the state's
     :class:`~repro.arch.state.AvailabilityCache` — the admission gate
-    already scanned for these implementations at the same epoch (the
+    already asked about these implementations at the same epoch (the
     binding phase makes no state mutations), so the common case is a
-    dictionary hit instead of a platform scan.
+    dictionary hit.
     """
     count, first = state.availability.summary(implementation)
     return first if count == 1 else None
@@ -188,73 +184,29 @@ def map_application(
     if not anchor_pairs:
         t0 = min(app.min_degree_tasks())
         impl0 = binding[t0]
-        # With an empty placement the stock cost function is a pure
-        # function of (element, allocation state): the communication
-        # term is zero (no mapped peers yet) and the fragmentation
-        # bonus can never match the fresh app_id.  The chosen anchor
-        # is therefore shared across attempts at the same epoch —
-        # restricted to exactly MappingCost, because custom cost
-        # callables may read anything at all.
-        memo = key = None
-        if type(cost) is MappingCost:
-            memo = state.availability.epoch_memo()
-            key = ("anchor", id(cost), id(impl0))
-            cached = memo.get(key)
-            if cached is not None and cached[0] is impl0 and cached[1] is cost:
-                e0 = cached[2]
-                if e0 is None:
-                    raise MappingError(
-                        f"no available element for starting task {t0!r}",
-                        code=ReasonCode.MAPPING_NO_ANCHOR,
-                    )
-                anchor_pairs.append((t0, e0))
-        if not anchor_pairs:
-            candidates = available_elements(t0, impl0, state)
-            if not candidates:
-                if memo is not None:
-                    memo[key] = (impl0, cost, None)
-                raise MappingError(
-                    f"no available element for starting task {t0!r}",
-                    code=ReasonCode.MAPPING_NO_ANCHOR,
-                )
+        if type(cost) is MappingCost and not state.has_placements(app_id):
+            # with an empty placement and no task of this application
+            # placed, the stock cost of an element depends only on its
+            # busy-neighbour count and connectivity — a peek into the
+            # state's capacity index instead of a sweep.  Custom cost
+            # callables may read anything at all, so they keep it.
+            e0 = state.availability.cheapest(impl0, cost.isolated_cost)
+        else:
             empty_distances = SparseDistanceMatrix(state.platform)
-            if memo is not None:
-                # the per-element anchor cost is likewise a pure
-                # function of (element, state) for the stock cost, so
-                # the evaluations are shared across *different* specs
-                # probing at the same epoch (consecutive rejected
-                # arrivals between two capacity events)
-                table_entry = memo.get(("anchor_costs", id(cost)))
-                if table_entry is None or table_entry[0] is not cost:
-                    table_entry = (cost, {})
-                    memo[("anchor_costs", id(cost))] = table_entry
-                table = table_entry[1]
-
-                def anchor_key(e):
-                    value = table.get(id(e))
-                    if value is None:
-                        # empty placement: no communication peers, no
-                        # fragmentation peers — the stock cost takes
-                        # the pre-resolved-id path with empty contexts
-                        value = cost(
-                            app, app_id, t0, e, state, {}, empty_distances,
-                            _comm_peers=(), _frag_peers=frozenset(),
-                        )
-                        table[id(e)] = value
-                    return (value, e.name)
-
-                e0 = min(candidates, key=anchor_key)
-            else:
-                e0 = min(
-                    candidates,
-                    key=lambda e: (
-                        cost(app, app_id, t0, e, state, {}, empty_distances),
-                        e.name,
-                    ),
-                )
-            if memo is not None:
-                memo[key] = (impl0, cost, e0)
-            anchor_pairs.append((t0, e0))
+            e0 = min(
+                available_elements(t0, impl0, state),
+                key=lambda e: (
+                    cost(app, app_id, t0, e, state, {}, empty_distances),
+                    e.name,
+                ),
+                default=None,
+            )
+        if e0 is None:
+            raise MappingError(
+                f"no available element for starting task {t0!r}",
+                code=ReasonCode.MAPPING_NO_ANCHOR,
+            )
+        anchor_pairs.append((t0, e0))
 
     # commit the anchors
     for task, element in anchor_pairs:
@@ -331,12 +283,8 @@ def _map_layer(
         placement_now = result.placement
         cost_context: dict[str, tuple] = {}
         # per-layer neighbour-status memo for the fragmentation bonus
-        # (epoch-scoped: the layer's GAP runs at a frozen epoch, and
-        # the dict lives in the availability cache's epoch memo so a
-        # later layer at the same epoch keeps sharing it)
-        frag_status = state.availability.epoch_memo().setdefault(
-            ("frag_status", app_id), {}
-        )
+        # (the layer's GAP runs at a frozen epoch)
+        frag_status: dict = {}
 
         def _task_context(task: str) -> tuple:
             comm_peers = []
@@ -389,11 +337,9 @@ def _map_layer(
         (compatible, task, requirements[task]._data)
         for task in tasks
     )
-    # the componentwise layer-minimum lower bound and its pairing with
-    # the state's per-kind free arrays are the GapSolver's — one
-    # computation, one source of truth for the soundness argument
-    layer_minimums = dict(gap._min_requirement_items)
-    layer_minimum_checks = gap._min_checks
+    # the componentwise layer-minimum lower bound is the GapSolver's —
+    # one computation, one source of truth for the soundness argument
+    layer_minimums = gap._min_requirement_items
 
     def availability(element: ProcessingElement) -> bool:
         # id-indexed free lookup with the fits check inlined — this
@@ -401,18 +347,14 @@ def _map_layer(
         position = element_position.get(id(element))
         if position is None or element_ids[position] in failed_elements:
             # foreign element object or failed element (zero vector):
-            # generic dict path keeps the free()-semantics exact
+            # free() keeps the semantics exact
             free_data = state.free(element)._data
-            for kind, quantity in layer_minimums.items():
-                have = free_data.get(kind)
-                if have is None or quantity > have:
-                    return False
         else:
-            element_id = element_ids[position]
-            for array, quantity in layer_minimum_checks:
-                if array is None or quantity > array[element_id]:
-                    return False  # cannot host any task of the layer
-            free_data = free_by_node[element_id]._data
+            free_data = free_by_node[element_ids[position]]._data
+        for kind, quantity in layer_minimums:
+            have = free_data.get(kind)
+            if have is None or quantity > have:
+                return False  # cannot host any task of the layer
         for is_compatible, task, requirement_data in task_checks:
             if is_compatible(task, element):
                 fits = True

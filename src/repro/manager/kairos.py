@@ -90,11 +90,12 @@ class AdmissionGate:
     3. **Per-implementation feasible-element checks** — a task none of
        whose implementations has *any* element with sufficient free
        capacity right now fails the binder's very first regret round.
-       Answered by the state's epoch-stamped
-       :class:`~repro.arch.state.AvailabilityCache`, which the mapping
-       phase's anchor detection shares: binding performs no state
-       mutations, so a surviving attempt re-reads the gate's scans for
-       free instead of rescanning the platform.
+       Answered by the state's
+       :class:`~repro.arch.state.AvailabilityCache` from its capacity
+       index (one test per distinct free vector, not per element);
+       the mapping phase's anchor detection shares the answers:
+       binding performs no state mutations, so a surviving attempt
+       re-reads them for free.
 
     Layers 2 and 3 reject exactly where the ungated pipeline would:
     in the **binding** phase.  Results that survive the gate run the

@@ -12,6 +12,8 @@ invariants:
 * the routable set is always a subset of the registered shards, and
   dead/probation shards never appear in it;
 * utilization stays within [0, 1] on every shard;
+* every shard's allocation state matches its rebuild from the ledgers
+  (``check_invariants``: capacity index, aggregates, epoch);
 * bookkeeping and residency agree up to legitimate strandedness
   (a booked part is either resident or its shard has been killed).
 
@@ -157,6 +159,11 @@ class ClusterMachine(RuleBasedStateMachine):
             assert (shard_id in routable) == (
                 liveness.state(shard_id) in ROUTABLE_STATES
             )
+
+    @invariant()
+    def state_indices_match_ledgers(self):
+        for shard in self.cluster.shards:
+            shard.manager.state.check_invariants()
 
     @invariant()
     def utilization_bounded(self):

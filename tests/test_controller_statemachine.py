@@ -20,7 +20,8 @@ and its commit.  The contract under test (ROADMAP open item 4):
   failed double-commit changes nothing;
 * through every interleaving the state stays sane: utilization within
   [0, 1], the admitted registry consistent with the specifications
-  registry.
+  registry, and every incrementally maintained index of the allocation
+  state equal to its rebuild from the ledgers (``check_invariants``).
 
 Teardown repairs all outstanding faults, releases everything and
 asserts the platform drains to zero utilization.
@@ -152,6 +153,10 @@ class ControllerMachine(RuleBasedStateMachine):
             assert app_id not in self.controller.admitted
 
     # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def state_indices_match_ledgers(self):
+        self.controller.state.check_invariants()
 
     @invariant()
     def utilization_bounded(self):

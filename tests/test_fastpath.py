@@ -22,11 +22,28 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import Application, Task, dsp_implementation
-from repro.arch import AllocationError, AllocationState, ResourceVector, mesh
+from repro.apps import (
+    Application,
+    Implementation,
+    Task,
+    dsp_implementation,
+    pinned_implementation,
+)
+from repro.arch import (
+    AllocationError,
+    AllocationState,
+    ResourceVector,
+    crisp,
+    heterogeneous_mesh,
+    mesh,
+    torus,
+)
+from repro.core.cost import CostWeights, MappingCost
+from repro.core.mapping import MappingError, map_application
+from repro.core.search import SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
 from repro.sim import (
@@ -436,6 +453,201 @@ class TestServiceFastPath:
             assert row["count"] > 0
 
 
+#: the capacity index's platforms: an 11x11 mesh, where name order
+#: differs from scan order (dsp_10_0 < dsp_2_0), a torus, a two-kind
+#: mesh and CRISP (five element classes, two of one element each)
+_INDEX_PLATFORMS = {
+    "mesh11": lambda: mesh(11, 11),
+    "torus": lambda: torus(3, 4),
+    "hetero": lambda: heterogeneous_mesh(4, 4),
+    "crisp": crisp,
+}
+_INDEX_PLATFORM_CACHE: dict = {}
+_ANCHOR_WEIGHTS = ((1, 1), (0, 1), (1, 0), (0, 0), (25, 1000))
+_INDEX_OP = st.tuples(
+    st.sampled_from(("occupy", "occupy", "occupy", "vacate", "fail", "heal")),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(("a", "b")),
+    st.sampled_from((0.1, 0.25, 0.5, 0.75)),
+    st.sampled_from((0.1, 0.25, 0.5, 0.75)),
+)
+_INDEX_BLOCK = st.tuples(
+    st.sampled_from(("plain", "commit", "abort", "partial", "nested")),
+    st.lists(_INDEX_OP, min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=5),
+)
+
+
+class _IndexAbort(Exception):
+    """Sentinel raised to roll a transaction back."""
+
+
+def _index_platform(name: str):
+    platform = _INDEX_PLATFORM_CACHE.get(name)
+    if platform is None:
+        platform = _INDEX_PLATFORM_CACHE[name] = _INDEX_PLATFORMS[name]()
+    return platform
+
+
+def _index_pool(platform) -> list:
+    """Per element class: a two-share pair of full-shape requirements
+    and a one-kind one; plus one pin to the first and one to the last
+    element (a class of its own on CRISP, part of a class elsewhere)."""
+    pool = []
+    for index, members in enumerate(platform.element_classes):
+        element = platform.elements[members[0]]
+        capacity = element.capacity
+        for share in (0.3, 0.6):
+            pool.append(Implementation(
+                f"c{index}_{share}",
+                ResourceVector({
+                    kind: max(1, int(quantity * share))
+                    for kind, quantity in capacity.items()
+                }),
+                target_kind=element.kind,
+            ))
+        kind = sorted(capacity)[0]
+        pool.append(Implementation(
+            f"c{index}_one", ResourceVector({kind: capacity[kind] / 4}),
+            target_kind=element.kind,
+        ))
+    for element in (platform.elements[0], platform.elements[-1]):
+        pool.append(pinned_implementation(
+            f"pin_{element.name}", element.name,
+            ResourceVector({
+                kind: max(1, int(quantity * 0.2))
+                for kind, quantity in element.capacity.items()
+            }),
+        ))
+    return pool
+
+
+def _apply_index_op(state: AllocationState, op: tuple, serial: int) -> None:
+    kind, pick, app_id, share, other_share = op
+    elements = state.platform.elements
+    element = elements[pick % len(elements)]
+    if kind == "occupy":
+        # the first kind and the others take independent shares (so
+        # equal slack from distinct free vectors is common), and every
+        # seventh requirement is float-valued (so equal free vectors
+        # can mix int and float components)
+        scale = float if pick % 7 == 0 else int
+        requirement = ResourceVector({
+            kind: max(1, scale(quantity * (share if i == 0 else other_share)))
+            for i, (kind, quantity) in enumerate(
+                sorted(state.free(element).items())
+            )
+        })
+        try:
+            state.occupy(element, app_id, f"k{serial}", requirement)
+        except AllocationError:
+            pass  # failed element or a float remainder below 1
+    elif kind == "vacate":
+        placed = sorted(
+            (app, task)
+            for app in state.applications()
+            for task in state.placements_of(app)
+        )
+        if placed:
+            state.vacate(*placed[pick % len(placed)])
+    elif kind == "fail":
+        state.fail_element(element)
+    else:
+        state.heal_element(element)
+
+
+def _assert_index_matches_brute_force(state: AllocationState, pool) -> None:
+    state.check_invariants()
+    cache = state.availability
+    empty = SparseDistanceMatrix(state.platform)
+    for impl in pool:
+        fits = []
+        for element in state.platform.elements:
+            free = state.free(element)
+            if (
+                not state.is_failed(element) and impl.runs_on(element)
+                and impl.requirement.fits_in(free)
+            ):
+                fits.append((1.0 - impl.requirement.bottleneck(free), element))
+        elements = [element for _slack, element in fits]
+        assert sorted(e.name for e in cache.available(impl)) == sorted(
+            e.name for e in elements
+        )
+        count, sole = cache.summary(impl)
+        assert count == min(len(elements), 2)
+        assert sole is (elements[0] if len(elements) == 1 else None)
+        best, slack = cache.best_fit(impl)
+        want_slack, want = min(
+            fits, key=lambda pair: (pair[0], pair[1].name),
+            default=(float("inf"), None),
+        )
+        assert best is want and slack == want_slack
+        app = Application("probe")
+        app.add_task(Task("t0", (impl,)))
+        for weights in _ANCHOR_WEIGHTS:
+            cost = MappingCost(CostWeights(*weights))
+            expected = min(
+                elements,
+                key=lambda e: (
+                    cost(app, "fresh", "t0", e, state, {}, empty), e.name
+                ),
+                default=None,
+            )
+            assert cache.cheapest(impl, cost.isolated_cost) is expected
+        # map_application peeks for an application that occupies
+        # nothing and sweeps — one cost call per candidate — for one
+        # that does (the same-application bonus); both pick the
+        # brute-force anchor
+        for app_id in ("a", "fresh"):
+            cost = MappingCost()
+            expected = min(
+                elements,
+                key=lambda e: (
+                    cost(app, app_id, "t0", e, state, {}, empty), e.name
+                ),
+                default=None,
+            )
+            anchor, evaluations = _count_cost_calls(
+                lambda: _probe_anchor(state, app, impl, cost, app_id)
+            )
+            assert anchor is expected
+            if count != 1:  # a single option is anchored without a cost
+                assert evaluations == (
+                    len(elements) if state.has_placements(app_id) else 0
+                )
+
+
+def _probe_anchor(state, app, impl, cost, app_id):
+    """The anchor map_application picks for a one-task application
+    (the attempt is rolled back)."""
+    try:
+        with state.transaction():
+            result = map_application(
+                app, {"t0": impl}, state, cost=cost, app_id=app_id
+            )
+            raise _IndexAbort(state.platform.element(result.anchors["t0"]))
+    except _IndexAbort as done:
+        return done.args[0]
+    except MappingError:
+        return None
+
+
+def _count_cost_calls(run) -> tuple:
+    """``(run(), MappingCost.__call__ invocations during it)``, counted
+    on the class so ``type(cost) is MappingCost`` still holds."""
+    original = MappingCost.__call__
+    calls = [0]
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MappingCost, "__call__", counting)
+        result = run()
+    return result, calls[0]
+
+
 class TestAvailabilityCache:
     def test_cache_entries_from_rolled_back_epochs_never_survive(self):
         # a cache entry stamped at an *uncommitted* epoch observes state
@@ -454,29 +666,64 @@ class TestAvailabilityCache:
         with pytest.raises(Boom):
             with state.transaction():
                 state.occupy(names[1], "a", "t1", ResourceVector(cycles=50))
-                count, first = state.availability.summary(impl)
-                assert count == 2 and first.name == names[2]
+                count, _sole = state.availability.summary(impl)
+                best, _slack = state.availability.best_fit(impl)
+                assert count == 2 and best.name == names[2]
                 raise Boom()
         # committed mutation lands on the same epoch value as the
         # rolled-back one, but with a different element occupied
         state.occupy(names[2], "b", "t", ResourceVector(cycles=50))
-        count, first = state.availability.summary(impl)
-        assert count == 2 and first.name == names[1]
+        count, _sole = state.availability.summary(impl)
+        best, _slack = state.availability.best_fit(impl)
+        assert count == 2 and best.name == names[1]
 
-    def test_availability_cache_matches_naive_scan(self):
-        platform = mesh(3, 3)
+    @settings(deadline=None)
+    @given(
+        platform_name=st.sampled_from(sorted(_INDEX_PLATFORMS)),
+        blocks=st.lists(_INDEX_BLOCK, min_size=1, max_size=5),
+    )
+    # three of the four memory elements of the two-kind mesh share one
+    # partly used vector, so the class's first bucket holds the one
+    # element still empty and the count must go past it
+    @example(platform_name="hetero", blocks=[("plain", [
+        ("occupy", pick, "a", 0.1, 0.1) for pick in (3, 7, 11)
+    ], 0)])
+    def test_availability_cache_matches_naive_scan(self, platform_name, blocks):
+        """Random occupy / vacate / fail / heal blocks — plain, committed,
+        aborted, nested, or partly undone by ``rollback_to`` — leave
+        every answer of the capacity index equal to a brute-force scan,
+        inside and outside the transactions."""
+        platform = _index_platform(platform_name)
         state = AllocationState(platform)
-        impl = dsp_implementation("i", cycles=90, memory=8)
-        count, first = state.availability.summary(impl)
-        assert count == 2 and first.name == "dsp_0_0"
-        # shrink every element but one below the requirement
-        for element in platform.elements[1:]:
-            state.occupy(element, "a", f"t{element.name}",
-                         ResourceVector(cycles=20))
-        count, first = state.availability.summary(impl)
-        assert count == 1 and first.name == "dsp_0_0"
-        best, slack = state.availability.best_fit(impl)
-        assert best.name == "dsp_0_0"
-        assert 0.0 <= slack <= 1.0
-        available = state.availability.available(impl)
-        assert [e.name for e in available] == ["dsp_0_0"]
+        pool = _index_pool(platform)
+        serial = iter(range(10**6))
+        for kind, ops, cut in blocks:
+            if kind == "plain":
+                for op in ops:
+                    _apply_index_op(state, op, next(serial))
+                _assert_index_matches_brute_force(state, pool)
+                continue
+            try:
+                with state.transaction():
+                    mark = None
+                    for step, op in enumerate(ops):
+                        if step == cut % len(ops):
+                            if kind == "nested":
+                                break
+                            mark = state.savepoint()
+                        _apply_index_op(state, op, next(serial))
+                    if kind == "nested":
+                        with pytest.raises(_IndexAbort):
+                            with state.transaction():
+                                for op in ops[cut % len(ops):]:
+                                    _apply_index_op(state, op, next(serial))
+                                _assert_index_matches_brute_force(state, pool)
+                                raise _IndexAbort()
+                    _assert_index_matches_brute_force(state, pool)
+                    if kind == "partial" and mark is not None:
+                        state.rollback_to(mark)
+                    if kind == "abort":
+                        raise _IndexAbort()
+            except _IndexAbort:
+                pass
+            _assert_index_matches_brute_force(state, pool)

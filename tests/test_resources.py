@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.apps import GeneratorConfig, dsp_implementation, generate
 from repro.arch.resources import (
     ZERO,
     ResourceError,
@@ -56,6 +60,28 @@ class TestConstruction:
     def test_eq_against_plain_mapping(self):
         assert ResourceVector(cycles=1) == {"cycles": 1}
         assert ResourceVector() == {"memory": 0}
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trip(self, round_trip):
+        vector = ResourceVector(cycles=70, memory=16.5)
+        clone = round_trip(vector)
+        assert clone == vector
+        assert hash(clone) == hash(vector)
+        with pytest.raises(AttributeError):
+            clone.x = 1
+
+    def test_deepcopy_of_implementations_and_applications(self):
+        implementation = dsp_implementation("i", cycles=40, memory=8)
+        clone = copy.deepcopy(implementation)
+        assert clone == implementation
+        assert clone.shape == implementation.shape
+        app = generate(GeneratorConfig(inputs=1, internals=3, outputs=1), seed=11)
+        app_clone = copy.deepcopy(app)
+        assert app_clone.digest() == app.digest()
 
 
 class TestAlgebra:

@@ -1,0 +1,51 @@
+"""Per-admit work is a function of the application, not of the platform.
+
+The same three-application sequence is admitted on an empty 12x12 and
+an empty 48x48 mesh.  Every placement lands in the same corner
+neighbourhood on both, so any deterministic work count that differs
+between the two runs is work that scales with the platform.  Each row
+below pins one such count as *equal*.
+"""
+
+from __future__ import annotations
+
+from repro.api import AdmissionController
+from repro.arch import mesh
+from repro.core.cost import MappingCost
+from tests.conftest import chain_app, diamond_app
+
+
+def _admit_sequence(platform, monkeypatch) -> tuple[list, int]:
+    """Placements of the three admissions and the number of cost
+    evaluations they took (counted on the class, so the stock
+    ``type(cost) is MappingCost`` paths stay in force)."""
+    calls = [0]
+    original = MappingCost.__call__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MappingCost, "__call__", counting)
+    controller = AdmissionController(platform, validation_mode="skip")
+    placements = []
+    for app_id, app in (
+        ("first", chain_app(3)),
+        ("second", diamond_app()),
+        ("third", chain_app(5, cycles=30)),
+    ):
+        decision = controller.admit(app, app_id)
+        assert decision.admitted, decision.failure
+        placements.append(dict(decision.layout.placement))
+    monkeypatch.setattr(MappingCost, "__call__", original)
+    return placements, calls[0]
+
+
+def test_cost_evaluations_do_not_grow_with_the_mesh(monkeypatch):
+    # the anchor of an empty-M0 application is a peek into the state's
+    # capacity index, not one cost evaluation per available element
+    small_placements, small_calls = _admit_sequence(mesh(12, 12), monkeypatch)
+    large_placements, large_calls = _admit_sequence(mesh(48, 48), monkeypatch)
+    assert small_placements == large_placements
+    assert small_calls > 0
+    assert small_calls == large_calls

@@ -133,6 +133,7 @@ def test_abort_equals_snapshot_restore(seed):
             raise _Abort()
 
     assert state.snapshot() == snapshot
+    state.check_invariants()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -265,14 +266,14 @@ class TestNestedTransactionCaches:
         return dsp_implementation(f"i{cycles}", cycles=cycles)
 
     def _assert_cache_matches_scan(self, state, impl):
-        cached = [e.name for e in state.availability.available(impl)]
-        brute = [
+        cached = sorted(e.name for e in state.availability.available(impl))
+        brute = sorted(
             e.name
             for e in state.platform.elements
             if not state.is_failed(e)
             and impl.requirement.fits_in(state.free(e))
             and impl.runs_on(e)
-        ]
+        )
         assert cached == brute
 
     def test_epoch_rewind_through_nested_scopes(self):
@@ -369,7 +370,10 @@ class TestNestedTransactionCaches:
                     checkpoints.append((
                         state.savepoint(), state.epoch,
                         state.aggregate_free(),
-                        [e.name for e in state.availability.available(impl)],
+                        sorted(
+                            e.name
+                            for e in state.availability.available(impl)
+                        ),
                     ))
                 else:
                     mark, epoch, agg, avail = checkpoints.pop(
@@ -382,8 +386,8 @@ class TestNestedTransactionCaches:
                     ]
                     assert state.epoch == epoch
                     assert state.aggregate_free() == agg
-                    assert [
+                    assert sorted(
                         e.name
                         for e in state.availability.available(impl)
-                    ] == avail
+                    ) == avail
                 self._assert_cache_matches_scan(state, impl)
