@@ -14,7 +14,8 @@ substrate it depends on:
 * :mod:`repro.core` — **the paper's contribution**: the incremental
   MapApplication algorithm (ring search + GAP + two-objective cost),
 * :mod:`repro.routing` — BFS / Dijkstra virtual-channel routing,
-* :mod:`repro.validation` — SDF modelling and state-space throughput,
+* :mod:`repro.validation` — SDF modelling, maximum-cycle-ratio
+  throughput and its state-space oracle,
 * :mod:`repro.manager` — the four-phase Kairos manager, bootstrap
   plans, fault recovery and evaluation metrics,
 * :mod:`repro.baselines` — first-fit, random and exact mappers,

@@ -104,7 +104,6 @@ class PhaseContext:
     mapping_options: MappingOptions = field(default_factory=MappingOptions)
     sdf_options: SdfModelOptions = field(default_factory=SdfModelOptions)
     validation_mode: str = "report"
-    validation_max_firings: int | None = None
     #: binder quality weight (see repro.binding.binder.bind)
     quality_weight: float = 0.0
     #: the manager's HealthRegistry (None when resilience is off) —
@@ -265,24 +264,13 @@ def _dijkstra_router(app, placement, state, ctx, **params):
     return _route_with(DijkstraRouter(**params), app, placement, state, ctx)
 
 
-def _validate_with_method(method):
-    def validator(app, binding, mapping, routing, state, ctx, **params):
-        kwargs = dict(params)
-        kwargs.setdefault("max_firings", ctx.validation_max_firings)
-        if kwargs["max_firings"] is None:
-            del kwargs["max_firings"]
-        return validate_layout(
-            app, binding, mapping.placement, routing.routes, state,
-            options=ctx.sdf_options, method=method, **kwargs,
-        )
-
-    return validator
-
-
-#: exact state-space exploration (the paper's approach)
-register_validator("simulation")(_validate_with_method("simulation"))
-#: maximum cycle ratio (the Section V future-work scheme)
-register_validator("analytical")(_validate_with_method("analytical"))
+@register_validator("mcr")
+def _mcr_validator(app, binding, mapping, routing, state, ctx, **params):
+    """Exact maximum-cycle-ratio throughput of the layout (Section V)."""
+    return validate_layout(
+        app, binding, mapping.placement, routing.routes, state,
+        options=ctx.sdf_options, **params,
+    )
 
 
 @register_validator("skip")
@@ -314,7 +302,7 @@ class PhasePipeline:
         binder: str | Callable = "regret",
         mapper: str | Callable = "kairos",
         router: str | Callable | BaseRouter = "bfs",
-        validator: str | Callable = "simulation",
+        validator: str | Callable = "mcr",
         binder_params: dict | None = None,
         mapper_params: dict | None = None,
         router_params: dict | None = None,

@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("binary", help="application binary (.kair)")
     allocate.add_argument("--validation", default="report",
                           choices=("enforce", "report", "skip"))
-    allocate.add_argument("--method", default="simulation",
-                          choices=("simulation", "analytical"))
     allocate.add_argument("--plan", action="store_true",
                           help="print the bootstrap configuration plan")
     allocate.add_argument("--dry-run", action="store_true",
@@ -136,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("binary", help="application binary (.kair)")
     plan.add_argument("--validation", default="report",
                       choices=("enforce", "report", "skip"))
-    plan.add_argument("--method", default="simulation",
-                      choices=("simulation", "analytical"))
     _add_weights(plan)
 
     pack = commands.add_parser("pack", help="write an application binary")
@@ -328,7 +324,6 @@ def _make_controller(args) -> AdmissionController:
         crisp(),
         weights=CostWeights(args.comm_weight, args.frag_weight),
         validation_mode=args.validation,
-        validation_method=args.method,
     )
 
 

@@ -304,11 +304,9 @@ class Kairos:
     validation_mode:
         ``"enforce"`` rejects constraint violations, ``"report"``
         computes throughput but never rejects (the Table I protocol),
-        ``"skip"`` omits the phase entirely.
-    validation_method:
-        ``"simulation"`` (exact state-space exploration, the paper's
-        approach) or ``"analytical"`` (maximum cycle ratio — the
-        future-work scheme of Section V, much faster).
+        ``"skip"`` omits the phase entirely.  Throughput is the
+        layout's exact maximum cycle ratio (Section V's faster
+        analysis; the paper's state-space exploration is the oracle).
     fastpath:
         ``True`` (default) enables the :class:`AdmissionGate`:
         epoch-keyed negative-result memoization plus a sound
@@ -352,8 +350,6 @@ class Kairos:
         router: BaseRouter | None = None,
         sdf_options: SdfModelOptions = SdfModelOptions(),
         validation_mode: str = "report",
-        validation_max_firings: int | None = None,
-        validation_method: str = "simulation",
         fastpath: bool = True,
         pipeline: PhasePipeline | None = None,
         health=None,
@@ -386,8 +382,6 @@ class Kairos:
         self.router = router or BfsRouter()
         self.sdf_options = sdf_options
         self.validation_mode = validation_mode
-        self.validation_max_firings = validation_max_firings
-        self.validation_method = validation_method
         #: the observability bundle (see repro.obs) — DISABLED by
         #: default: counters still count, but nothing is retained and
         #: spans are no-ops, so decisions and perf are untouched
@@ -400,15 +394,14 @@ class Kairos:
         #: the phase-strategy pipeline (see repro.api.pipeline); the
         #: default reproduces the paper's work-flow exactly — regret
         #: binding, MapApplication, the configured router instance and
-        #: the configured validation method
+        #: the maximum-cycle-ratio validator
         if pipeline is None:
             pipeline = PhasePipeline(
                 binder="regret",
                 mapper="kairos",
                 router=self.router,
                 validator=(
-                    "skip" if validation_mode == "skip"
-                    else validation_method
+                    "skip" if validation_mode == "skip" else "mcr"
                 ),
             )
         self.pipeline = pipeline
@@ -570,7 +563,6 @@ class Kairos:
             mapping_options=self.mapping_options,
             sdf_options=self.sdf_options,
             validation_mode=self.validation_mode,
-            validation_max_firings=self.validation_max_firings,
             health=self.health,
             obs=self.obs,
         )

@@ -1,4 +1,5 @@
-"""Validation phase: SDF modelling and state-space throughput analysis."""
+"""Validation phase: SDF modelling, the maximum-cycle-ratio throughput
+engine and its state-space oracle."""
 
 from repro.validation.analysis import (
     InconsistentGraphError,
@@ -16,6 +17,7 @@ from repro.validation.mcr import (
     McrError,
     analytical_throughput,
     maximum_cycle_ratio,
+    mcr_throughput,
 )
 from repro.validation.sdf import Actor, Edge, SdfError, SdfGraph
 from repro.validation.throughput import (
@@ -24,7 +26,6 @@ from repro.validation.throughput import (
     analyze_throughput,
 )
 from repro.validation.validator import (
-    VALIDATION_METHODS,
     ConstraintCheck,
     ValidationError,
     ValidationReport,
@@ -35,7 +36,6 @@ from repro.validation.validator import (
 __all__ = [
     "Actor",
     "McrError",
-    "VALIDATION_METHODS",
     "ConstraintCheck",
     "Edge",
     "InconsistentGraphError",
@@ -55,6 +55,7 @@ __all__ = [
     "iteration_duration_bound",
     "layout_to_sdf",
     "maximum_cycle_ratio",
+    "mcr_throughput",
     "repetition_vector",
     "validate_layout",
 ]

@@ -1,137 +1,156 @@
-"""Analytical throughput via maximum cycle ratio (the paper's future work).
+"""The validation engine: exact maximum cycle ratio by policy iteration.
 
 Section V: "Using the work of [18], the complexity of the throughput
 analysis may be moved to design-time, making the validation approach a
-lot faster.  The validation phase as a post-processing step can then
-be turned into a set of linear expressions."
+lot faster."  A self-timed HSDF graph is a max-plus linear system [18]:
+an edge ``u -> v`` with ``d`` initial tokens lets firing ``k`` of ``v``
+start once firing ``k - d`` of ``u`` has ended, and a one-token
+self-loop per actor forbids auto-concurrency.  Actor ``a`` settles into
+the period ``lambda(a)``, the largest ratio (durations over initial
+tokens) of the cycles that can reach it, and fires ``1 / lambda(a)``
+times per time unit; the graph's period is ``lambda* = max lambda(a)``.
+A cycle without tokens deadlocks the graph: every rate is 0.
 
-For a strongly connected HSDF graph executed self-timed, the
-steady-state period equals the **maximum cycle ratio**
-
-    lambda* = max over cycles C of  (sum of durations on C)
-                                    / (sum of initial tokens on C)
-
-and the throughput of every actor is ``1 / lambda*`` [18].  The
-no-auto-concurrency rule is itself a cycle constraint: a virtual
-self-loop with one token per actor, contributing the ratio
-``duration(a) / 1``.
-
-We compute lambda* by the classic parametric (Lawler) method: binary
-search over lambda, testing for a *positive* cycle of the edge weights
-``duration(source) - lambda * tokens(edge)`` with Bellman-Ford.  A
-positive cycle at arbitrarily large lambda means some cycle carries no
-tokens at all — a deadlock (throughput 0).
-
-The validator exposes this as the ``analytical`` method; ablation A5
-benchmarks it against the state-space simulation on the beamformer
-layout and the tests check the two engines agree to numerical
-precision on every graph the library produces.
+``lambda`` is computed by Howard's policy iteration (Cochet-Terrasson,
+Cohen, Gaubert, McGettrick & Quadrat 1998; Dasdan 2004 finds it the
+fastest cycle-ratio algorithm in practice) on the *reversed* event
+graph, where the cycles reachable from ``a`` are those that reach ``a``.
+Each answer is the duration sum over the token sum of a concrete
+cycle, not a bisection bound.  The paper's state-space exploration
+(:func:`repro.validation.throughput.analyze_throughput`) is the oracle
+the tests and ablation A5 hold it to.
 """
 
 from __future__ import annotations
 
 from repro.validation.sdf import SdfError, SdfGraph
+from repro.validation.throughput import ThroughputResult
 
-#: relative precision of the binary search on lambda*
-DEFAULT_TOLERANCE = 1e-9
+#: relative slack of a policy improvement (guards against float churn)
+_IMPROVEMENT = 1e-12
 
 
 class McrError(SdfError):
-    """Raised for graphs outside the analytical method's domain."""
+    """Raised for graphs outside the engine's domain (multi-rate)."""
 
 
-def _build_event_graph(graph: SdfGraph):
-    """HSDF -> weighted event graph (nodes, edges with cost/tokens).
+def _critical_cycles(durations: list[float], reverse: list[list[tuple]],
+                     order: list[int]):
+    """Howard's policy iteration on the reversed event graph.
 
-    Edge cost is the *source* actor's duration: traversing a cycle
-    counts every actor on it exactly once.  Self-loops encode the
-    no-auto-concurrency rule.
+    ``reverse[u]`` lists ``(v, tokens)`` per dataflow edge ``v -> u``
+    (self-loop included); stepping from ``u`` to ``v`` costs
+    ``durations[v]``.  Every cycle must carry a token; ``order`` lists
+    the nodes with each token-free step's target (``v``) before its
+    source.  Returns per node the (duration sum, token sum) of the
+    largest-ratio cycle it reaches.
     """
-    if not graph.is_hsdf():
-        raise McrError(
-            f"{graph.name!r}: maximum-cycle-ratio analysis requires an "
-            "HSDF graph (all rates 1); use the simulation engine instead"
-        )
-    nodes = sorted(graph.actors)
-    index = {name: i for i, name in enumerate(nodes)}
-    edges: list[tuple[int, int, float, int]] = []  # (u, v, cost, tokens)
-    for edge in graph.edges.values():
-        edges.append((
-            index[edge.source],
-            index[edge.target],
-            graph.actor(edge.source).duration,
-            edge.initial_tokens,
-        ))
-    for name in nodes:
-        i = index[name]
-        edges.append((i, i, graph.actor(name).duration, 1))
-    return nodes, edges
-
-
-def _has_positive_cycle(n: int, edges, lam: float) -> bool:
-    """Bellman-Ford longest-path: does any cycle have positive weight
-    under ``w(e) = cost - lam * tokens``?"""
-    distance = [0.0] * n  # all nodes as sources (virtual super-source)
-    for _iteration in range(n):
+    n = len(durations)
+    slack = _IMPROVEMENT * sum(durations)
+    # start from each node's costliest step
+    first = [max(edges, key=lambda e: durations[e[0]]) for edges in reverse]
+    policy, tokens = [v for v, _ in first], [count for _, count in first]
+    while True:
+        # value determination along the policy's functional graph
+        ratio, potential = [0.0] * n, [0.0] * n
+        cycle_of: list[tuple[float, int]] = [(0.0, 1)] * n
+        seen = [0] * n  # 0 new, 1 on the current walk, 2 valued
+        for start in range(n):
+            if seen[start]:
+                continue
+            walk, u = [], start
+            while not seen[u]:
+                seen[u] = 1
+                walk.append(u)
+                u = policy[u]
+            if seen[u] == 1:  # a new cycle closes at u (potential 0)
+                cycle = walk[walk.index(u):]
+                cost = sum(durations[c] for c in cycle)
+                count = sum(tokens[c] for c in cycle)
+                for c in cycle:
+                    ratio[c], cycle_of[c] = cost / count, (cost, count)
+                seen[u] = 2
+            for c in reversed(walk):
+                if c != u:
+                    v = policy[c]
+                    ratio[c], cycle_of[c] = ratio[v], cycle_of[v]
+                    potential[c] = (
+                        durations[v] - ratio[v] * tokens[c] + potential[v]
+                    )
+                    seen[c] = 2
+        # improvement, Gauss-Seidel in ``order`` so one sweep carries a
+        # switch down a token-free chain; stage 1: reach a larger ratio
         changed = False
-        for u, v, cost, tokens in edges:
-            weight = cost - lam * tokens
-            candidate = distance[u] + weight
-            if candidate > distance[v] + 1e-15:
-                distance[v] = candidate
-                changed = True
+        for u in order:
+            for v, count in reverse[u]:
+                if ratio[v] > ratio[u] + slack:
+                    ratio[u], policy[u], tokens[u] = ratio[v], v, count
+                    changed = True
+        if changed:
+            continue
+        # stage 2: the same ratio at a larger potential
+        for u in order:
+            lam = ratio[u]
+            for v, count in reverse[u]:
+                if ratio[v] >= lam - slack:
+                    value = durations[v] - lam * count + potential[v]
+                    if value > potential[u] + slack:
+                        potential[u], policy[u], tokens[u] = value, v, count
+                        changed = True
         if not changed:
-            return False
-    return True  # still relaxing after n passes -> positive cycle
+            return cycle_of
 
 
-def maximum_cycle_ratio(
-    graph: SdfGraph,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> float:
+def mcr_throughput(graph: SdfGraph) -> ThroughputResult:
+    """Every actor's self-timed rate, in the oracle's result shape.
+
+    ``period`` is ``lambda*`` (one iteration per period, no transient);
+    a token-free cycle gives all-zero rates and ``deadlocked=True``.
+    Raises :class:`McrError` for multi-rate graphs.
+    """
+    names = sorted(graph.actors)
+    if not names:
+        return ThroughputResult({}, 0.0, 0, 0.0)
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    durations = [graph.actors[name].duration for name in names]
+    reverse = [[(i, 1)] for i in range(n)]
+    waiting = [0] * n  # token-free out-edges per actor
+    for edge in graph.edges.values():
+        if edge.production != 1 or edge.consumption != 1:
+            raise McrError(f"{graph.name!r}: the engine needs an HSDF graph")
+        u, v = index[edge.source], index[edge.target]
+        reverse[v].append((u, edge.initial_tokens))
+        if not edge.initial_tokens:
+            waiting[u] += 1
+    # a token-free cycle is what a topological peel cannot remove
+    peeled = [u for u in range(n) if not waiting[u]]
+    for v in peeled:
+        for u, count in reverse[v]:
+            if not count:
+                waiting[u] -= 1
+                if not waiting[u]:
+                    peeled.append(u)
+    if len(peeled) < n:
+        return ThroughputResult(
+            dict.fromkeys(names, 0.0), 0.0, 0, 0.0, deadlocked=True
+        )
+    cycles = _critical_cycles(durations, reverse, peeled[::-1])
+    throughput = {
+        name: count / cost if cost else float("inf")
+        for name, (cost, count) in zip(names, cycles)
+    }
+    period = max(cost / count for cost, count in cycles)
+    return ThroughputResult(throughput, period, 1, 0.0)
+
+
+def maximum_cycle_ratio(graph: SdfGraph) -> float:
     """lambda* of the HSDF graph; ``inf`` when a token-free cycle
     deadlocks the graph, 0.0 for graphs with no actors."""
-    if not graph.actors:
-        return 0.0
-    nodes, edges = _build_event_graph(graph)
-    n = len(nodes)
-
-    total_duration = sum(graph.actor(a).duration for a in graph.actors)
-    upper = max(total_duration, 1.0)
-    # deadlock probe: a positive cycle beyond any achievable ratio can
-    # only come from a zero-token cycle with positive cost
-    if _has_positive_cycle(n, edges, upper * 4 + 1.0):
-        return float("inf")
-
-    low, high = 0.0, upper * 4 + 1.0
-    # lambda* is the smallest lambda with no positive cycle
-    while high - low > max(tolerance, tolerance * high):
-        mid = (low + high) / 2
-        if _has_positive_cycle(n, edges, mid):
-            low = mid
-        else:
-            high = mid
-    return high
+    result = mcr_throughput(graph)
+    return float("inf") if result.deadlocked else result.period
 
 
-def analytical_throughput(
-    graph: SdfGraph,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[str, float]:
-    """Steady-state firings/s per actor: ``1 / lambda*`` for every
-    actor of a strongly connected HSDF graph.
-
-    Raises :class:`McrError` for non-HSDF graphs.  On graphs that are
-    *not* strongly connected the result is an upper bound for actors
-    outside the binding cycle (the simulation engine remains exact);
-    every graph built by :func:`repro.validation.builder.layout_to_sdf`
-    is strongly connected because each channel carries a buffer back
-    edge.
-    """
-    ratio = maximum_cycle_ratio(graph, tolerance)
-    if ratio == float("inf"):
-        return {name: 0.0 for name in graph.actors}
-    if ratio == 0.0:
-        return {}
-    rate = 1.0 / ratio
-    return {name: rate for name in graph.actors}
+def analytical_throughput(graph: SdfGraph) -> dict[str, float]:
+    """Steady-state firings per time unit of every actor."""
+    return mcr_throughput(graph).throughput

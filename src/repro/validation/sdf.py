@@ -8,8 +8,8 @@ actor may fire when every input edge holds at least its consumption
 rate, consuming and (after its duration) producing tokens [5][13].
 
 This module defines the graph structure; repetition-vector analysis
-lives in :mod:`repro.validation.analysis` and the self-timed
-state-space throughput exploration in
+lives in :mod:`repro.validation.analysis`, the throughput engine in
+:mod:`repro.validation.mcr` and its state-space oracle in
 :mod:`repro.validation.throughput`.
 """
 

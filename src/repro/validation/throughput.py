@@ -15,7 +15,9 @@ execution state at iteration boundaries of a reference actor, and read
 the throughput off the recurrent state:
 
     throughput(actor) = firings of that actor per time unit
-                      = repetitions(actor) * iterations / period.
+                      = firings of that actor in one period / period
+
+(``repetitions(actor) * iterations / period`` on a connected graph).
 
 Auto-concurrency is disallowed (an actor models a task on one
 processing element and can run at most one firing at a time), matching
@@ -26,6 +28,9 @@ problematic when the complexity of the task graph increases" — the
 transient phase of a deep pipeline is long, and every state must be
 hashed.  The engine therefore indexes the graph once up front and only
 hashes states at reference-iteration boundaries.
+
+The admission path validates with the maximum-cycle-ratio engine
+(:mod:`repro.validation.mcr`); this exploration is its oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class ThroughputError(SdfError):
 
 @dataclass(frozen=True)
 class ThroughputResult:
-    """Outcome of the state-space exploration."""
+    """Throughput analysis outcome (either engine)."""
 
     #: firings per time unit for every actor in the periodic phase
     throughput: dict[str, float]
@@ -154,8 +159,8 @@ def analyze_throughput(
             deadlocked=True,
         )
 
-    #: states observed at reference boundaries: signature -> (time, iters)
-    seen: dict[tuple, tuple[float, int]] = {}
+    #: boundary states: signature -> (time, iterations, firings per actor)
+    seen: dict[tuple, tuple[float, int, tuple]] = {}
 
     while total_firings < max_firings:
         # complete every firing scheduled for the next timestamp
@@ -196,13 +201,16 @@ def analyze_throughput(
                     tuple(busy),
                 )
                 if signature in seen:
-                    first_time, first_iterations = seen[signature]
+                    first_time, first_iterations, first_fired = seen[signature]
                     period = now - first_time
                     cycle_iterations = iterations - first_iterations
                     if period > 0 and cycle_iterations > 0:
+                        # firings per actor over the recurrent period:
+                        # exact even where components run at
+                        # different rates
                         throughput = {
-                            name: repetitions[name] * cycle_iterations / period
-                            for name in indexed.actor_names
+                            name: (fired[i] - first_fired[i]) / period
+                            for i, name in enumerate(indexed.actor_names)
                         }
                         return ThroughputResult(
                             throughput=throughput,
@@ -213,7 +221,7 @@ def analyze_throughput(
                         )
                     # zero-time cycle cannot happen with positive
                     # durations; refresh and continue
-                seen[signature] = (now, iterations)
+                seen[signature] = (now, iterations, tuple(fired))
 
     raise ThroughputError(
         f"no recurrent state within {max_firings} firings of {graph.name!r}"

@@ -5,8 +5,12 @@ are validated against the performance provided by the execution layout
 derived from the previous phases" (Section I).  Latency constraints
 are first converted to throughput constraints [12]
 (:mod:`repro.apps.constraints`), the layout is translated into an
-HSDF graph, and its throughput is computed by self-timed state-space
-exploration [5][13].
+HSDF graph, and its throughput is computed exactly as the graph's
+maximum cycle ratio (:mod:`repro.validation.mcr`, Howard's policy
+iteration) — the "a lot faster" analysis of Section V [18].  The
+paper's self-timed state-space exploration [5][13]
+(:func:`~repro.validation.throughput.analyze_throughput`) is the
+oracle the tests hold it to.
 
 Matching the paper's experimental protocol, the resource manager can
 run validation in three modes: ``enforce`` (reject on violation),
@@ -25,15 +29,8 @@ from repro.apps.implementations import Implementation
 from repro.apps.taskgraph import Application
 from repro.arch.state import AllocationState, ChannelReservation
 from repro.validation.builder import SdfModelOptions, layout_to_sdf
-from repro.validation.mcr import analytical_throughput, maximum_cycle_ratio
-from repro.validation.throughput import (
-    ThroughputResult,
-    analyze_throughput,
-)
-
-#: throughput engines: exact state-space simulation [5][13], or the
-#: maximum-cycle-ratio analysis the paper proposes as future work [18]
-VALIDATION_METHODS = ("simulation", "analytical")
+from repro.validation.mcr import mcr_throughput
+from repro.validation.throughput import ThroughputResult
 
 
 class ValidationError(RuntimeError):
@@ -86,8 +83,6 @@ def validate_layout(
     routes: dict[str, ChannelReservation],
     state: AllocationState,
     options: SdfModelOptions = SdfModelOptions(),
-    max_firings: int | None = None,
-    method: str = "simulation",
 ) -> ValidationReport:
     """Compute the layout's throughput and evaluate every constraint.
 
@@ -95,32 +90,9 @@ def validate_layout(
     the manager's job.  Applications without constraints still get a
     throughput analysis (the result feeds Fig. 7's validation-phase
     timing).
-
-    ``method`` selects the throughput engine: ``"simulation"`` (exact
-    state-space exploration, the paper's approach) or ``"analytical"``
-    (maximum cycle ratio — the faster scheme the paper proposes as
-    future work; exact for the strongly connected HSDF graphs the
-    layout translation produces).
     """
-    if method not in VALIDATION_METHODS:
-        raise ValueError(
-            f"method must be one of {VALIDATION_METHODS}, got {method!r}"
-        )
     graph = layout_to_sdf(app, binding, placement, routes, state, options)
-    if method == "analytical":
-        rates = analytical_throughput(graph)
-        deadlocked = bool(rates) and all(r == 0.0 for r in rates.values())
-        ratio = maximum_cycle_ratio(graph)
-        result = ThroughputResult(
-            throughput=rates,
-            period=0.0 if ratio == float("inf") else ratio,
-            iterations_per_period=1,
-            transient=0.0,
-            deadlocked=deadlocked,
-        )
-    else:
-        kwargs = {} if max_firings is None else {"max_firings": max_firings}
-        result = analyze_throughput(graph, **kwargs)
+    result = mcr_throughput(graph)
     report = ValidationReport(throughput=result, deadlocked=result.deadlocked)
 
     for constraint in normalize(app.constraints):

@@ -11,7 +11,8 @@ Also registers the tiered Hypothesis profiles (select one with the
     500 examples — hammers the profile-governed lockstep /
     bit-identity property tests (binary round-trips, replay and
     drain-to-zero under churn + fault storm + repair) before trusting
-    a determinism-sensitive change.
+    a determinism-sensitive change; CI runs the validation engine's
+    oracle property (``tests/test_mcr.py``) at this tier.
 
 Property tests that decorate with ``@settings(deadline=None)`` (no
 explicit ``max_examples``) inherit the selected profile's example

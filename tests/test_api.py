@@ -14,7 +14,8 @@ The heart of this file is the plan/commit contract of ISSUE 5:
 * ``Kairos.allocate``, ``rollback=``, ``plan_batch``/``commit_batch``,
   ``AllocationState.restore`` and the per-state scratch pool (with
   its ``RingSearch(scratch=)`` / ``SparseDistanceMatrix(pool=)``
-  parameters) are gone, loudly; plan+commit stays
+  parameters) and the validation-engine toggle are gone, loudly;
+  plan+commit stays
   lockstep-identical with admit over random churn (digests asserted
   against the frozen seed reference).
 """
@@ -47,6 +48,7 @@ from repro.binding import bind
 from repro.core.search import RingSearch, SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
+from repro.validation import validate_layout
 
 
 def app_of(seed, internals=3, name=None):
@@ -319,9 +321,7 @@ class TestStrategyRegistry:
         assert "kairos" in catalog["mapper"]
         assert "regret" in catalog["binder"]
         assert {"bfs", "dijkstra"} <= set(catalog["router"])
-        assert {"simulation", "analytical", "skip"} <= set(
-            catalog["validator"]
-        )
+        assert catalog["validator"] == ("mcr", "skip")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown mapper strategy"):
@@ -583,6 +583,21 @@ class TestDeprecationShim:
             RingSearch(state, origins, scratch=None)
         with pytest.raises(TypeError):
             SparseDistanceMatrix(platform, pool=None)
+        # one validation engine: no method toggle, no simulation cap
+        with pytest.raises(TypeError):
+            Kairos(mesh(3, 3), validation_method="analytical")
+        with pytest.raises(TypeError):
+            Kairos(mesh(3, 3), validation_max_firings=10)
+        app = app_of(1)
+        controller = AdmissionController(mesh(3, 3))
+        layout = controller.admit(app).layout
+        with pytest.raises(TypeError):
+            validate_layout(
+                app, layout.binding, layout.placement, layout.routes,
+                controller.state, method="simulation",
+            )
+        with pytest.raises(ValueError, match="unknown validator"):
+            PhasePipeline(validator="analytical")
 
     def test_shim_lockstep_with_plan_commit_over_random_churn(self):
         """plan+commit == admit over a random churn mix."""

@@ -46,9 +46,7 @@ class TestPackInspectAllocate:
     def test_allocate_with_plan_and_analytical(self, tmp_path, capsys):
         target = tmp_path / "app.kair"
         main(["pack", "--generate", "6", str(target)])
-        code = main([
-            "allocate", str(target), "--plan", "--method", "analytical",
-        ])
+        code = main(["allocate", str(target), "--plan"])
         out = capsys.readouterr().out
         assert code == 0
         assert "bootstrap plan" in out
@@ -256,6 +254,12 @@ class TestArgparse:
     def test_removed_batch_plan_flag_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["sim", "--batch-plan", "8"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["allocate", "plan"])
+    def test_removed_method_flag_rejected(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "app.kair", "--method", "analytical"])
         assert excinfo.value.code == 2
 
     def test_pack_requires_source(self):
