@@ -157,6 +157,25 @@ def _bottleneck(requirement: tuple, data: dict) -> float:
     return worst
 
 
+def _add_entry(table: dict, key: tuple[str, str], value) -> None:
+    """File ``value`` under ``table[app_id][item]`` for ``key = (app_id,
+    item)``, appended last like the ledger insert it mirrors."""
+    app_id, item = key
+    entries = table.get(app_id)
+    if entries is None:
+        entries = table[app_id] = {}
+    entries[item] = value
+
+
+def _drop_entry(table: dict, key: tuple[str, str]) -> None:
+    """Undo :func:`_add_entry`; an application left empty is dropped."""
+    app_id, item = key
+    entries = table[app_id]
+    del entries[item]
+    if not entries:
+        del table[app_id]
+
+
 class AvailabilityCache:
     """Which elements can host an implementation right now.
 
@@ -357,8 +376,13 @@ class AllocationState:
         # aggregate free counters over NON-FAILED elements: platform
         # totals per resource kind, and the same split per element kind
         self._agg_free, self._agg_free_kind = self._sum_aggregates()
-        #: placed tasks per application id
-        self._app_tasks: dict[str, int] = {}
+        #: per application id: task id -> element id, and channel id ->
+        #: reservation — the application's keys of ``_placements`` and
+        #: ``_reservations`` in the same relative order (maintained at
+        #: the same sites and undone by the same journal entries), so
+        #: per-application reads never scan the whole ledgers
+        self._app_tasks: dict[str, dict[str, int]] = {}
+        self._app_routes: dict[str, dict[str, ChannelReservation]] = {}
         # the capacity index (see "the capacity index" below): static
         # per-element tables first, then the live parts
         self._class_of = platform._class_of_id
@@ -441,7 +465,7 @@ class AllocationState:
             occupants.pop()
             self._free[element_id] = old_free
             del self._placements[key]
-            self._count_app(key[0], -1)
+            _drop_entry(self._app_tasks, key)
             self._wear[element_id] -= 1
             self._allocated_total = old_allocated
             self._agg_restore(element_id, agg)
@@ -455,7 +479,7 @@ class AllocationState:
             occupants.insert(index, occupant)
             self._free[element_id] = old_free
             self._placements[key] = element_id
-            self._count_app(key[0], 1)
+            _add_entry(self._app_tasks, key, element_id)
             self._allocated_total = old_allocated
             self._agg_restore(element_id, agg)
             if self._bucket_of[element_id] is not None:
@@ -465,6 +489,7 @@ class AllocationState:
         elif op == _OP_RESERVE:
             _op, key, old_bws = entry
             self._reservations.pop(key)
+            _drop_entry(self._app_routes, key)
             slots = self._res_slots.pop(key)
             vc_used, bw_used = self._vc_used, self._bw_used
             slot_vc = self.platform._slot_vc
@@ -479,6 +504,7 @@ class AllocationState:
         elif op == _OP_RELEASE:
             _op, key, reservation, slots, old_bws = entry
             self._reservations[key] = reservation
+            _add_entry(self._app_routes, key, reservation)
             self._res_slots[key] = slots
             vc_used, bw_used = self._vc_used, self._bw_used
             slot_vc = self.platform._slot_vc
@@ -619,13 +645,6 @@ class AllocationState:
                 agg[resource] = agg.get(resource, 0) + quantity
                 by_kind[resource] = by_kind.get(resource, 0) + quantity
         return agg, agg_kind
-
-    def _count_app(self, app_id: str, delta: int) -> None:
-        count = self._app_tasks.get(app_id, 0) + delta
-        if count:
-            self._app_tasks[app_id] = count
-        else:
-            del self._app_tasks[app_id]
 
     # -- the capacity index -------------------------------------------------
     #
@@ -785,10 +804,20 @@ class AllocationState:
                 self._wear[element_id] >= len(self._occupants[element_id]),
                 "wear below occupancy",
             )
-        apps: dict[str, int] = {}
-        for app_id, _task in self._placements:
-            apps[app_id] = apps.get(app_id, 0) + 1
-        check(apps == self._app_tasks, "per-application task counts")
+        for table, ledger, what in (
+            (self._app_tasks, self._placements, "per-application tasks"),
+            (self._app_routes, self._reservations, "per-application routes"),
+        ):
+            rebuilt: dict[str, dict] = {}
+            for key, value in ledger.items():
+                _add_entry(rebuilt, key, value)
+            # list the items: dict equality ignores the order that the
+            # vacate / release sequence of release_application follows
+            check(
+                {app: list(items.items()) for app, items in rebuilt.items()}
+                == {app: list(items.items()) for app, items in table.items()},
+                what,
+            )
         check(
             sum(map(len, filter(None, self._occupants)))
             == len(self._placements),
@@ -882,7 +911,7 @@ class AllocationState:
         occupants = self._occupants[element_id]
         occupants.append(Occupant(app_id, task_id, requirement))
         self._placements[key] = element_id
-        self._count_app(app_id, 1)
+        _add_entry(self._app_tasks, key, element_id)
         self._wear[element_id] += 1
         old_allocated = self._allocated_total
         self._allocated_total = old_allocated + requirement.total()
@@ -930,7 +959,7 @@ class AllocationState:
                 if not failed:
                     self._agg_apply(element_id, occupant.requirement, 1)
                     self._refile(element_id)
-                self._count_app(app_id, -1)
+                _drop_entry(self._app_tasks, key)
                 if not occupants:
                     self._flip_busy(element_id, -1)
                 self._epoch += 1
@@ -956,8 +985,7 @@ class AllocationState:
         nodes = self.platform._nodes_by_id
         return {
             task: nodes[element_id].name
-            for (app, task), element_id in self._placements.items()
-            if app == app_id
+            for task, element_id in self._app_tasks.get(app_id, {}).items()
         }
 
     def wear(self, element: ProcessingElement | str) -> int:
@@ -979,7 +1007,7 @@ class AllocationState:
 
     def applications(self) -> tuple[str, ...]:
         """Identifiers of all applications with at least one placement."""
-        return tuple(sorted({app for app, _task in self._placements}))
+        return tuple(sorted(self._app_tasks))
 
     # -- link ledger --------------------------------------------------------
 
@@ -1039,18 +1067,10 @@ class AllocationState:
         key = (app_id, channel_id)
         if key in self._reservations:
             raise AllocationError(f"channel {channel_id!r} already routed")
-        directed = self.platform._directed_slots
-        try:
-            slots = tuple(
-                directed[(a, b)] for a, b in zip(id_path, id_path[1:])
-            )
-        except KeyError:
-            # re-resolve through the validating accessor for the
-            # canonical TopologyError on a non-adjacent pair
-            slots = tuple(
-                self.platform.directed_slot(a, b)
-                for a, b in zip(id_path, id_path[1:])
-            )
+        directed_slot = self.platform.directed_slot
+        slots = tuple(
+            directed_slot(a, b) for a, b in zip(id_path, id_path[1:])
+        )
         for slot in slots:
             if not self.can_traverse_slot(slot, bandwidth):
                 link = self.platform.link_by_id(slot >> 1)
@@ -1078,6 +1098,7 @@ class AllocationState:
             tuple(nodes[i].name for i in id_path), bandwidth,
         )
         self._reservations[key] = reservation
+        _add_entry(self._app_routes, key, reservation)
         self._res_slots[key] = slots
         if journal is not None:
             journal.append((_OP_RESERVE, key, tuple(old_bws)))
@@ -1090,6 +1111,7 @@ class AllocationState:
             reservation = self._reservations.pop(key)
         except KeyError:
             raise AllocationError(f"channel {channel_id!r} is not routed") from None
+        _drop_entry(self._app_routes, key)
         slots = self._res_slots.pop(key)
         journal = self._journal
         old_bws = (
@@ -1105,18 +1127,19 @@ class AllocationState:
         return self._reservations.get((app_id, channel_id))
 
     def reservations_of(self, app_id: str) -> tuple[ChannelReservation, ...]:
-        return tuple(
-            res for (app, _ch), res in self._reservations.items() if app == app_id
-        )
+        return tuple(self._app_routes.get(app_id, {}).values())
 
     # -- whole-application release -----------------------------------------
 
     def release_application(self, app_id: str) -> None:
-        """Vacate every task and route of ``app_id`` (idempotent)."""
-        for task_id in list(self.placements_of(app_id)):
+        """Vacate every task and route of ``app_id`` (idempotent).
+
+        Costs O(the application's tasks and routes), not O(ledgers).
+        """
+        for task_id in list(self._app_tasks.get(app_id, ())):
             self.vacate(app_id, task_id)
-        for reservation in self.reservations_of(app_id):
-            self.release_route(app_id, reservation.channel_id)
+        for channel_id in list(self._app_routes.get(app_id, ())):
+            self.release_route(app_id, channel_id)
 
     # -- fault injection -----------------------------------------------------
 
@@ -1171,9 +1194,10 @@ class AllocationState:
         self._epoch += 1
 
     def heal_link(self, a: Node | str, b: Node | str) -> None:
-        pair = (self._node_id(a), self._node_id(b))
-        slot = self.platform._directed_slots.get(pair)
-        if slot is None:
+        id_a, id_b = self._node_id(a), self._node_id(b)
+        try:
+            slot = self.platform.directed_slot(id_a, id_b)
+        except TopologyError:
             return  # unknown links were never failed; healing is a no-op
         link_id = slot >> 1
         if self._journal is not None:

@@ -25,9 +25,14 @@ these ids — array indexing instead of string hashing — and translate
 back to names only at public API boundaries:
 
 * ``node_id`` / ``node_by_id`` — name ↔ dense node id,
-* ``neighbor_ids(i)`` with the parallel ``neighbor_slots(i)`` — the
-  adjacency of node ``i`` together with the *directed link slot* of
-  each edge,
+* ``neighbor_pairs(i)`` — the adjacency of node ``i`` as one table of
+  ``(neighbour id, directed link slot)`` pairs, in link insertion
+  order; it is the only id adjacency table (``directed_slot(a, b)``
+  scans ``a``'s pairs),
+* ``is_leaf_id(i)`` — the degree-1 mask: a node with exactly one
+  link.  Every element of the stock builders is a leaf; the BFS
+  kernels record leaves but never expand them, since a leaf's one
+  link is the one it was discovered through,
 * directed link slots: link ``l`` (id ``k``) owns slots ``2k`` and
   ``2k + 1`` for its two directions, so ``slot ^ 1`` is always the
   reverse direction; ``slot >> 1`` recovers the undirected link id,
@@ -126,10 +131,11 @@ class Platform:
         # id interning tables, populated by freeze() (see module docstring)
         self._node_ids: dict[str, int] = {}
         self._nodes_by_id: tuple[Node, ...] = ()
-        self._neighbor_ids: tuple[tuple[int, ...], ...] = ()
-        self._neighbor_slots: tuple[tuple[int, ...], ...] = ()
+        #: per node id, its ``(neighbour id, directed slot)`` pairs
+        self._neighbor_pairs: tuple[tuple[tuple[int, int], ...], ...] = ()
+        #: per node id, True when it has exactly one link
+        self._leaf_mask: tuple[bool, ...] = ()
         self._links_by_id: tuple[Link, ...] = ()
-        self._directed_slots: dict[tuple[int, int], int] = {}
         self._slot_vc: tuple[int, ...] = ()
         self._slot_bw: tuple[float, ...] = ()
         self._is_element_mask: tuple[bool, ...] = ()
@@ -237,29 +243,20 @@ class Platform:
         self._links_by_id = tuple(self._links.values())
         slot_vc: list[int] = []
         slot_bw: list[float] = []
-        directed: dict[tuple[int, int], int] = {}
+        # links in insertion order, so each node's pairs follow the
+        # order of its name-based adjacency list
+        pairs: list[list[tuple[int, int]]] = [[] for _ in names]
         for link_id, link in enumerate(self._links_by_id):
             id_a = self._node_ids[link.a.name]
             id_b = self._node_ids[link.b.name]
-            directed[(id_a, id_b)] = 2 * link_id
-            directed[(id_b, id_a)] = 2 * link_id + 1
+            pairs[id_a].append((id_b, 2 * link_id))
+            pairs[id_b].append((id_a, 2 * link_id + 1))
             slot_vc += [link.virtual_channels, link.virtual_channels]
             slot_bw += [link.bandwidth, link.bandwidth]
-        self._directed_slots = directed
         self._slot_vc = tuple(slot_vc)
         self._slot_bw = tuple(slot_bw)
-        neighbor_ids = []
-        neighbor_slots = []
-        for index, node in enumerate(self._nodes_by_id):
-            ids = tuple(
-                self._node_ids[other.name] for other in self._adjacency[node.name]
-            )
-            neighbor_ids.append(ids)
-            neighbor_slots.append(
-                tuple(directed[(index, other)] for other in ids)
-            )
-        self._neighbor_ids = tuple(neighbor_ids)
-        self._neighbor_slots = tuple(neighbor_slots)
+        self._neighbor_pairs = tuple(map(tuple, pairs))
+        self._leaf_mask = tuple(len(own) == 1 for own in pairs)
 
     def _require_mutable(self) -> None:
         if self._frozen:
@@ -362,15 +359,15 @@ class Platform:
     def node_by_id(self, node_id: int) -> Node:
         return self._nodes_by_id[node_id]
 
-    def neighbor_ids(self, node_id: int) -> tuple[int, ...]:
-        """Neighbor node ids of ``node_id``, in link insertion order."""
+    def neighbor_pairs(self, node_id: int) -> tuple[tuple[int, int], ...]:
+        """``(neighbour id, directed slot node -> neighbour)`` per link
+        of ``node_id``, in link insertion order."""
         self._require_frozen()
-        return self._neighbor_ids[node_id]
+        return self._neighbor_pairs[node_id]
 
-    def neighbor_slots(self, node_id: int) -> tuple[int, ...]:
-        """Directed link slot of each edge, parallel to neighbor_ids."""
-        self._require_frozen()
-        return self._neighbor_slots[node_id]
+    def is_leaf_id(self, node_id: int) -> bool:
+        """True when ``node_id`` has exactly one link."""
+        return self._leaf_mask[node_id]
 
     @property
     def element_ids(self) -> tuple[int, ...]:
@@ -387,14 +384,12 @@ class Platform:
         The reverse direction is always ``slot ^ 1``, the undirected
         link id ``slot >> 1``.
         """
-        try:
-            return self._directed_slots[(a_id, b_id)]
-        except KeyError:
-            name_a = self._nodes_by_id[a_id].name
-            name_b = self._nodes_by_id[b_id].name
-            raise TopologyError(
-                f"no link between {name_a} and {name_b}"
-            ) from None
+        for other, slot in self._neighbor_pairs[a_id]:
+            if other == b_id:
+                return slot
+        name_a = self._nodes_by_id[a_id].name
+        name_b = self._nodes_by_id[b_id].name
+        raise TopologyError(f"no link between {name_a} and {name_b}")
 
     def link_by_id(self, link_id: int) -> Link:
         return self._links_by_id[link_id]

@@ -18,12 +18,15 @@ traversed (a congestion-aware search keeps the distance estimates
 honest and avoids proposing unreachable elements).
 
 Both classes operate on the interned integer ids a frozen platform
-provides (see :mod:`repro.arch.topology`): BFS frontiers are id lists,
-visited sets are per-origin byte masks, and distances live in
-origin-indexed rows — one array cell per node — instead of a dict
-keyed by string pairs.  Names appear only at the public boundaries
-(``origins``, ``advance()``'s returned elements, and name-based
-``record``/``get`` lookups).
+provides (see :mod:`repro.arch.topology`): BFS frontiers are id lists
+walked over the ``(neighbour, slot)`` pair table, visited sets are
+per-origin byte masks, and distances live in origin-indexed rows — one
+array cell per node — instead of a dict keyed by string pairs.  A
+degree-1 node (every element of the stock builders) is recorded but
+never enters a frontier: it was discovered through its only link, so
+expanding it could discover nothing.  Names appear only at the public
+boundaries (``origins``, ``advance()``'s returned elements, and
+name-based ``record``/``get`` lookups).
 """
 
 from __future__ import annotations
@@ -166,6 +169,17 @@ class RingSearch:
     *any* origin in that ring (the paper's ``Ei,j``).  An empty return
     with :attr:`exhausted` set means the reachable platform has been
     fully explored — the mapping iteration must then fail.
+
+    With ``respect_congestion`` a link is a wall when it has failed or
+    is saturated in both directions, so distance estimates reflect the
+    platform's *current* connectivity.
+
+    Leaves (degree-1 nodes) never enter a frontier, so a ring that
+    discovered only leaves ends with an empty one; it still counts as
+    non-empty.  The search is exhausted only after a ring discovers
+    nothing, exactly as if the leaves had been expanded, so
+    :attr:`ring` and :attr:`exhausted` follow the plain BFS after
+    every ``advance()``.
     """
 
     def __init__(
@@ -210,24 +224,8 @@ class RingSearch:
 
     @property
     def exhausted(self) -> bool:
-        """True when no origin has frontier nodes left to expand."""
+        """True once a ring discovered no node: nothing is left to expand."""
         return self._exhausted
-
-    def _traversable(self, slot: int) -> bool:
-        """Can the search step across the link owning directed ``slot``?
-
-        With ``respect_congestion`` a link must offer a free virtual
-        channel in at least one direction; fully saturated or failed
-        links act as walls, so distance estimates reflect the
-        platform's *current* connectivity.
-        """
-        if not self.respect_congestion:
-            return True
-        state = self.state
-        if (slot >> 1) in state._failed_links:
-            return False
-        saturated = state._slot_saturated
-        return not (saturated[slot] and saturated[slot ^ 1])
 
     def advance(self) -> list[ProcessingElement]:
         """Expand one ring; return globally new candidate elements."""
@@ -236,19 +234,17 @@ class RingSearch:
         self._ring += 1
         ring = self._ring
         platform = self.platform
-        neighbor_ids = platform._neighbor_ids
-        neighbor_slots = platform._neighbor_slots
+        neighbor_pairs = platform._neighbor_pairs
+        leaf = platform._leaf_mask
         nodes = platform._nodes_by_id
         is_element = platform._is_element_mask
         seen = self._seen_elements
         respect_congestion = self.respect_congestion
-        # the congestion wall test (see _traversable) inlined: these
-        # ledger arrays are read per candidate hop
         state = self.state
         failed_links = state._failed_links
         saturated = state._slot_saturated
         new_elements: list[ProcessingElement] = []
-        any_frontier = False
+        discovered = False
         for index, origin_id in enumerate(self._origin_ids):
             frontier = self._frontier[index]
             if not frontier:
@@ -257,9 +253,7 @@ class RingSearch:
             row = self.distances.row(origin_id)
             next_frontier: list[int] = []
             for node_id in frontier:
-                ids = neighbor_ids[node_id]
-                slots = neighbor_slots[node_id]
-                for neighbor_id, slot in zip(ids, slots):
+                for neighbor_id, slot in neighbor_pairs[node_id]:
                     if visited[neighbor_id]:
                         continue
                     if respect_congestion:
@@ -268,7 +262,9 @@ class RingSearch:
                         if saturated[slot] and saturated[slot ^ 1]:
                             continue
                     visited[neighbor_id] = 1
-                    next_frontier.append(neighbor_id)
+                    discovered = True
+                    if not leaf[neighbor_id]:
+                        next_frontier.append(neighbor_id)
                     # first visit of this (origin, node) pair — the
                     # visited mask guarantees the cell is still unset,
                     # so the minimum-keeping compare is unnecessary
@@ -277,9 +273,7 @@ class RingSearch:
                         seen[neighbor_id] = 1
                         new_elements.append(nodes[neighbor_id])
             self._frontier[index] = next_frontier
-            if next_frontier:
-                any_frontier = True
-        self._exhausted = not any_frontier
+        self._exhausted = not discovered
         return new_elements
 
     def gather(

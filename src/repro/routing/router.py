@@ -13,10 +13,13 @@ claims one virtual channel plus the channel's bandwidth on every
 directed link it crosses; channels whose endpoints share an element
 need no network resources at all.
 
-Internally both routers search over the platform's interned node ids
-and directed link slots — the per-hop capacity check is three array
-reads instead of string hashing — and translate back to names only in
-the public ``find_path`` wrapper and the reservations they return.
+Internally both routers search over the platform's ``(neighbour,
+directed slot)`` pair table — the per-hop capacity check is three
+array reads instead of string hashing — and translate back to names
+only in the public ``find_path`` wrapper and the reservations they
+return.  The BFS never enqueues a degree-1 node, and a route to a
+degree-1 target checks that target's one link first and ends when its
+neighbour is discovered (see :meth:`BfsRouter.find_path_ids`).
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class BaseRouter:
         # search would (a later locally-saturated channel is detected
         # before an earlier mid-mesh dead end); the decision and its
         # phase are identical either way.
-        neighbor_slots = platform._neighbor_slots
+        neighbor_pairs = platform._neighbor_pairs
         slot_bw = platform._slot_bw
         bw_used = state._bw_used
         saturated = state._slot_saturated
@@ -117,7 +120,7 @@ class BaseRouter:
             for endpoint, reverse in (
                 (node_ids[source], 0), (node_ids[target], 1)
             ):
-                for slot in neighbor_slots[endpoint]:
+                for _neighbor, slot in neighbor_pairs[endpoint]:
                     if reverse:
                         slot ^= 1
                     if (
@@ -205,24 +208,48 @@ class BfsRouter(BaseRouter):
         target_id: int,
         bandwidth: float,
     ) -> list[int] | None:
+        """The minimum-hop path over usable links, or None.
+
+        The BFS parent of a node is fixed at discovery, so each rule
+        below returns the exact path of the plain search:
+
+        * the search ends when the target is discovered rather than
+          dequeued;
+        * a degree-1 node gets a parent but is never enqueued — its
+          one link leads back to that parent;
+        * a degree-1 target is reachable only through its one link, so
+          that link is checked into the target before any search (a
+          wall returns None at once), and the search ends when the
+          target's neighbour is discovered.
+        """
         platform = state.platform
-        neighbor_ids = platform._neighbor_ids
-        neighbor_slots = platform._neighbor_slots
-        slot_bw = platform.slot_bw
+        neighbor_pairs = platform._neighbor_pairs
+        leaf = platform._leaf_mask
+        slot_bw = platform._slot_bw
         bw_used = state._bw_used
         saturated = state._slot_saturated
         failed_links = state._failed_links
+        if source_id == target_id:
+            return [source_id]
+        stop_id = target_id
+        if leaf[target_id]:
+            ((stop_id, slot),) = neighbor_pairs[target_id]
+            slot ^= 1  # the access link, into the target
+            if (
+                saturated[slot]
+                or slot_bw[slot] - bw_used[slot] < bandwidth
+                or (failed_links and (slot >> 1) in failed_links)
+            ):
+                return None
+            if stop_id == source_id:
+                return [source_id, target_id]
         # parent id per visited node (a node is visited iff it has a
         # parent), sized by the visited region rather than the platform
         parents = {source_id: -1}  # -1 marks the root
-        if source_id == target_id:
-            return _unwind(parents, target_id)
         queue = deque((source_id,))
         while queue:
             current = queue.popleft()
-            ids = neighbor_ids[current]
-            slots = neighbor_slots[current]
-            for neighbor, slot in zip(ids, slots):
+            for neighbor, slot in neighbor_pairs[current]:
                 if neighbor in parents:
                     continue
                 if saturated[slot]:
@@ -232,13 +259,13 @@ class BfsRouter(BaseRouter):
                 if failed_links and (slot >> 1) in failed_links:
                     continue
                 parents[neighbor] = current
-                if neighbor == target_id:
-                    # the BFS parent of a node is fixed at discovery,
-                    # so returning here yields the exact path the
-                    # dequeue-time check would — minus expanding the
-                    # rest of the frontier
-                    return _unwind(parents, target_id)
-                queue.append(neighbor)
+                if neighbor == stop_id:
+                    path = _unwind(parents, stop_id)
+                    if stop_id != target_id:
+                        path.append(target_id)
+                    return path
+                if not leaf[neighbor]:
+                    queue.append(neighbor)
         return None
 
 
@@ -264,8 +291,7 @@ class DijkstraRouter(BaseRouter):
         bandwidth: float,
     ) -> list[int] | None:
         platform = state.platform
-        neighbor_ids = platform._neighbor_ids
-        neighbor_slots = platform._neighbor_slots
+        neighbor_pairs = platform._neighbor_pairs
         slot_bw = platform.slot_bw
         bw_used = state._bw_used
         saturated = state._slot_saturated
@@ -285,9 +311,7 @@ class DijkstraRouter(BaseRouter):
             done.add(current)
             if current == target_id:
                 return _unwind(parents, target_id)
-            ids = neighbor_ids[current]
-            slots = neighbor_slots[current]
-            for neighbor, slot in zip(ids, slots):
+            for neighbor, slot in neighbor_pairs[current]:
                 if neighbor in done:
                     continue
                 if saturated[slot]:

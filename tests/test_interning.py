@@ -1,6 +1,7 @@
 """Id-interning tests: the integer tables agree name-for-name with the
 name-based views (and with the frozen seed implementation) on every
-builder topology, including after fault injection."""
+builder topology, including after fault injection and under random
+link loads."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
@@ -18,8 +21,10 @@ from repro.apps.implementations import Implementation, pinned_implementation
 from repro.arch import (
     AllocationState,
     ElementType,
+    Platform,
     ProcessingElement,
     ResourceVector,
+    Router,
     TopologyError,
     crisp,
     fat_tree,
@@ -85,7 +90,7 @@ class TestIdTables:
             node_id = platform.node_id(node.name)
             by_id = [
                 platform.node_by_id(n).name
-                for n in platform.neighbor_ids(node_id)
+                for n, _slot in platform.neighbor_pairs(node_id)
             ]
             by_name = [n.name for n in platform.neighbors(node.name)]
             assert by_id == by_name
@@ -102,13 +107,15 @@ class TestIdTables:
             assert platform.slot_vc[forward] == link.virtual_channels
             assert platform.slot_bw[backward] == link.bandwidth
 
+    def test_leaf_mask_is_exactly_one_neighbor(self, platform):
+        for node in platform.nodes:
+            node_id = platform.node_id(node.name)
+            assert platform.is_leaf_id(node_id) == (platform.degree(node) == 1)
+
     def test_neighbor_slots_are_consistent(self, platform):
         for node in platform.nodes:
             node_id = platform.node_id(node.name)
-            ids = platform.neighbor_ids(node_id)
-            slots = platform.neighbor_slots(node_id)
-            assert len(ids) == len(slots)
-            for neighbor_id, slot in zip(ids, slots):
+            for neighbor_id, slot in platform.neighbor_pairs(node_id):
                 assert platform.directed_slot(node_id, neighbor_id) == slot
 
     def test_element_ids_agree_with_elements(self, platform):
@@ -373,3 +380,121 @@ class TestSeedAgreement:
         for probe in probes + probes[::-1]:
             assert live_router.find_path(live, *probe, 5.0) == \
                 expected[probe], probe
+
+
+def _hand_built() -> Platform:
+    """Shapes no builder yields: an element on two routers (a non-leaf
+    element that carries transit), an element linked only to another
+    element, a degree-1 router, a component of two leaves and an
+    element with no link at all."""
+    platform = Platform("hand_built")
+    capacity = ResourceVector(cycles=100, memory=32)
+    for name in ("r0", "r1", "r2", "r3", "stub"):
+        platform.add_router(Router(name))
+    for name in ("bridge", "e0", "e1", "e2", "tail",
+                 "island_a", "island_b", "lone"):
+        platform.add_element(ProcessingElement(name, ElementType.DSP, capacity))
+    for a, b in (
+        ("e0", "r0"), ("e1", "r1"), ("bridge", "r0"), ("bridge", "r1"),
+        ("r0", "r2"), ("r2", "r3"), ("r3", "r1"), ("e2", "r2"),
+        ("tail", "e2"), ("stub", "r3"), ("island_a", "island_b"),
+    ):
+        platform.add_link(a, b)
+    return platform.freeze()
+
+
+KERNEL_PLATFORMS = {
+    "mesh3x3": lambda: mesh(3, 3),
+    "torus3x3": lambda: torus(3, 3),
+    "crisp1pkg": lambda: crisp(packages=1),
+    "fattree8": lambda: fat_tree(8),
+    "handbuilt": _hand_built,
+}
+
+#: (link index, forward?, load) — the index wraps around the link count
+LINK_LOADS = st.lists(
+    st.tuples(
+        st.integers(0, 10_000), st.booleans(),
+        st.sampled_from(("saturate", "short", "light", "fail")),
+    ),
+    max_size=16,
+)
+
+
+def _loaded_twins(name, loads):
+    """A live and a seed-reference state with the same directed link
+    loads: all virtual channels taken, 20 bandwidth units left (enough
+    for a 5-unit channel, too little for a 40-unit one), one light
+    channel, or the link failed."""
+    live, seed = _twin_states(KERNEL_PLATFORMS[name])
+    links = live.platform.links
+    for index, (link_index, forward, load) in enumerate(loads):
+        link = links[link_index % len(links)]
+        a, b = link.a.name, link.b.name
+        if not forward:
+            a, b = b, a
+        for state in (live, seed):
+            if load == "fail":
+                state.fail_link(a, b)
+                continue
+            channels, bandwidth = {
+                "saturate": (link.virtual_channels, 0.5),
+                "short": (1, link.bandwidth - 20.0),
+                "light": (1, 1.0),
+            }[load]
+            for channel in range(channels):
+                if state.can_traverse(a, b, bandwidth):
+                    state.reserve_route(
+                        "load", f"l{index}_{channel}", [a, b], bandwidth
+                    )
+    return live, seed
+
+
+class TestLoadedSeedAgreement:
+    """Both BFS kernels equal the seed reference under random link
+    loads and failures: leaf targets behind walled access links (in
+    either direction), unreachable targets, and a hand-built platform
+    whose elements are not all leaves."""
+
+    @settings(deadline=None)
+    @given(name=st.sampled_from(sorted(KERNEL_PLATFORMS)), loads=LINK_LOADS)
+    def test_bfs_router_matches_seed_on_every_pair(self, name, loads):
+        live, seed = _loaded_twins(name, loads)
+        nodes = [node.name for node in live.platform.nodes]
+        live_router, seed_router = BfsRouter(), SeedBfsRouter()
+        for bandwidth in (5.0, 40.0):
+            for source in nodes:
+                for target in nodes:
+                    assert live_router.find_path(
+                        live, source, target, bandwidth
+                    ) == seed_router.find_path(
+                        seed, source, target, bandwidth
+                    ), (source, target, bandwidth)
+
+    @settings(deadline=None)
+    @given(
+        name=st.sampled_from(sorted(KERNEL_PLATFORMS)),
+        loads=LINK_LOADS,
+        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
+        respect_congestion=st.booleans(),
+    )
+    def test_ring_search_matches_seed_ring_by_ring(
+        self, name, loads, picks, respect_congestion
+    ):
+        live, seed = _loaded_twins(name, loads)
+        elements = [e.name for e in live.platform.elements]
+        origins = [elements[pick % len(elements)] for pick in picks]
+        live_search = RingSearch(live, origins, respect_congestion)
+        seed_search = SeedRingSearch(seed, origins, respect_congestion)
+        # one advance past exhaustion too: it must change nothing
+        for _ in range(live.platform.node_count + 2):
+            live_ring = [e.name for e in live_search.advance()]
+            seed_ring = [e.name for e in seed_search.advance()]
+            assert live_ring == seed_ring
+            assert live_search.ring == seed_search.ring
+            assert live_search.exhausted == seed_search.exhausted
+        assert live_search.exhausted
+        for origin in origins:
+            for node in live.platform.nodes:
+                assert live_search.distances.get(origin, node.name) == \
+                    seed_search.distances.get(origin, node.name)

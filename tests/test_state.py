@@ -147,6 +147,68 @@ class TestReleaseApplication:
         state3x3.release_application("a")
         assert state3x3.placements_of("b") == {"t0": "dsp_0_0"}
 
+    def test_release_one_of_many_equals_the_ledger_filter(self):
+        state = AllocationState(mesh(4, 4))
+        small = ResourceVector(cycles=5, memory=1)
+        elements = [e.name for e in state.platform.elements]
+        apps = ["a", "b", "c", "d"]
+        # interleave the applications in both ledgers
+        for step in range(24):
+            app = apps[step % len(apps)]
+            element = elements[step % len(elements)]
+            state.occupy(element, app, f"t{step}", small)
+            router = "r" + element[3:]  # dsp_i_j sits on r_i_j
+            state.reserve_route(app, f"c{step}", [element, router], 1.0)
+        # an aborted release re-files b's entries last in both ledgers
+        with pytest.raises(RuntimeError):
+            with state.transaction():
+                state.release_application("b")
+                raise RuntimeError("abort")
+        state.check_invariants()
+
+        def brute(app_id):
+            placements = [
+                (task, element_id)
+                for (app, task), element_id in state._placements.items()
+                if app == app_id
+            ]
+            routes = [
+                res for (app, _ch), res in state._reservations.items()
+                if app == app_id
+            ]
+            return placements, routes
+
+        nodes = state.platform.nodes
+        for app in apps:
+            placements, routes = brute(app)
+            assert list(state.placements_of(app).items()) == [
+                (task, nodes[element_id].name)
+                for task, element_id in placements
+            ]
+            assert state.reservations_of(app) == tuple(routes)
+        others = {app: brute(app) for app in apps if app != "b"}
+        expected_placements, expected_routes = brute("b")
+        calls = []
+        vacate, release_route = state.vacate, state.release_route
+        state.vacate = lambda app, task: (
+            calls.append(task), vacate(app, task)
+        )
+        state.release_route = lambda app, channel: (
+            calls.append(channel), release_route(app, channel)
+        )
+        state.release_application("b")
+        # the vacate order (which feeds the journal) is the ledger order
+        assert calls == [task for task, _e in expected_placements] + [
+            res.channel_id for res in expected_routes
+        ]
+        assert brute("b") == ([], [])
+        assert state.placements_of("b") == {}
+        assert state.reservations_of("b") == ()
+        assert not state.has_placements("b")
+        assert {app: brute(app) for app in others} == others
+        assert state.applications() == ("a", "c", "d")
+        state.check_invariants()
+
 
 class TestFaults:
     def test_failed_element_offers_nothing(self, state3x3):
