@@ -46,11 +46,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from benchmarks.bench_env import environment_stanza  # noqa: E402
-from repro.cluster import (  # noqa: E402
-    build_cluster_recipe,
-    replay_cluster_trace,
-    run_cluster_recipe,
-)
+from repro.sim import build_recipe, replay_trace, run_recipe  # noqa: E402
 
 PLATFORM = "48x48"
 SHARD_COUNTS = (1, 2, 4)
@@ -70,7 +66,7 @@ KILLS = {"full": (2, 8.0), "smoke": (1, 4.0)}
 
 
 def throughput_recipe(shards: int, duration: float) -> dict:
-    return build_cluster_recipe(
+    return build_recipe(
         platform=PLATFORM,
         shards=shards,
         duration=duration,
@@ -84,7 +80,7 @@ def throughput_recipe(shards: int, duration: float) -> dict:
 def bench_throughput(duration: float) -> list[dict]:
     entries = []
     for shards in SHARD_COUNTS:
-        result = run_cluster_recipe(throughput_recipe(shards, duration))
+        result = run_recipe(throughput_recipe(shards, duration))
         summary = result.metrics.summary()
         entries.append({
             "shards": shards,
@@ -100,7 +96,7 @@ def bench_throughput(duration: float) -> list[dict]:
 
 def bench_availability(duration: float, smoke: bool) -> dict:
     kills, downtime = KILLS["smoke" if smoke else "full"]
-    recipe = build_cluster_recipe(
+    recipe = build_recipe(
         platform=PLATFORM,
         shards=4,
         duration=duration,
@@ -111,7 +107,7 @@ def bench_availability(duration: float, smoke: bool) -> dict:
         kills=kills,
         downtime=downtime,
     )
-    result = run_cluster_recipe(recipe)
+    result = run_recipe(recipe)
     summary = result.metrics.summary()
     res = summary["resilience"]
     return {
@@ -132,7 +128,7 @@ def bench_availability(duration: float, smoke: bool) -> dict:
 
 def replay_check(duration: float, smoke: bool) -> dict:
     kills, downtime = KILLS["smoke" if smoke else "full"]
-    recipe = build_cluster_recipe(
+    recipe = build_recipe(
         platform=PLATFORM,
         shards=4,
         duration=duration,
@@ -145,8 +141,8 @@ def replay_check(duration: float, smoke: bool) -> dict:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cluster_trace.jsonl"
-        recorded = run_cluster_recipe(recipe, trace_path=path)
-        identical, differences, _ = replay_cluster_trace(path)
+        recorded = run_recipe(recipe, trace_path=path)
+        identical, differences, _ = replay_trace(path)
     return {
         "records": len(recorded.trace),
         "identical": identical,

@@ -458,27 +458,17 @@ def _overload_config(args):
     return config
 
 
-def _print_overload_summary(summary: dict, cluster: bool = False) -> None:
-    ov = summary["overload"]
-    print(f"  overload         : {ov['shed_watermark']} shed, "
-          f"{ov['deadline_expired']} deadline-expired, "
-          f"{ov['retry_budget_exhausted']} retry-denied")
-    print(f"  brownout         : max level {ov['max_brownout_level']}, "
-          f"{ov['brownout_transitions']} transition(s)")
-    if cluster:
-        print(f"  breakers         : {ov['breaker_transitions']} "
-              f"transition(s), {ov['breaker_open']} probe(s) refused")
-
-
-def _replay(args, replay) -> int:
+def _replay(args) -> int:
     """``--replay`` of either sim command: re-run, diff, report."""
+    from repro.sim import replay_trace
+
     if args.record:
         print("error: --replay and --record are mutually exclusive "
               "(replay re-runs the recorded recipe)", file=sys.stderr)
         return 2
     print("replaying the trace's recorded recipe; other flags are ignored")
     try:
-        identical, differences, result = replay(args.replay)
+        identical, differences, result = replay_trace(args.replay)
     except (OSError, ValueError) as exc:
         print(f"error: cannot replay {args.replay}: {exc}",
               file=sys.stderr)
@@ -494,17 +484,19 @@ def _replay(args, replay) -> int:
     return 1
 
 
-def _run_observed(args, run, recipe):
+def _run_observed(args, recipe):
     """Run ``recipe`` — observed when an export flag asks for it.
 
     Returns the result, or None after printing the error.
     """
+    from repro.sim import run_recipe
+
     obs = None
     if args.metrics_out or args.trace_spans:
         from repro.obs import enabled
         obs = enabled()
     try:
-        return run(recipe, trace_path=args.record, obs=obs)
+        return run_recipe(recipe, trace_path=args.record, obs=obs)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -575,16 +567,37 @@ def _print_run_summary(args, result, summary: dict, where: str) -> None:
 
 
 def _cmd_sim(args) -> int:
-    from repro.sim import build_recipe, replay_trace, run_recipe
+    """``repro sim`` and ``repro cluster sim``: one recipe, one run."""
+    from repro.sim import build_recipe
 
     if args.replay:
-        return _replay(args, replay_trace)
-    resilience = None
-    if args.resilience:
-        from repro.resilience import RecoveryPolicy, ResilienceConfig
-        resilience = ResilienceConfig(
-            recovery=RecoveryPolicy(order=args.recovery_order)
+        return _replay(args)
+    cluster = args.command == "cluster"
+    if cluster:
+        backend = dict(
+            shards=args.shards,
+            kills=args.kills,
+            downtime=args.downtime,
+            allow_split=not args.no_split,
         )
+        where = f"{args.platform} across {args.shards} shard(s)"
+    else:
+        resilience = None
+        if args.resilience:
+            from repro.resilience import RecoveryPolicy, ResilienceConfig
+            resilience = ResilienceConfig(
+                recovery=RecoveryPolicy(order=args.recovery_order)
+            )
+        backend = dict(
+            faults=args.faults,
+            fault_mttr=args.fault_mttr,
+            fault_links=args.fault_links,
+            fault_storm=args.fault_storm,
+            resilience=resilience,
+            traffic=args.traffic,
+            mapper=args.mapper,
+        )
+        where = args.platform
     try:
         recipe = build_recipe(
             platform=args.platform,
@@ -594,29 +607,32 @@ def _cmd_sim(args) -> int:
             rate_scale=args.rate_scale,
             pool_size=args.pool_size,
             sample_interval=args.sample_interval,
-            faults=args.faults,
             warmup=args.warmup,
-            fault_mttr=args.fault_mttr,
-            fault_links=args.fault_links,
-            fault_storm=args.fault_storm,
-            resilience=resilience,
             overload=_overload_config(args),
-            traffic=args.traffic,
-            mapper=args.mapper,
+            **backend,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = _run_observed(args, run_recipe, recipe)
+    result = _run_observed(args, recipe)
     if result is None:
         return 2
     summary = result.metrics.summary()
-    _print_run_summary(args, result, summary, args.platform)
-    if args.faults:
+    _print_run_summary(args, result, summary, where)
+    if recipe.get("kills"):
+        res = summary["resilience"]
+        faults = summary["faults"]
+        print(f"  shard kills      : {faults['injected']} injected, "
+              f"{faults['recovered']} recovered immediately, "
+              f"{faults['lost']} lost")
+        print(f"  requeue          : {res['recovery_retries']} retries, "
+              f"{res['lost_recovered']} lost-then-recovered")
+        print(f"  availability     : {res['availability']:.4f}")
+    if recipe.get("faults"):
         faults = summary["faults"]
         print(f"  faults           : {faults['injected']} injected, "
               f"{faults['recovered']} recovered, {faults['lost']} lost")
-    if args.resilience:
+    if "resilience" in recipe:
         res = summary["resilience"]
         mttr = "n/a" if res["mttr"] is None else f"{res['mttr']:.2f}"
         print(f"  resilience       : {res['repairs_completed']} repairs, "
@@ -625,8 +641,16 @@ def _cmd_sim(args) -> int:
         print(f"  requeue          : {res['recovery_retries']} retries, "
               f"{res['lost_recovered']} lost-then-recovered")
     if result.overload_stats is not None:
-        _print_overload_summary(summary)
-    if args.profile:
+        ov = summary["overload"]
+        print(f"  overload         : {ov['shed_watermark']} shed, "
+              f"{ov['deadline_expired']} deadline-expired, "
+              f"{ov['retry_budget_exhausted']} retry-denied")
+        print(f"  brownout         : max level {ov['max_brownout_level']}, "
+              f"{ov['brownout_transitions']} transition(s)")
+        if cluster:
+            print(f"  breakers         : {ov['breaker_transitions']} "
+                  f"transition(s), {ov['breaker_open']} probe(s) refused")
+    if not cluster and args.profile:
         print()
         print("per-phase wall-clock latency (ms per attempt):")
         print(f"  {'phase':<12} {'count':>7} {'p50':>9} {'p95':>9} "
@@ -637,56 +661,6 @@ def _cmd_sim(args) -> int:
                   f"{row['p99_ms']:>9.3f} {row['total_ms']:>10.1f}")
         print(f"  short-circuited probes: "
               f"{summary['probes_short_circuited']}")
-    return _export_observed(args, result)
-
-
-def _cmd_cluster(args) -> int:
-    from repro.cluster import (
-        build_cluster_recipe,
-        replay_cluster_trace,
-        run_cluster_recipe,
-    )
-
-    if args.replay:
-        return _replay(args, replay_cluster_trace)
-    try:
-        recipe = build_cluster_recipe(
-            platform=args.platform,
-            shards=args.shards,
-            duration=args.duration,
-            seed=args.seed,
-            policy=args.policy,
-            rate_scale=args.rate_scale,
-            pool_size=args.pool_size,
-            sample_interval=args.sample_interval,
-            warmup=args.warmup,
-            kills=args.kills,
-            downtime=args.downtime,
-            allow_split=not args.no_split,
-            overload=_overload_config(args),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = _run_observed(args, run_cluster_recipe, recipe)
-    if result is None:
-        return 2
-    summary = result.metrics.summary()
-    _print_run_summary(
-        args, result, summary,
-        f"{args.platform} across {args.shards} shard(s)",
-    )
-    if args.kills:
-        res = summary["resilience"]
-        faults = summary["faults"]
-        print(f"  shard kills      : {faults['injected']} injected, "
-              f"{faults['recovered']} recovered immediately, "
-              f"{faults['lost']} lost")
-        print(f"  requeue          : {res['recovery_retries']} retries, "
-              f"{res['lost_recovered']} lost-then-recovered")
-        print(f"  availability     : {res['availability']:.4f}")
-    if result.overload_stats is not None:
-        _print_overload_summary(summary, cluster=True)
     return _export_observed(args, result)
 
 
@@ -898,10 +872,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_pack(args)
     if args.command == "inspect":
         return _cmd_inspect(args)
-    if args.command == "sim":
+    if args.command in ("sim", "cluster"):
         return _cmd_sim(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "obs":

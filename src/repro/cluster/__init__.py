@@ -10,7 +10,11 @@ applications too large for one shard by splitting their task graph and
 running an all-or-unwind two-phase commit over the plan/commit façade.
 :class:`ClusterManager` ties it together behind the same duck-typed
 surface as a single Kairos, so the sim service and the recovery engine
-drive a cluster without modification.
+drive a cluster without modification.  A cluster run is any recipe
+with a ``shards`` key: :func:`repro.sim.build_recipe`,
+:func:`repro.sim.run_recipe` and :func:`repro.sim.replay_trace` serve
+both backends, and :func:`run_cluster_simulation` is the programmatic
+driver ``run_recipe`` picks for it.
 
 See ``docs/cluster.md`` for the partitioning model, the liveness
 automaton, the 2PC failure matrix and the determinism contract.
@@ -31,16 +35,13 @@ from repro.cluster.router import ShardRouter, placement_hint
 from repro.cluster.service import ClusterManager
 from repro.cluster.shard import Shard, build_shards
 from repro.cluster.sim import (
-    ClusterAdmissionService,
     build_cluster_recipe,
-    replay_cluster_trace,
     run_cluster_recipe,
     run_cluster_simulation,
     scheduled_kills,
 )
 
 __all__ = [
-    "ClusterAdmissionService",
     "ClusterCoordinator",
     "ClusterLayout",
     "ClusterManager",
@@ -53,7 +54,6 @@ __all__ = [
     "build_cluster_recipe",
     "build_shards",
     "placement_hint",
-    "replay_cluster_trace",
     "run_cluster_recipe",
     "run_cluster_simulation",
     "scheduled_kills",

@@ -23,7 +23,12 @@ from __future__ import annotations
 from repro.api.controller import Decision
 from repro.apps.taskgraph import Application
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.registry import LivenessPolicy, LivenessRegistry
+from repro.cluster.registry import (
+    LivenessPolicy,
+    LivenessRegistry,
+    LivenessTransition,
+    ShardLiveness,
+)
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import Shard
 from repro.manager.layout import Phase, PhaseTimings
@@ -77,6 +82,8 @@ class ClusterManager:
         self._c_rejected = registry.counter("cluster.rejected")
         self._c_spillovers = registry.counter("cluster.spillovers")
         self._c_splits = registry.counter("cluster.splits")
+        self._c_demotions = registry.counter("cluster.demotions")
+        self._c_revivals = registry.counter("cluster.revivals")
         self.overload = overload
         breaker_policy = overload.breaker if overload is not None else None
         #: per-shard circuit breakers around the router's candidates;
@@ -90,10 +97,13 @@ class ClusterManager:
         #: the kernel's clock; breakers and liveness faults read time
         #: through it so direct (offline) use stays well-defined
         self.now_fn = lambda: 0.0
-        #: (kind, payload) events produced inside :meth:`admit` —
-        #: breaker edges and fault-storm liveness transitions.  The
-        #: manager cannot reach the trace, so the service drains these
-        #: after each admission, keeping record order deterministic.
+        #: (kind, payload) trace records the manager cannot write
+        #: itself: breaker edges and fault-storm transitions from
+        #: :meth:`admit`, shard kills, revivals and heartbeat
+        #: transitions from the lifecycle methods.  The admission
+        #: service drains them at the end of each of its entry points
+        #: (:meth:`~repro.sim.service.AdmissionService.drain_records`),
+        #: so record order is a pure function of the event stream.
         self.pending_records: list[tuple[str, dict]] = []
 
     # -- epochs --------------------------------------------------------------
@@ -205,15 +215,7 @@ class ClusterManager:
             transition = self.breakers.record(shard.shard_id, False, now)
             for lt in self.liveness.note_fault(shard.shard_id, now):
                 self._touched += 1
-                self.pending_records.append((
-                    "shard_state",
-                    {
-                        "shard": lt.shard_id,
-                        "state": lt.state.value,
-                        "was": lt.previous.value,
-                        "reason": lt.reason,
-                    },
-                ))
+                self._queue_transition(lt)
         else:
             transition = None
         if transition is not None:
@@ -244,6 +246,69 @@ class ClusterManager:
         self.admitted[app_id] = parts
         self.specifications[app_id] = app
         self._c_admitted.inc()
+
+    # -- shard lifecycle -----------------------------------------------------
+
+    def kill_shard(self, shard_id: str) -> None:
+        """Crash one shard; liveness finds out via missed heartbeats."""
+        shard = self.by_id[shard_id]
+        if shard.alive:
+            lost = shard.kill()
+            self.pending_records.append(
+                ("shard_kill", {"shard": shard_id, "lost": len(lost)})
+            )
+
+    def revive_shard(self, shard_id: str) -> None:
+        """The shard process returns (empty); trust returns later.
+
+        A revival is also a *detection* event: the process reports an
+        empty allocation state, so anything still booked to it is
+        provably lost — even when the kill was never demoted (a
+        downtime shorter than ``dead_after`` revives a merely-stale
+        shard).  The service's drain recovers on a ``shard_revive``
+        record when :meth:`stranded_by_faults` is non-empty; after a
+        detected death the demotion pass already handled the victims.
+        """
+        shard = self.by_id[shard_id]
+        if not shard.alive:
+            shard.revive()
+            self.pending_records.append(
+                ("shard_revive", {"shard": shard_id})
+            )
+
+    def heartbeat(self, now: float) -> None:
+        """One liveness round: beats from the living, then deadlines.
+
+        Quiet rounds (every shard alive, nothing in transition) queue
+        no records and draw no randomness — heartbeats are invisible
+        to the determinism contract.
+        """
+        transitions = []
+        for shard in self.shards:
+            if shard.alive:
+                shard.beat()
+                transitions.extend(
+                    self.liveness.heartbeat(shard.shard_id, now)
+                )
+        transitions.extend(self.liveness.observe(now))
+        for transition in transitions:
+            self._queue_transition(transition)
+
+    def _queue_transition(self, transition: LivenessTransition) -> None:
+        if transition.state is ShardLiveness.DEAD:
+            self._c_demotions.inc()
+        elif (transition.state is ShardLiveness.LIVE
+                and transition.previous is ShardLiveness.PROBATION):
+            self._c_revivals.inc()
+        self.pending_records.append((
+            "shard_state",
+            {
+                "shard": transition.shard_id,
+                "state": transition.state.value,
+                "was": transition.previous.value,
+                "reason": transition.reason,
+            },
+        ))
 
     # -- release -------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from repro.manager.layout import Phase, PhaseTimings
 from repro.obs import DISABLED, Observability
 from repro.reasons import ReasonCode
 
-__all__ = ["Shard", "build_shards"]
+__all__ = ["Shard", "band_width", "build_shards"]
 
 
 class Shard:
@@ -141,6 +141,21 @@ class Shard:
         )
 
 
+def band_width(cols: int, count: int) -> int:
+    """Columns per shard when ``count`` equal bands split ``cols``.
+
+    The one shard-count check: recipe building runs it without
+    building anything, :func:`build_shards` before building.
+    """
+    if count < 1:
+        raise ValueError("shard count must be at least 1")
+    if cols % count != 0:
+        raise ValueError(
+            f"cannot split {cols} columns into {count} equal shards"
+        )
+    return cols // count
+
+
 def build_shards(
     rows: int,
     cols: int,
@@ -158,16 +173,10 @@ def build_shards(
     ``mesh(rows, cols)`` (same default name), the precondition of the
     single-shard lockstep contract.
     """
-    if count < 1:
-        raise ValueError("shard count must be at least 1")
-    if cols % count != 0:
-        raise ValueError(
-            f"cannot split {cols} columns into {count} equal shards"
-        )
+    band = band_width(cols, count)
     if count == 1:
         platforms = [mesh(rows, cols)]
     else:
-        band = cols // count
         platforms = [
             mesh(rows, band, name=f"shard{index}_{rows}x{band}")
             for index in range(count)

@@ -26,7 +26,6 @@ import zlib
 from dataclasses import dataclass, field, fields
 
 from repro.api.pipeline import available_strategies
-from repro.cluster.sim import build_cluster_recipe
 from repro.sim.service import _parse_platform_spec, build_recipe
 from repro.sim.traffic import TRAFFIC_SHAPES
 
@@ -180,37 +179,8 @@ class ScenarioMatrix:
         duration = float(
             self.duration_overrides.get(topology, self.duration)
         )
-        shape = "default" if traffic == FAULT_STORM else traffic
-        if shards > 1:
-            family, dims = _parse_platform_spec(topology)
-            if family != "mesh":
-                raise ValueError(
-                    f"cell {cell_id!r}: sharded cells need a mesh "
-                    f"topology, got {topology!r}"
-                )
-            if mapper != "kairos":
-                raise ValueError(
-                    f"cell {cell_id!r}: sharded cells run the kairos "
-                    f"mapper only (cluster shards own their pipelines)"
-                )
-            if traffic == FAULT_STORM:
-                raise ValueError(
-                    f"cell {cell_id!r}: fault storms are a single-"
-                    "manager condition (clusters model shard kills)"
-                )
-            recipe = build_cluster_recipe(
-                platform=f"{dims[0]}x{dims[1]}",
-                shards=shards,
-                duration=duration,
-                seed=seed,
-                policy=self.policy,
-                rate_scale=self.rate_scale,
-                pool_size=self.pool_size,
-                sample_interval=self.sample_interval,
-                warmup=self.warmup,
-                traffic=shape,
-            )
-        else:
+        storm = traffic == FAULT_STORM
+        try:
             recipe = build_recipe(
                 platform=topology,
                 duration=duration,
@@ -220,15 +190,15 @@ class ScenarioMatrix:
                 pool_size=self.pool_size,
                 sample_interval=self.sample_interval,
                 warmup=self.warmup,
-                traffic=shape,
+                traffic="default" if storm else traffic,
                 mapper=mapper,
-                faults=(
-                    self.storm_epicenters if traffic == FAULT_STORM else 0
-                ),
-                fault_storm=(
-                    self.storm_radius if traffic == FAULT_STORM else 0
-                ),
+                faults=self.storm_epicenters if storm else 0,
+                fault_storm=self.storm_radius if storm else 0,
+                # one shard is the plain service, not a 1-shard cluster
+                shards=shards if shards > 1 else None,
             )
+        except ValueError as exc:
+            raise ValueError(f"cell {cell_id!r}: {exc}") from None
         return ScenarioCell(
             cell_id=cell_id,
             topology=topology,

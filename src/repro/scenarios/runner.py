@@ -2,8 +2,8 @@
 
 :func:`run_sweep` expands a :class:`~repro.scenarios.matrix
 .ScenarioMatrix` and drives every cell through the existing recipe
-entry points (:func:`repro.sim.service.run_recipe` for single-manager
-cells, :func:`repro.cluster.sim.run_cluster_recipe` for sharded ones).
+entry point, :func:`repro.sim.service.run_recipe`, which runs sharded
+cells on the cluster backend.
 With ``jobs > 1`` cells run in a :mod:`multiprocessing` pool;
 ``Pool.map`` preserves submission order and every cell's randomness
 flows from its own recipe seed, so a parallel sweep is bit-identical
@@ -27,7 +27,6 @@ import platform as _platform
 import sys
 import time as _time
 
-from repro.cluster.sim import run_cluster_recipe
 from repro.scenarios.analyzer import ResultAnalyzer
 from repro.scenarios.matrix import ScenarioMatrix
 from repro.sim.service import run_recipe
@@ -39,8 +38,7 @@ __all__ = ["run_cell", "run_sweep", "canonical_payload"]
 def run_cell(payload: dict) -> dict:
     """Execute one cell payload (module-level, so pools can pickle it)."""
     recipe = payload["recipe"]
-    runner = run_cluster_recipe if "shards" in recipe else run_recipe
-    result = runner(recipe, fastpath=payload["fastpath"])
+    result = run_recipe(recipe, fastpath=payload["fastpath"])
     summary = result.metrics.summary()
     duration = float(recipe["duration"])
     phase_latency = summary["phase_latency"]

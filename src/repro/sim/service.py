@@ -37,9 +37,10 @@ unchanged.
 
 :func:`run_simulation` builds kernel + manager + service and hands
 them to :func:`run_service`, the one run loop (the sharded backend in
-:mod:`repro.cluster.sim` runs it too);
-:func:`run_recipe` / :func:`replay_trace` drive the same machinery
-from a JSON recipe so a recorded run can be reproduced bit-identically
+:mod:`repro.cluster.sim` runs it too, with the same service);
+:func:`build_recipe` / :func:`run_recipe` / :func:`replay_trace` drive
+either backend from a JSON recipe — a ``shards`` key makes it a
+cluster run — so a recorded run can be reproduced bit-identically
 (see ``docs/simulation.md``).
 """
 
@@ -85,6 +86,7 @@ from repro.resilience import (
     HealthRegistry,
     HealthState,
     RecoveryEngine,
+    RecoveryPolicy,
     ResilienceConfig,
 )
 from repro.sim.events import Event, EventKernel, EventKind
@@ -424,6 +426,15 @@ class AdmissionService:
     ``admitted``, ``specifications`` and ``obs``.  Element faults and
     the health registry (``state``, ``health``, ``recover``) are
     single-platform only.
+
+    A backend may also keep ``pending_records``, a list of
+    ``(kind, payload)`` trace records it cannot write itself — the
+    cluster's breaker edges, shard kills, revivals and liveness
+    transitions.  :meth:`drain_records` is the one routine that traces
+    and acts on them, run at the end of every entry point that can
+    run backend code.  A ``Kairos`` keeps no queue, so the service
+    drains a private empty list and a plain run pays one truthiness
+    test per probe.
     """
 
     def __init__(
@@ -459,6 +470,11 @@ class AdmissionService:
         )
         self._c_faults = registry.counter("service.faults_injected")
         self._c_repairs = registry.counter("service.repairs_completed")
+        #: the backend's record queue (see :meth:`drain_records`),
+        #: drained in place; the list object is shared, never rebound
+        self._pending: list[tuple[str, dict]] = getattr(
+            manager, "pending_records", []
+        )
         #: resilience mode: transient-fault repairs, the health
         #: registry, and engine-driven recovery with a requeue.  None
         #: (legacy mode) preserves the pre-resilience event stream
@@ -583,17 +599,23 @@ class AdmissionService:
             self.metrics.on_phase_rejection(
                 request.last_failed_phase, request.last_failed_code
             )
-            return False
-        decision = self.manager.admit(request.app, request.app_id)
-        if not decision.admitted:
-            request.last_failed_epoch = epoch
-            request.last_failed_phase = decision.phase.value
-            request.last_failed_code = decision.code
-            self.metrics.on_phase_rejection(decision.phase.value, decision.code)
-            self.metrics.on_attempt_timings(decision.timings)
-            return False
-        self._note_admitted(request, decision.layout, now)
-        return True
+            admitted = False
+        else:
+            decision = self.manager.admit(request.app, request.app_id)
+            admitted = decision.admitted
+            if admitted:
+                self._note_admitted(request, decision.layout, now)
+            else:
+                request.last_failed_epoch = epoch
+                request.last_failed_phase = decision.phase.value
+                request.last_failed_code = decision.code
+                self.metrics.on_phase_rejection(
+                    decision.phase.value, decision.code
+                )
+                self.metrics.on_attempt_timings(decision.timings)
+        if self._pending:
+            self.drain_records(now)
+        return admitted
 
     def _note_admitted(self, request: AdmissionRequest, layout, now: float
                        ) -> None:
@@ -621,31 +643,85 @@ class AdmissionService:
 
     def _departure(self, kernel: EventKernel, event: Event) -> None:
         app_id = event.payload["app_id"]
-        if app_id not in self.manager.admitted:
+        if app_id in self.manager.admitted:
+            self.manager.release(app_id)
+            self.metrics.departed += 1
+            self._c_departed.inc()
+            self.trace.record(kernel.now, "departure", id=app_id)
+            if self._engine is not None:
+                self._engine.note_departed(app_id)
+                # freed capacity first goes to apps a fault displaced —
+                # they were admitted before anything still queued
+                self._drain_requeue(kernel.now)
+            self.policy.on_capacity_freed(self, kernel.now)
+        elif self._engine is not None:
             # lost to a fault before its natural departure.  In
             # resilience mode this event doubles as the requeue
             # deadline: an application whose service time already
             # elapsed must not be revived, so a still-pending entry
             # expires here instead of silently lingering.
-            if self._engine is not None:
-                entry = self._engine.expire(app_id)
-                if entry is not None:
-                    self.metrics.lost += 1
-                    self.trace.record(
-                        kernel.now, "recovery_lost",
-                        id=app_id, reason="recovery_expired",
+            entry = self._engine.expire(app_id)
+            if entry is not None:
+                self.metrics.lost += 1
+                self.trace.record(
+                    kernel.now, "recovery_lost",
+                    id=app_id, reason="recovery_expired",
+                )
+        if self._pending:
+            self.drain_records(kernel.now)
+
+    # -- backend records ---------------------------------------------------
+
+    def drain_records(self, now: float) -> None:
+        """Trace the backend's queued records and act on them.
+
+        Every service entry point that can run backend code ends here,
+        and so do the cluster's scheduled shard-lifecycle closures.
+        After each batch, a demotion to DEAD — or a revival that finds
+        stranded bookkeeping — runs the recovery stanza, and a
+        probation graduate is fresh capacity for the requeue and then
+        the queue policy.  Recovery re-admits through the backend,
+        which may queue more records, hence the loop (it terminates:
+        DEAD shards leave the candidate set and cannot re-demote).
+        """
+        pending = self._pending
+        while pending:
+            batch = pending[:]
+            pending.clear()
+            recover = revived = False
+            for kind, payload in batch:
+                self.trace.record(now, kind, **payload)
+                if kind == "breaker":
+                    self.metrics.breaker_transitions += 1
+                elif kind == "shard_state":
+                    # ShardLiveness values; repro.cluster imports this
+                    # module, so the enum is not importable here
+                    if payload["state"] == "dead":
+                        recover = True
+                    elif (payload["state"] == "live"
+                            and payload["was"] == "probation"):
+                        revived = True
+                elif kind == "shard_kill":
+                    self.metrics.faults_injected += 1
+                    self._c_faults.inc()
+                    self.metrics.on_availability(
+                        now, self.manager.alive_fraction()
                     )
-            return
-        self.manager.release(app_id)
-        self.metrics.departed += 1
-        self._c_departed.inc()
-        self.trace.record(kernel.now, "departure", id=app_id)
-        if self._engine is not None:
-            self._engine.note_departed(app_id)
-            # freed capacity first goes to apps a fault displaced —
-            # they were admitted before anything still queued
-            self._drain_requeue(kernel.now)
-        self.policy.on_capacity_freed(self, kernel.now)
+                elif kind == "shard_revive":
+                    self.metrics.on_availability(
+                        now, self.manager.alive_fraction()
+                    )
+                    recover = recover or bool(
+                        self.manager.stranded_by_faults()
+                    )
+            if recover:
+                self._recover(now)
+            if revived:
+                # a probation graduate is fresh capacity: first the
+                # requeue (kill victims were admitted before anything
+                # still queued), then the queue policy
+                self._drain_requeue(now)
+                self.policy.on_capacity_freed(self, now)
 
     # -- policy callbacks --------------------------------------------------
 
@@ -960,6 +1036,8 @@ class AdmissionService:
             u=sample.utilization, f=sample.fragmentation,
             r=sample.resident, q=sample.queue_depth,
         )
+        if self._pending:
+            self.drain_records(now)
         return sample
 
 
@@ -1029,9 +1107,11 @@ def run_service(
 
     :func:`run_simulation` and
     :func:`repro.cluster.sim.run_cluster_simulation` build their
-    manager + service and hand over here.  ``schedule_backend_events``
-    queues the backend's own events (faults; shard kills and the
-    heartbeat pulse) — it runs after the first arrivals and before the
+    manager and the one :class:`AdmissionService` over it, and hand
+    over here.  ``schedule_backend_events`` queues the backend's own
+    events as closures (faults; shard kills, revivals and the
+    heartbeat pulse, which end in :meth:`AdmissionService
+    .drain_records`) — it runs after the first arrivals and before the
     first tick are scheduled, so same-kind events keep their relative
     sequence numbers.  ``check`` is the backend's integrity assertion,
     called after the run and again after the drain.
@@ -1233,21 +1313,92 @@ def run_simulation(
 # -- recipes: reproducible run descriptions --------------------------------
 
 
-def base_recipe(
-    platform: str,
-    duration: float,
-    seed: int,
-    policy: str,
-    policy_params: dict | None,
-    rate_scale: float,
-    pool_size: int,
-    sample_interval: float,
-    warmup: float,
-    overload: "OverloadConfig | dict | None",
-    traffic: str,
-    traffic_params: dict | None,
+def build_recipe(
+    platform: str = "12x12",
+    duration: float = 120.0,
+    seed: int = 0,
+    policy: str = "fifo",
+    policy_params: dict | None = None,
+    rate_scale: float = 1.0,
+    pool_size: int = 8,
+    sample_interval: float = 5.0,
+    faults: int = 0,
+    warmup: float = 0.0,
+    fault_mttr: float | None = None,
+    fault_links: float = 0.0,
+    fault_storm: int = 0,
+    resilience: "ResilienceConfig | dict | None" = None,
+    overload: "OverloadConfig | dict | None" = None,
+    traffic: str = "default",
+    traffic_params: dict | None = None,
+    mapper: str = "kairos",
+    mapper_params: dict | None = None,
+    shards: int | None = None,
+    kills: int = 0,
+    downtime: float = 20.0,
+    heartbeat: "LivenessPolicy | dict | None" = None,
+    recovery: "RecoveryPolicy | dict | None" = None,
+    allow_split: bool = True,
 ) -> dict:
-    """The validated recipe keys every backend's recipe starts from."""
+    """A JSON-able description that :func:`run_recipe` reproduces exactly.
+
+    The recipe is also the trace header written by ``repro sim
+    --record``, which is what makes ``--replay`` self-contained.
+    ``warmup`` sets the SLA warmup window (metrics only; the decision
+    stream is independent of it, so traces recorded without the key
+    replay unchanged).
+
+    The resilience knobs (``fault_mttr`` — transient faults repaired
+    that much sim-time after injection; ``fault_links`` — fraction of
+    the campaign drawn as link faults; ``fault_storm`` — blast radius
+    of correlated storms, turning ``faults`` into an epicenter count;
+    ``resilience`` — health/recovery policy spec, see
+    :class:`~repro.resilience.ResilienceConfig`) are emitted only when
+    set, so pre-resilience recipes — and the traces recorded from
+    them — stay byte-identical.
+
+    ``traffic`` names a shape from
+    :data:`~repro.sim.traffic.TRAFFIC_SHAPES` (``traffic_params`` are
+    forwarded to the preset); ``mapper`` selects the placement
+    strategy from the pipeline registry.  Both are emitted only when
+    they deviate from the defaults, so pre-scenario recipes stay
+    byte-identical.
+
+    ``shards`` makes the recipe a cluster run: the mesh is split into
+    that many column bands, each a shard of a
+    :class:`~repro.cluster.ClusterManager`, and the platform is
+    recorded as its bare ``"RxC"`` shape.  Only a cluster recipe takes
+    ``kills`` (evenly spaced shard kills, each revived ``downtime``
+    later), ``heartbeat`` (a :class:`~repro.cluster.LivenessPolicy`
+    spec), ``recovery`` and ``allow_split``; it takes no mapper, fault
+    campaign or resilience block, since every shard runs the kairos
+    pipeline and a cluster models failure as shard kills.  Setting a
+    key of the other set (to anything but its default) raises
+    ``ValueError``.
+    """
+    family, dims = _parse_platform_spec(platform)
+    if shards is None:
+        foreign = {
+            "kills": kills, "downtime": downtime != 20.0,
+            "heartbeat": heartbeat is not None,
+            "recovery": recovery is not None,
+            "allow_split": not allow_split,
+        }
+        rule = "cluster-only recipe keys; set shards for a cluster run"
+    else:
+        foreign = {
+            "mapper": mapper != "kairos", "mapper_params": mapper_params,
+            "faults": faults, "fault_mttr": fault_mttr is not None,
+            "fault_links": fault_links, "fault_storm": fault_storm,
+            "resilience": resilience is not None,
+        }
+        rule = (
+            "cannot be combined with shards: every shard runs the "
+            "kairos mapper, and a cluster models failure as shard kills"
+        )
+    stray = [name for name, changed in foreign.items() if changed]
+    if stray:
+        raise ValueError(f"{', '.join(stray)}: {rule}")
     resolved = make_policy(policy, policy_params)  # validate early
     make_traffic_classes(  # validate shape + params early
         traffic, seed=seed, rate_scale=rate_scale, pool_size=pool_size,
@@ -1274,59 +1425,36 @@ def base_recipe(
         # emitted only when set: pre-overload recipes (and the traces
         # recorded from them) stay byte-identical
         recipe["overload"] = overload.describe()
-    return recipe
+    if shards is not None:
+        from repro.cluster.registry import LivenessPolicy
+        from repro.cluster.shard import band_width
+        from repro.cluster.sim import scheduled_kills
 
-
-def build_recipe(
-    platform: str = "12x12",
-    duration: float = 120.0,
-    seed: int = 0,
-    policy: str = "fifo",
-    policy_params: dict | None = None,
-    rate_scale: float = 1.0,
-    pool_size: int = 8,
-    sample_interval: float = 5.0,
-    faults: int = 0,
-    warmup: float = 0.0,
-    fault_mttr: float | None = None,
-    fault_links: float = 0.0,
-    fault_storm: int = 0,
-    resilience: "ResilienceConfig | dict | None" = None,
-    overload: "OverloadConfig | dict | None" = None,
-    traffic: str = "default",
-    traffic_params: dict | None = None,
-    mapper: str = "kairos",
-    mapper_params: dict | None = None,
-) -> dict:
-    """A JSON-able description that :func:`run_recipe` reproduces exactly.
-
-    The recipe is also the trace header written by ``repro sim
-    --record``, which is what makes ``--replay`` self-contained.
-    ``warmup`` sets the SLA warmup window (metrics only; the decision
-    stream is independent of it, so traces recorded without the key
-    replay unchanged).
-
-    The resilience knobs (``fault_mttr`` — transient faults repaired
-    that much sim-time after injection; ``fault_links`` — fraction of
-    the campaign drawn as link faults; ``fault_storm`` — blast radius
-    of correlated storms, turning ``faults`` into an epicenter count;
-    ``resilience`` — health/recovery policy spec, see
-    :class:`~repro.resilience.ResilienceConfig`) are emitted only when
-    set, so pre-resilience recipes — and the traces recorded from
-    them — stay byte-identical.
-
-    ``traffic`` names a shape from
-    :data:`~repro.sim.traffic.TRAFFIC_SHAPES` (``traffic_params`` are
-    forwarded to the preset); ``mapper`` selects the placement
-    strategy from the pipeline registry.  Both are emitted only when
-    they deviate from the defaults, so pre-scenario recipes stay
-    byte-identical.
-    """
-    recipe = base_recipe(
-        platform, duration, seed, policy, policy_params, rate_scale,
-        pool_size, sample_interval, warmup, overload, traffic,
-        traffic_params,
-    )
+        if family != "mesh":
+            raise ValueError(
+                f"platform spec {platform!r}: shards partition a mesh "
+                f"('RxC'), not a {family}"
+            )
+        band_width(dims[1], shards)
+        # the bare shape every cluster recipe has always recorded
+        recipe["platform"] = platform.partition(":")[2] or platform
+        if not isinstance(heartbeat, LivenessPolicy):
+            heartbeat = LivenessPolicy.from_params(heartbeat)
+        if not isinstance(recovery, RecoveryPolicy):
+            recovery = RecoveryPolicy.from_params(recovery)
+        if kills:
+            # validate the campaign fits the horizon before emitting it
+            scheduled_kills(shards, kills, duration, downtime)
+        recipe.update(
+            shards=shards,
+            heartbeat=heartbeat.describe(),
+            recovery=recovery.describe(),
+            allow_split=allow_split,
+            kills=kills,
+        )
+        if kills:
+            recipe["downtime"] = downtime
+        return recipe
     if fault_mttr is not None and fault_mttr <= 0:
         raise ValueError("fault_mttr must be positive (or None)")
     if not 0.0 <= fault_links <= 1.0:
@@ -1457,10 +1585,24 @@ def scheduled_faults(
     return campaign.schedule(times)
 
 
-def recipe_inputs(
+def run_recipe(
     recipe: dict,
-) -> tuple[tuple[TrafficClass, ...], QueuePolicy, SimulationConfig]:
-    """The (classes, policy, config) every backend's recipe describes."""
+    trace_path=None,
+    obs: Observability | None = None,
+    fastpath: bool = True,
+) -> SimulationResult:
+    """Execute a recipe; optionally write the JSONL trace (header first).
+
+    The one place that tells the backends apart: a recipe with a
+    ``"shards"`` key runs
+    :func:`~repro.cluster.sim.run_cluster_simulation`, any other
+    :func:`run_simulation`.  ``fastpath`` toggles the manager's
+    admission gate/memo; it is deliberately *not* part of the recipe —
+    it changes wall-clock, never decisions, so a trace recorded either
+    way replays both ways.  ``obs`` is excluded from the recipe for the
+    same reason: metrics and spans observe the run without
+    influencing it.
+    """
     classes_spec = recipe["classes"]
     classes = make_traffic_classes(
         classes_spec.get("kind", "default"),
@@ -1478,73 +1620,67 @@ def recipe_inputs(
         sample_interval=recipe["sample_interval"],
         warmup=float(recipe.get("warmup", 0.0)),
     )
-    return classes, policy, config
+    overload = OverloadConfig.from_spec(recipe.get("overload"))
+    if "shards" in recipe:
+        # repro.cluster imports this module: import it at call time
+        from repro.cluster.registry import LivenessPolicy
+        from repro.cluster.sim import run_cluster_simulation, scheduled_kills
 
-
-def run_recipe(
-    recipe: dict,
-    trace_path=None,
-    obs: Observability | None = None,
-    fastpath: bool = True,
-) -> SimulationResult:
-    """Execute a recipe; optionally write the JSONL trace (header first).
-
-    ``fastpath`` toggles the manager's admission gate/memo; it is
-    deliberately *not* part of the recipe — it changes wall-clock,
-    never decisions, so a trace recorded either way replays both
-    ways.  ``obs`` is excluded
-    from the recipe for the same reason: metrics and spans observe the
-    run without influencing it.
-    """
-    platform = platform_from_spec(recipe["platform"])
-    classes, policy, config = recipe_inputs(recipe)
-    faults = scheduled_faults(
-        platform, int(recipe.get("faults", 0)),
-        config.duration, config.seed,
-        mttr=recipe.get("fault_mttr"),
-        link_fraction=float(recipe.get("fault_links", 0.0)),
-        storm_radius=int(recipe.get("fault_storm", 0)),
-    )
-    result = run_simulation(
-        platform, classes, policy, config, faults=faults,
-        fastpath=fastpath,
-        resilience=ResilienceConfig.from_spec(recipe.get("resilience")),
-        obs=obs,
-        overload=OverloadConfig.from_spec(recipe.get("overload")),
-        mapper=recipe.get("mapper", "kairos"),
-        mapper_params=recipe.get("mapper_params"),
-    )
+        _family, (rows, cols) = _parse_platform_spec(recipe["platform"])
+        shard_count = int(recipe["shards"])
+        kills = scheduled_kills(
+            shard_count,
+            int(recipe.get("kills", 0)),
+            config.duration,
+            float(recipe.get("downtime", 20.0)),
+        )
+        result = run_cluster_simulation(
+            rows, cols, shard_count, classes, policy, config,
+            kills=kills,
+            liveness=LivenessPolicy.from_params(recipe.get("heartbeat")),
+            recovery=RecoveryPolicy.from_params(recipe.get("recovery")),
+            fastpath=fastpath,
+            allow_split=bool(recipe.get("allow_split", True)),
+            obs=obs,
+            overload=overload,
+        )
+    else:
+        platform = platform_from_spec(recipe["platform"])
+        faults = scheduled_faults(
+            platform, int(recipe.get("faults", 0)),
+            config.duration, config.seed,
+            mttr=recipe.get("fault_mttr"),
+            link_fraction=float(recipe.get("fault_links", 0.0)),
+            storm_radius=int(recipe.get("fault_storm", 0)),
+        )
+        result = run_simulation(
+            platform, classes, policy, config, faults=faults,
+            fastpath=fastpath,
+            resilience=ResilienceConfig.from_spec(recipe.get("resilience")),
+            obs=obs,
+            overload=overload,
+            mapper=recipe.get("mapper", "kairos"),
+            mapper_params=recipe.get("mapper_params"),
+        )
     result.recipe = recipe
     if trace_path is not None:
         write_trace(trace_path, result.trace, header=recipe)
     return result
 
 
-def replay_recorded(
-    path, run: Callable[[dict], SimulationResult], cluster: bool
-) -> tuple[bool, list[str], SimulationResult]:
-    """Re-run a recorded header through ``run`` and diff the streams.
+def replay_trace(path) -> tuple[bool, list[str], SimulationResult]:
+    """Re-run a recorded trace's recipe and diff the decision streams.
 
-    The body of :func:`replay_trace` and
-    :func:`repro.cluster.sim.replay_cluster_trace`; ``cluster`` says
-    which kind of header ``run`` executes (a cluster recipe is the one
-    with a ``"shards"`` key).
+    Any header replays — plain or cluster, :func:`run_recipe` picks
+    the backend.  Returns ``(identical, differences, fresh_result)``;
+    an empty difference list certifies bit-identical event ordering
+    and admission decisions.
     """
     header, records = read_trace(path)
     if header is None:
         raise ValueError(f"{path}: trace has no recipe header; cannot replay")
-    if "shards" in header and not cluster:
-        raise ValueError(
-            f"{path}: this is a cluster trace; replay it with "
-            "repro.cluster.replay_cluster_trace (repro cluster sim --replay)"
-        )
-    if "shards" not in header and cluster:
-        raise ValueError(
-            f"{path}: not a cluster trace (no 'shards' in the header); "
-            "use replay_trace"
-        )
     try:
-        result = run(header)
+        result = run_recipe(header)
     except KeyError as exc:
         # a mutated/truncated header is user input, not a library bug:
         # surface a structured error, never a raw stack trace
@@ -1558,13 +1694,3 @@ def replay_recorded(
         ) from exc
     differences = diff_traces(records, result.trace)
     return not differences, differences, result
-
-
-def replay_trace(path) -> tuple[bool, list[str], SimulationResult]:
-    """Re-run a recorded trace's recipe and diff the decision streams.
-
-    Returns ``(identical, differences, fresh_result)``; an empty
-    difference list certifies bit-identical event ordering and
-    admission decisions.
-    """
-    return replay_recorded(path, run_recipe, cluster=False)

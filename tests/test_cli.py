@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -186,6 +187,83 @@ class TestClusterSim:
             "--duration", "5",
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+#: wall-clock fields, the only output that varies run to run
+_WALL = re.compile(r"\([\d,]+ events/s wall\)")
+_PROFILE_ROW = re.compile(r"^(  \w+\s+\d+)(\s+[\d.]+){4}$")
+
+
+def _masked(text: str) -> str:
+    return "\n".join(
+        _PROFILE_ROW.sub(r"\1 <timings>",
+                         _WALL.sub("(<wall> events/s wall)", line))
+        for line in text.splitlines()
+    ) + "\n"
+
+
+SIM_GOLDEN = """\
+simulated 20 time units on 6x6 (fifo policy, seed 1)
+  events processed : 172 (<wall> events/s wall)
+  offered/admitted : 125 / 59 (blocking 0.459)
+  departures/drops : 42 / 66 {'drained': 16, 'queue_full': 50}
+  admission wait   : p50 0.000, p95 11.879, p99 11.961
+  mean utilization : 0.831 (peak queue depth 16)
+  class batch       : 11/42 admitted (26.19%)
+  class bursty      : 4/5 admitted (80.00%)
+  class interactive : 44/78 admitted (56.41%)
+  faults           : 1 injected, 2 recovered, 0 lost
+  resilience       : 0 repairs, 0 quarantines, availability 0.9861, mttr n/a
+  requeue          : 0 retries, 0 lost-then-recovered
+
+per-phase wall-clock latency (ms per attempt):
+  phase          count       p50       p95       p99      total
+  binding          180 <timings>
+  mapping           67 <timings>
+  routing           59 <timings>
+  short-circuited probes: 0
+"""
+
+CLUSTER_GOLDEN = """\
+simulated 20 time units on 6x6 across 2 shard(s) (fifo policy, seed 0)
+  events processed : 138 (<wall> events/s wall)
+  offered/admitted : 77 / 37 (blocking 0.403)
+  departures/drops : 27 / 40 {'drained': 15, 'queue_full': 11, \
+'shed_watermark': 14}
+  admission wait   : p50 0.000, p95 12.817, p99 14.545
+  mean utilization : 0.535 (peak queue depth 16)
+  class batch       : 7/16 admitted (43.75%)
+  class bursty      : 12/22 admitted (54.55%)
+  class interactive : 18/39 admitted (46.15%)
+  shard kills      : 1 injected, 0 recovered immediately, 4 lost
+  requeue          : 16 retries, 2 lost-then-recovered
+  availability     : 0.8000
+  overload         : 14 shed, 0 deadline-expired, 0 retry-denied
+  brownout         : max level 1, 1 transition(s)
+  breakers         : 0 transition(s), 0 probe(s) refused
+"""
+
+
+class TestGoldenOutput:
+    """Both sim commands share one handler; their stdout is pinned
+    line for line (wall-clock fields masked) so the shared body
+    cannot drift either command's report."""
+
+    def test_sim_stdout(self, capsys):
+        assert main([
+            "sim", "--platform", "6x6", "--duration", "20",
+            "--rate-scale", "4", "--seed", "1", "--faults", "1",
+            "--resilience", "--profile",
+        ]) == 0
+        assert _masked(capsys.readouterr().out) == SIM_GOLDEN
+
+    def test_cluster_sim_stdout(self, capsys):
+        assert main([
+            "cluster", "sim", "--platform", "6x6", "--shards", "2",
+            "--duration", "20", "--rate-scale", "2", "--kills", "1",
+            "--downtime", "8", "--overload",
+        ]) == 0
+        assert _masked(capsys.readouterr().out) == CLUSTER_GOLDEN
 
 
 class TestSweep:

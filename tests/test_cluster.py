@@ -13,10 +13,15 @@ Pins the contracts ``docs/cluster.md`` documents:
   partial allocation survives, asserted via ``verify_integrity``),
   bounded retry on transient failures, immediate abort on
   ``SHARD_DOWN``, structural task-graph splitting;
+* one recipe builder for both backends — ``shards`` is the only key
+  that makes a cluster run, and mixing single-manager keys (mapper,
+  fault campaigns, resilience) with cluster keys (kills, heartbeat,
+  ...) raises ``ValueError``;
 * the single-shard lockstep contract — a 1-shard cluster replays the
-  unsharded service digest-for-digest — plus the digest-pinned
-  shard-kill fixture (``tests/data/cluster_shard_kill.jsonl``), the
-  cluster twin of ``pre_resilience_faults.jsonl``;
+  unsharded service digest-for-digest — plus the committed fixtures,
+  every one replayed by the one replayer, with the shard-kill trace
+  (``tests/data/cluster_shard_kill.jsonl``, the cluster twin of
+  ``pre_resilience_faults.jsonl``) also digest-pinned;
 * the end-to-end kill campaign: kill → missed heartbeats → demotion →
   recovery re-placement → probation → revival, draining to zero with
   clean integrity.
@@ -38,11 +43,8 @@ from repro.cluster import (
     Shard,
     ShardLiveness,
     ShardRouter,
-    build_cluster_recipe,
     build_shards,
     placement_hint,
-    replay_cluster_trace,
-    run_cluster_recipe,
     split_application,
 )
 from repro.cluster.coordinator import ClusterCoordinator
@@ -50,7 +52,7 @@ from repro.cluster.registry import ROUTABLE_STATES
 from repro.manager.layout import Phase, PhaseTimings
 from repro.reasons import ReasonCode
 from repro.resilience import RecoveryEngine
-from repro.sim import build_recipe, run_recipe
+from repro.sim import build_recipe, replay_trace, run_recipe
 from repro.sim.trace import read_trace, trace_digest
 from tests.conftest import chain_app, simple_dsp_task
 
@@ -604,31 +606,75 @@ class TestClusterRecovery:
 
 class TestClusterRecipes:
     def test_recipe_round_trip_and_validation(self):
-        recipe = build_cluster_recipe(**KILL_RECIPE)
+        recipe = build_recipe(**KILL_RECIPE)
         assert recipe["shards"] == 2 and recipe["kills"] == 1
         assert recipe["downtime"] == 15.0
         assert LivenessPolicy.from_params(recipe["heartbeat"]) == (
             LivenessPolicy()
         )
         with pytest.raises(ValueError):
-            build_cluster_recipe(platform="notamesh")
+            build_recipe(platform="notamesh", shards=2)
         with pytest.raises(ValueError):
-            build_cluster_recipe(platform="8x6", shards=4)
+            build_recipe(platform="8x6", shards=4)
         with pytest.raises(ValueError):
             # the revival would land beyond the horizon
-            build_cluster_recipe(platform="8x8", shards=2, duration=10.0,
-                                 kills=1, downtime=50.0)
+            build_recipe(platform="8x8", shards=2, duration=10.0,
+                         kills=1, downtime=50.0)
 
-    def test_plain_replay_rejects_cluster_traces(self, tmp_path):
-        from repro.sim import replay_trace
+    @pytest.mark.parametrize("knob", [
+        {"mapper": "first_fit"},
+        {"mapper_params": {"seed": 1}},
+        {"faults": 2},
+        {"fault_mttr": 5.0},
+        {"fault_links": 0.5},
+        {"fault_storm": 1},
+        {"resilience": {}},
+    ])
+    def test_single_manager_keys_reject_shards(self, knob):
+        (name,) = knob
+        with pytest.raises(ValueError, match=name):
+            build_recipe(platform="8x8", shards=2, **knob)
 
+    @pytest.mark.parametrize("knob", [
+        {"kills": 1},
+        {"downtime": 5.0},
+        {"heartbeat": {"storm_faults": 3}},
+        {"recovery": {"base_delay": 1.0}},
+        {"allow_split": False},
+    ])
+    def test_cluster_keys_need_shards(self, knob):
+        (name,) = knob
+        with pytest.raises(ValueError, match=f"{name}.*shards"):
+            build_recipe(platform="8x8", **knob)
+
+    def test_shards_need_a_mesh(self):
+        with pytest.raises(ValueError, match="mesh"):
+            build_recipe(platform="fat_tree:16", shards=2)
+        # the family prefix is accepted and recorded as the bare shape
+        # every cluster recipe has always carried
+        assert build_recipe(platform="mesh:8x8", shards=2)["platform"] == (
+            build_recipe(platform="8x8", shards=2)["platform"]
+        ) == "8x8"
+
+    def test_building_a_recipe_builds_no_shard(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("recipe building constructed a Shard")
+
+        monkeypatch.setattr(Shard, "__init__", refuse)
+        recipe = build_recipe(platform="48x48", shards=4, kills=1)
+        assert recipe["shards"] == 4
+        with pytest.raises(ValueError, match="48 columns into 5"):
+            build_recipe(platform="48x48", shards=5)
+
+    def test_cluster_trace_replays_through_replay_trace(self, tmp_path):
         path = tmp_path / "cluster.jsonl"
-        recipe = build_cluster_recipe(
+        recipe = build_recipe(
             platform="6x6", shards=1, duration=10.0, rate_scale=2.0
         )
-        run_cluster_recipe(recipe, trace_path=path)
-        with pytest.raises(ValueError, match="replay_cluster_trace"):
-            replay_trace(path)
+        run_recipe(recipe, trace_path=path)
+        identical, differences, result = replay_trace(path)
+        assert identical, differences[:5]
+        assert result.recipe["shards"] == 1
 
 
 # -- the single-shard lockstep contract --------------------------------------
@@ -642,9 +688,7 @@ class TestLockstep:
         and a recovery engine — all of which must be invisible without
         kills: no extra trace records, no extra RNG draws."""
         unsharded = run_recipe(build_recipe(**LOCKSTEP))
-        cluster = run_cluster_recipe(
-            build_cluster_recipe(shards=1, **LOCKSTEP)
-        )
+        cluster = run_recipe(build_recipe(shards=1, **LOCKSTEP))
         assert trace_digest(cluster.trace) == trace_digest(unsharded.trace)
         assert cluster.metrics.admitted == unsharded.metrics.admitted
         assert cluster.metrics.dropped == unsharded.metrics.dropped
@@ -659,7 +703,7 @@ class TestLockstep:
 class TestKillCampaign:
     @pytest.fixture(scope="class")
     def campaign(self):
-        return run_cluster_recipe(build_cluster_recipe(**KILL_RECIPE))
+        return run_recipe(build_recipe(**KILL_RECIPE))
 
     def test_kill_walks_the_full_liveness_arc(self, campaign):
         (kill,) = records_of(campaign.trace, "shard_kill")
@@ -685,22 +729,9 @@ class TestKillCampaign:
 
     def test_campaign_replays_bit_identically(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        run_cluster_recipe(build_cluster_recipe(**KILL_RECIPE),
-                           trace_path=path)
-        identical, differences, _ = replay_cluster_trace(path)
+        run_recipe(build_recipe(**KILL_RECIPE), trace_path=path)
+        identical, differences, _ = replay_trace(path)
         assert identical, differences[:5]
-
-    def test_pinned_fixture_replays_bit_identically(self):
-        """The cluster twin of ``pre_resilience_faults.jsonl``: a
-        committed shard-kill trace must replay byte-for-byte on every
-        future revision — digest-pinned so even a reordered recovery
-        or an extra heartbeat record is caught."""
-        path = FIXTURES / "cluster_shard_kill.jsonl"
-        _header, records = read_trace(path)
-        assert trace_digest(records) == PINNED_KILL_DIGEST
-        identical, differences, result = replay_cluster_trace(path)
-        assert identical, differences[:5]
-        assert trace_digest(result.trace) == trace_digest(records)
 
 
 #: digest of the committed fixture (recorded from ``KILL_RECIPE``);
@@ -710,3 +741,23 @@ PINNED_KILL_DIGEST = (
     "f303e9fac3a9667bb1a2d08ec9448f65"
     "488bfc5e2399f7523feee9447f819e55"
 )
+
+
+# -- the committed fixtures ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(FIXTURES.glob("*.jsonl")), ids=lambda path: path.name
+)
+def test_pinned_fixture_replays_bit_identically(fixture):
+    """Every committed trace — plain and cluster — replays byte-for-byte
+    through the one replayer on every future revision.  The shard-kill
+    fixture (the cluster twin of ``pre_resilience_faults.jsonl``) is
+    also digest-pinned, so even a reordered recovery or an extra
+    heartbeat record is caught."""
+    _header, records = read_trace(fixture)
+    if fixture.name == "cluster_shard_kill.jsonl":
+        assert trace_digest(records) == PINNED_KILL_DIGEST
+    identical, differences, result = replay_trace(fixture)
+    assert identical, differences[:5]
+    assert trace_digest(result.trace) == trace_digest(records)

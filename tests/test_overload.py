@@ -27,11 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.arch import mesh
-from repro.cluster import (
-    build_cluster_recipe,
-    replay_cluster_trace,
-    run_cluster_recipe,
-)
 from repro.manager.kairos import Kairos
 from repro.overload import (
     BreakerPolicy,
@@ -397,12 +392,12 @@ def breaker_cluster_recipe(**overrides):
         ),
     )
     defaults.update(overrides)
-    return build_cluster_recipe(**defaults)
+    return build_recipe(**defaults)
 
 
 class TestClusterBreakers:
     def test_breaker_trips_during_detection_window(self):
-        result = run_cluster_recipe(breaker_cluster_recipe())
+        result = run_recipe(breaker_cluster_recipe())
         assert result.metrics.breaker_transitions > 0
         records = [r for r in result.trace if r["kind"] == "breaker"]
         assert len(records) == result.metrics.breaker_transitions
@@ -414,7 +409,7 @@ class TestClusterBreakers:
             assert record["was"] != record["state"]
 
     def test_breaker_state_in_overload_stats(self):
-        result = run_cluster_recipe(breaker_cluster_recipe())
+        result = run_recipe(breaker_cluster_recipe())
         boards = result.overload_stats["breakers"]
         assert set(boards) == {"s0", "s1", "s2"}
         assert sum(board["opens"] for board in boards.values()) > 0
@@ -422,7 +417,7 @@ class TestClusterBreakers:
     def test_no_breakers_without_config(self):
         recipe = breaker_cluster_recipe()
         recipe.pop("overload")
-        result = run_cluster_recipe(recipe)
+        result = run_recipe(recipe)
         assert result.metrics.breaker_transitions == 0
         assert not [r for r in result.trace if r["kind"] == "breaker"]
 
@@ -441,7 +436,7 @@ class TestDeterminism:
     def test_legacy_cluster_fixture_digest_identical(self):
         header, records = read_trace(CLUSTER_FIXTURE)
         assert "overload" not in header
-        result = run_cluster_recipe(header)
+        result = run_recipe(header)
         assert trace_digest(result.trace) == trace_digest(records)
 
     def test_overload_run_replays_bit_identical(self, tmp_path):
@@ -469,9 +464,9 @@ class TestDeterminism:
     ):
         recipe = breaker_cluster_recipe()
         path = tmp_path / "cluster_overload.jsonl"
-        result = run_cluster_recipe(recipe, trace_path=path)
+        result = run_recipe(recipe, trace_path=path)
         assert result.metrics.breaker_transitions > 0
-        identical, differences, _ = replay_cluster_trace(path)
+        identical, differences, _ = replay_trace(path)
         assert identical, differences[:3]
 
     def test_same_recipe_same_digest(self):
@@ -503,7 +498,7 @@ class TestChaosDrain:
 
     def test_cluster_flash_crowd_kill_drains_to_zero(self):
         recipe = breaker_cluster_recipe(rate_scale=8.0, kills=1)
-        result = run_cluster_recipe(recipe)
+        result = run_recipe(recipe)
         # run_cluster_simulation asserts integrity + empty cluster on
         # drain internally; re-assert the headline numbers here
         assert result.post_drain_utilization == 0.0

@@ -13,9 +13,9 @@ two persistence formats are total over their input spaces —
   succeed (the mutation kept the file well-formed) or raise the
   structured :class:`~repro.sim.trace.TraceFormatError` — never a raw
   ``JSONDecodeError``/``UnicodeDecodeError`` stack trace — and
-  corrupted recipe *headers* make ``replay_trace`` /
-  ``replay_cluster_trace`` raise a plain ``ValueError`` naming the
-  file, never re-raise the underlying ``KeyError``/``TypeError``.
+  corrupted recipe *headers*, plain or cluster, make ``replay_trace``
+  raise a plain ``ValueError`` naming the file, never re-raise the
+  underlying ``KeyError``/``TypeError``.
 
 Example budgets come from the tiered profiles in ``conftest.py``.
 """
@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import build_cluster_recipe
 from repro.overload import (
     BreakerPolicy,
     BrownoutPolicy,
@@ -173,7 +172,7 @@ def test_recipe_header_round_trips(kwargs, tmp_path_factory):
 @settings(deadline=None)
 @given(kwargs=cluster_recipe_kwargs)
 def test_cluster_recipe_header_round_trips(kwargs, tmp_path_factory):
-    recipe = build_cluster_recipe(**kwargs)
+    recipe = build_recipe(**kwargs)
     path = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
     write_trace(path, [], header=recipe)
     header, _ = read_trace(path)
@@ -283,13 +282,12 @@ def test_corrupt_header_replays_as_value_error(tmp_path, header_line):
 
 
 def test_corrupt_cluster_header_replays_as_value_error(tmp_path):
-    from repro.cluster import replay_cluster_trace
-
+    # a cluster header replays through the same replayer
     path = _write_header_trace(
         tmp_path, '{"header": {"shards": 2, "platform": "12x12"}}'
     )
     with pytest.raises(ValueError) as excinfo:
-        replay_cluster_trace(path)
+        replay_trace(path)
     assert str(path) in str(excinfo.value)
 
 

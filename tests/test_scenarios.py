@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,23 @@ from repro.scenarios import (
     storm_matrix,
 )
 from repro.sim.service import run_recipe
+
+
+#: sha256 of each preset's expanded cells at seed 0 (see
+#: ``test_preset_cells_are_pinned``); a mismatch is a recipe-header
+#: regression, not a digest to refresh
+PRESET_DIGESTS = {
+    "smoke_matrix":
+        "ade75368175dafe70d3b0e17ed3cb3ab02106ed3c86b4a484a9f585655a35e9b",
+    "default_matrix":
+        "e0f3e94c8c1e25bc9677b1c276ba413a8b65d4e7e0755861981e082129e92a20",
+    "storm_matrix":
+        "0ed35cac9e04dc0df25835d6608abea25d7758ce8909c7fd88d1da04a165aa00",
+    "large_matrix":
+        "50246f1d006597c8ac947e0cf3ee52202d5b63c6ec0a208bb316cc66768b0d06",
+    "cluster_matrix":
+        "0b8cbd82e7a0dc411fbfd07a8617aa1bd921f16481b2831043e26d008b29ab8a",
+}
 
 
 def tiny_matrix(**overrides) -> ScenarioMatrix:
@@ -174,6 +192,24 @@ class TestMatrix:
             cells = preset().expand()
             assert cells
             assert len({cell.cell_id for cell in cells}) == len(cells)
+
+    @pytest.mark.parametrize("preset", [
+        smoke_matrix, default_matrix, storm_matrix, large_matrix,
+        cluster_matrix,
+    ], ids=lambda preset: preset.__name__)
+    def test_preset_cells_are_pinned(self, preset):
+        """Every preset's cells — id, seed and the recipe as its trace
+        header writes it — hash to the digest recorded when sharded
+        cells still had a builder of their own, so merging the two
+        builders changed no cell."""
+        digest = hashlib.sha256()
+        for cell in preset().expand():
+            digest.update(f"{cell.cell_id}|{cell.seed}|".encode())
+            digest.update(json.dumps(
+                cell.recipe, sort_keys=True, separators=(",", ":")
+            ).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == PRESET_DIGESTS[preset.__name__]
 
 
 class TestSweepDeterminism:
