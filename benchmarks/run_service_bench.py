@@ -97,7 +97,6 @@ def bench_policy(policy: str, duration: float, repeats: int) -> dict:
         "admission_wait": summary["admission_wait"],
         "steady_state": summary["steady_state"],
         "phase_latency": summary["phase_latency"],
-        "probes_short_circuited": summary["probes_short_circuited"],
         "fastpath": best.fastpath_stats,
         "per_class_admission_ratio": {
             name: stats["admission_ratio"]

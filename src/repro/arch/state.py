@@ -28,12 +28,10 @@ as platforms grow.  Use::
 Within a transaction, :meth:`savepoint` / :meth:`rollback_to` provide
 partial undo (used by the exhaustive baseline's branch-and-bound).
 
-The state also maintains **capacity epochs** for the admission fast
+The state also maintains a **capacity epoch** for the admission fast
 path (see :mod:`repro.manager.kairos`): a monotonic mutation counter
-(:attr:`epoch`) bumped by every committed mutation, plus per-resource-
-kind aggregate free counters — platform-wide and per element kind —
-updated incrementally by occupy/vacate/fail/heal.  Both are journaled
-like every other ledger, so a rolled-back attempt restores them
+(:attr:`epoch`) bumped by every committed mutation.  Every journal
+entry moves it by exactly one, so a rolled-back attempt restores it
 bit-exactly; equal epochs therefore certify identical allocation
 state, which is what makes negative-result memoization sound.
 
@@ -367,15 +365,6 @@ class AllocationState:
         # capacity epochs: every committed mutation bumps the counter;
         # rollback restores it, so equal epochs mean identical state
         self._epoch = 0
-        #: element kind per node id (None for routers), for the
-        #: per-kind aggregate updates on the occupy/vacate hot path
-        self._kind_by_id = [
-            node.kind if mask[index] else None
-            for index, node in enumerate(platform._nodes_by_id)
-        ]
-        # aggregate free counters over NON-FAILED elements: platform
-        # totals per resource kind, and the same split per element kind
-        self._agg_free, self._agg_free_kind = self._sum_aggregates()
         #: per application id: task id -> element id, and channel id ->
         #: reservation — the application's keys of ``_placements`` and
         #: ``_reservations`` in the same relative order (maintained at
@@ -460,7 +449,7 @@ class AllocationState:
         # journal must leave a snapshot() equal to the pre-mutation one.
         op = entry[0]
         if op == _OP_OCCUPY:
-            _op, element_id, key, old_free, old_allocated, agg = entry
+            _op, element_id, key, old_free, old_allocated = entry
             occupants = self._occupants[element_id]
             occupants.pop()
             self._free[element_id] = old_free
@@ -468,20 +457,18 @@ class AllocationState:
             _drop_entry(self._app_tasks, key)
             self._wear[element_id] -= 1
             self._allocated_total = old_allocated
-            self._agg_restore(element_id, agg)
             self._refile(element_id)
             if not occupants:
                 self._flip_busy(element_id, -1)
         elif op == _OP_VACATE:
             (_op, element_id, key, occupant, index,
-             old_free, old_allocated, agg) = entry
+             old_free, old_allocated) = entry
             occupants = self._occupants[element_id]
             occupants.insert(index, occupant)
             self._free[element_id] = old_free
             self._placements[key] = element_id
             _add_entry(self._app_tasks, key, element_id)
             self._allocated_total = old_allocated
-            self._agg_restore(element_id, agg)
             if self._bucket_of[element_id] is not None:
                 self._refile(element_id)
             if len(occupants) == 1:
@@ -517,16 +504,14 @@ class AllocationState:
                     saturated[slot] = 1
                 bw_used[slot] = old_bws[position]
         elif op == _OP_FAIL_ELEMENT:
-            _op, element_id, was_failed, agg = entry
+            _op, element_id, was_failed = entry
             if not was_failed:
                 self._failed_elements.discard(element_id)
-                self._agg_restore(element_id, agg)
                 self._file(element_id)
         elif op == _OP_HEAL_ELEMENT:
-            _op, element_id, was_failed, agg = entry
+            _op, element_id, was_failed = entry
             if was_failed:
                 self._failed_elements.add(element_id)
-                self._agg_restore(element_id, agg)
                 self._unfile(element_id)
         elif op == _OP_FAIL_LINK:
             _op, link_id, was_failed = entry
@@ -544,7 +529,7 @@ class AllocationState:
         # bit-exactly, and the negative-result memo stays sound
         self._epoch -= 1
 
-    # -- capacity epochs and aggregate free counters -----------------------
+    # -- capacity epochs ---------------------------------------------------
 
     @property
     def epoch(self) -> int:
@@ -561,13 +546,12 @@ class AllocationState:
     def touch(self) -> None:
         """Bump the epoch without mutating any ledger.
 
-        Epoch-keyed caches (the admission gate's negative-result memo,
-        the sim service's per-request short-circuit) assume a decision
-        is a pure function of (spec, state-at-epoch).  When something
-        *outside* the ledgers that decisions depend on changes — the
-        health registry shifting soft avoidance penalties is the one
-        such input — the certificate must be revoked even though the
-        ledgers are untouched.  Bumping the epoch does exactly that:
+        Epoch-keyed caches (the admission gate's negative-result memo)
+        assume a decision is a pure function of (spec, state-at-epoch).
+        When something *outside* the ledgers that decisions depend on
+        changes — the health registry shifting soft avoidance penalties
+        is the one such input — the certificate must be revoked even
+        though the ledgers are untouched.  Bumping the epoch does exactly that:
         "equal epochs certify identical state" stays true (the bump
         only makes identical states *look* distinct, costing cache
         hits, never soundness).
@@ -586,65 +570,6 @@ class AllocationState:
         if self._availability is None:
             self._availability = AvailabilityCache(self)
         return self._availability
-
-    def aggregate_free(self) -> dict:
-        """Total free per resource kind over non-failed elements (copy)."""
-        return dict(self._agg_free)
-
-    def aggregate_free_by_kind(self) -> dict:
-        """Per-element-kind split of :meth:`aggregate_free` (copies)."""
-        return {
-            kind: dict(values)
-            for kind, values in self._agg_free_kind.items()
-        }
-
-    def _agg_entries(self, element_id: int, vector: ResourceVector) -> tuple:
-        """Pre-mutation aggregate values touched by ``vector`` (undo data)."""
-        by_kind = self._agg_free_kind.setdefault(
-            self._kind_by_id[element_id], {}
-        )
-        agg = self._agg_free
-        return tuple(
-            (resource, agg.get(resource, 0), by_kind.get(resource, 0))
-            for resource in vector._data
-        )
-
-    def _agg_apply(
-        self, element_id: int, vector: ResourceVector, sign: int
-    ) -> None:
-        by_kind = self._agg_free_kind.setdefault(
-            self._kind_by_id[element_id], {}
-        )
-        agg = self._agg_free
-        for resource, quantity in vector._data.items():
-            delta = quantity if sign > 0 else -quantity
-            agg[resource] = agg.get(resource, 0) + delta
-            by_kind[resource] = by_kind.get(resource, 0) + delta
-
-    def _agg_restore(self, element_id: int, entries: tuple) -> None:
-        by_kind = self._agg_free_kind.setdefault(
-            self._kind_by_id[element_id], {}
-        )
-        agg = self._agg_free
-        for resource, total, per_kind in entries:
-            agg[resource] = total
-            by_kind[resource] = per_kind
-
-    def _sum_aggregates(self) -> tuple[dict, dict]:
-        agg: dict = {}
-        agg_kind: dict = {}
-        failed = self._failed_elements
-        for element_id in self.platform.element_ids:
-            if element_id in failed:
-                continue
-            kind = self._kind_by_id[element_id]
-            by_kind = agg_kind.get(kind)
-            if by_kind is None:
-                by_kind = agg_kind[kind] = {}
-            for resource, quantity in self._free[element_id]._data.items():
-                agg[resource] = agg.get(resource, 0) + quantity
-                by_kind[resource] = by_kind.get(resource, 0) + quantity
-        return agg, agg_kind
 
     # -- the capacity index -------------------------------------------------
     #
@@ -769,8 +694,8 @@ class AllocationState:
         vectors, occupant lists, placements, failure flags, journal)
         and raise AssertionError where the incrementally maintained
         copy differs: the capacity index, busy-neighbour counts,
-        bucket links, per-app task counts, aggregates, the allocated
-        total and the epoch.  O(platform); for tests."""
+        bucket links, per-app task counts, the allocated total and the
+        epoch.  O(platform); for tests."""
 
         def check(ok: bool, what: str) -> None:
             if not ok:
@@ -823,16 +748,6 @@ class AllocationState:
             == len(self._placements),
             "occupants vs placements",
         )
-        agg, agg_kind = self._sum_aggregates()
-        for live, fresh in [(self._agg_free, agg)] + [
-            (self._agg_free_kind.get(kind, {}), values)
-            for kind, values in agg_kind.items()
-        ]:
-            for resource in set(live) | set(fresh):
-                check(
-                    close(live.get(resource, 0), fresh.get(resource, 0)),
-                    f"aggregate free {resource!r}",
-                )
         allocated = sum(
             occupant.requirement.total()
             for occupants in self._occupants if occupants
@@ -917,10 +832,8 @@ class AllocationState:
         self._allocated_total = old_allocated + requirement.total()
         if self._journal is not None:
             self._journal.append(
-                (_OP_OCCUPY, element_id, key, old_free, old_allocated,
-                 self._agg_entries(element_id, requirement))
+                (_OP_OCCUPY, element_id, key, old_free, old_allocated)
             )
-        self._agg_apply(element_id, requirement, -1)
         self._refile(element_id)
         if len(occupants) == 1:
             self._flip_busy(element_id, 1)
@@ -945,19 +858,13 @@ class AllocationState:
                 self._allocated_total = (
                     old_allocated - occupant.requirement.total()
                 )
-                # a failed element's free capacity is excluded from the
-                # aggregates, so vacating a task stranded on one must
-                # not add its share back
-                failed = element_id in self._failed_elements
                 if self._journal is not None:
                     self._journal.append(
                         (_OP_VACATE, element_id, key, occupant, index,
-                         old_free, old_allocated,
-                         () if failed else self._agg_entries(
-                             element_id, occupant.requirement))
+                         old_free, old_allocated)
                     )
-                if not failed:
-                    self._agg_apply(element_id, occupant.requirement, 1)
+                # a failed element is not filed in the capacity index
+                if self._bucket_of[element_id] is not None:
                     self._refile(element_id)
                 _drop_entry(self._app_tasks, key)
                 if not occupants:
@@ -1152,15 +1059,9 @@ class AllocationState:
         """
         element_id = self._element_id(element)
         was_failed = element_id in self._failed_elements
-        agg = () if was_failed else self._agg_entries(
-            element_id, self._free[element_id]
-        )
         if self._journal is not None:
-            self._journal.append(
-                (_OP_FAIL_ELEMENT, element_id, was_failed, agg)
-            )
+            self._journal.append((_OP_FAIL_ELEMENT, element_id, was_failed))
         if not was_failed:
-            self._agg_apply(element_id, self._free[element_id], -1)
             self._unfile(element_id)
         self._failed_elements.add(element_id)
         self._epoch += 1
@@ -1168,16 +1069,10 @@ class AllocationState:
     def heal_element(self, element: ProcessingElement | str) -> None:
         element_id = self._element_id(element)
         was_failed = element_id in self._failed_elements
-        agg = self._agg_entries(
-            element_id, self._free[element_id]
-        ) if was_failed else ()
         if self._journal is not None:
-            self._journal.append(
-                (_OP_HEAL_ELEMENT, element_id, was_failed, agg)
-            )
+            self._journal.append((_OP_HEAL_ELEMENT, element_id, was_failed))
         self._failed_elements.discard(element_id)
         if was_failed:
-            self._agg_apply(element_id, self._free[element_id], 1)
             self._file(element_id)
         self._epoch += 1
 
@@ -1295,15 +1190,10 @@ class AllocationState:
             },
             "failed_elements": set(self.failed_elements),
             "failed_links": set(self.failed_links),
-            # the incremental total, epoch and aggregates verbatim, so
-            # equality also certifies the journal restored them exactly
+            # the incremental total and epoch verbatim, so equality
+            # also certifies the journal restored them exactly
             "allocated_total": self._allocated_total,
             "epoch": self._epoch,
-            "agg_free": dict(self._agg_free),
-            "agg_free_kind": {
-                kind: dict(values)
-                for kind, values in self._agg_free_kind.items()
-            },
         }
 
     # -- helpers ------------------------------------------------------------

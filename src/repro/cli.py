@@ -659,8 +659,6 @@ def _cmd_sim(args) -> int:
             print(f"  {phase:<12} {row['count']:>7} "
                   f"{row['p50_ms']:>9.3f} {row['p95_ms']:>9.3f} "
                   f"{row['p99_ms']:>9.3f} {row['total_ms']:>10.1f}")
-        print(f"  short-circuited probes: "
-              f"{summary['probes_short_circuited']}")
     return _export_observed(args, result)
 
 

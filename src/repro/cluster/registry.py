@@ -34,10 +34,10 @@ policy threshold even while its heartbeats still arrive.
 ``generation`` increments on every transition.  The cluster folds it
 into its composite capacity epoch (see
 :class:`repro.cluster.service.ClusterManager`), which is what keeps
-the admission service's failed-probe short-circuit sound across
-demotions and revivals: a revival adds capacity without touching any
-shard-local epoch, so without the generation a stale failure could be
-replayed against a cluster that can now admit the request.
+epoch-stamped observations of the cluster sound across demotions and
+revivals: a revival adds capacity without touching any shard-local
+epoch, so without the generation two observations of different
+clusters could compare equal.
 """
 
 from __future__ import annotations

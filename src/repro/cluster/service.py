@@ -11,11 +11,10 @@ re-admits shard-kill victims through it without knowing shards exist
 
 The composite **cluster epoch** is ``(liveness generation, per-shard
 epoch tuple)``.  Two equal epochs certify that every shard's committed
-state *and* the routable set are unchanged, so the admission service's
-failed-probe short-circuit stays sound across the cluster: a shard
-revival changes no shard-local epoch but does bump the liveness
-generation, invalidating failure memos recorded when the cluster was
-smaller.  Epochs are compared by equality only — tuples are fine.
+state *and* the routable set are unchanged, so an epoch-stamped
+decision or plan stays sound across the cluster: a shard revival
+changes no shard-local epoch but does bump the liveness generation,
+invalidating observations made when the cluster was smaller.  Epochs are compared by equality only — tuples are fine.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ it sees is kernel sim-time, never the wall clock), shard kills and
 shard revivals.  Each calls the manager, which queues its trace
 records, then the service's one drain
 (:meth:`~repro.sim.service.AdmissionService.drain_records`) traces
-them and runs recovery.  Queue policies, the epoch short-circuit, the
+them and runs recovery.  Queue policies, the backfill guard, the
 recovery stanza and requeue and the drain are the plain service's,
 which is what makes the single-shard cluster bit-identical to the
 unsharded service (no kills → no extra trace records, no extra RNG

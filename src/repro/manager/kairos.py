@@ -16,9 +16,9 @@ and fault recovery (re-allocating applications stranded by element or
 link failures), the run-time capabilities motivating the paper.
 
 On top of the atomic pipeline sits the **admission fast path**
-(:class:`AdmissionGate`, enabled by default): a sound pre-pipeline
-feasibility gate over the state's aggregate free counters plus a
-negative-result memo keyed on ``(spec digest, capacity epoch)``, so
+(:class:`AdmissionGate`, enabled by default): a negative-result memo
+keyed on ``(spec digest, capacity epoch)`` plus the binder's own
+first-round availability question asked before the pipeline runs, so
 attempts destined to fail — and re-probes of identical specs against
 unchanged state, the backfill pattern of :mod:`repro.sim.service` —
 are rejected without touching the binder.  See the "Fast path"
@@ -59,19 +59,14 @@ VALIDATION_MODES = ("enforce", "report", "skip")
 #: services cycle a bounded spec pool, so this is a safety net only)
 _MEMO_LIMIT = 65536
 
-#: relative slack of the aggregate-capacity rejection threshold — wide
-#: enough to absorb float ULP drift of the incremental counters, far
-#: below any integer-quantity difference
-_AGG_SLACK = 1e-9
-
 
 class AdmissionGate:
     """The admission fast path: feasibility gate + negative-result memo.
 
-    Soundness contract: **every rejection raised here would also be
-    raised by the full pipeline against the same state** — the gate
-    only proves infeasibility, it never guesses.  Three layers, from
-    cheapest to dearest:
+    Soundness contract: **every rejection raised here is the one the
+    full pipeline would raise against the same state** — same phase,
+    same reason, same code; the gate only proves infeasibility, it
+    never guesses.  Two layers, from cheapest to dearest:
 
     1. **Negative-result memo** — rejections are remembered keyed on
        ``(spec digest, state.epoch)``.  A re-probe of an identical
@@ -80,14 +75,7 @@ class AdmissionGate:
        O(1).  Sound because equal epochs certify bit-identical
        allocation state (see :class:`~repro.arch.state.AllocationState`)
        and the pipeline is deterministic in (spec, state).
-    2. **Aggregate-capacity checks** — per resource kind, the sum over
-       tasks of the componentwise *minimum* requirement across each
-       task's implementations is a lower bound on what any binding
-       consumes; if it exceeds the platform-wide (or, for tasks whose
-       implementations all target one element kind, the per-kind)
-       aggregate free counter, the binder's provisional pool cannot
-       possibly fit the application, so binding must fail.
-    3. **Per-implementation feasible-element checks** — a task none of
+    2. **Per-implementation feasible-element checks** — a task none of
        whose implementations has *any* element with sufficient free
        capacity right now fails the binder's very first regret round.
        Answered by the state's
@@ -97,28 +85,25 @@ class AdmissionGate:
        binding performs no state mutations, so a surviving attempt
        re-reads them for free.
 
-    Layers 2 and 3 reject exactly where the ungated pipeline would:
-    in the **binding** phase.  Results that survive the gate run the
-    pipeline unchanged, so gated and ungated managers produce
-    bit-identical layouts and decisions (asserted by
+    Layer 2 rejects exactly where and how the ungated pipeline would:
+    in the **binding** phase, on the same task, with the binder's
+    message and code.  Results that survive the gate run the pipeline
+    unchanged, so gated and ungated managers produce bit-identical
+    layouts, decisions and failure reasons (asserted by
     ``tests/test_fastpath.py``).
     """
 
     __slots__ = (
-        "state", "platform", "c_memo_hits", "c_gate_rejections",
-        "c_gate_passes", "_memo", "_demand",
+        "state", "c_memo_hits", "c_gate_rejections", "c_gate_passes",
+        "_memo",
     )
 
     def __init__(self, state: AllocationState, registry=None) -> None:
         self.state = state
-        self.platform = state.platform
         #: digest -> (epoch, Phase, reason, code); entries
         #: self-invalidate when the epoch moves on and are pruned on
         #: mismatch
         self._memo: dict[str, tuple[int, Phase, str, ReasonCode]] = {}
-        #: digest -> (app, total demand, per-element-kind demand);
-        #: demands are platform-static per specification
-        self._demand: dict[str, tuple] = {}
         registry = DISABLED.registry if registry is None else registry
         self.c_memo_hits = registry.counter("gate.memo_hits")
         self.c_gate_rejections = registry.counter("gate.rejections")
@@ -161,7 +146,7 @@ class AdmissionGate:
 
     def check_feasible(self, app: Application, digest: str, app_id: str) -> None:
         """Raise (and memoize) iff the spec is provably inadmissible."""
-        rejection = self._infeasible_reason(app, digest)
+        rejection = self._infeasible_reason(app)
         if rejection is None:
             self.c_gate_passes.inc()
             return
@@ -173,39 +158,9 @@ class AdmissionGate:
         raise failure
 
     def _infeasible_reason(
-        self, app: Application, digest: str
+        self, app: Application
     ) -> tuple[str, ReasonCode] | None:
-        state = self.state
-        total, by_kind = self._demand_of(app, digest)
-        agg = state._agg_free
-        # the incremental aggregate counters can drift from the ledger
-        # sum by float ULPs under churn with float quantities, so the
-        # rejection threshold carries a tiny slack — integer workloads
-        # (where differences are >= 1) are unaffected, and a slack-wide
-        # miss merely defers the rejection to the binder
-        for resource, needed in total.items():
-            have = agg.get(resource, 0)
-            if needed > have and needed - have > _AGG_SLACK * (1.0 + abs(have)):
-                return (
-                    f"aggregate demand exceeds free capacity: needs "
-                    f"{needed:g} {resource}, platform has {have:g} free",
-                    ReasonCode.AGGREGATE_CAPACITY,
-                )
-        agg_kind = state._agg_free_kind
-        for kind, demand in by_kind.items():
-            bucket = agg_kind.get(kind)
-            for resource, needed in demand.items():
-                have = bucket.get(resource, 0) if bucket else 0
-                if needed > have and (
-                    needed - have > _AGG_SLACK * (1.0 + abs(have))
-                ):
-                    return (
-                        f"aggregate demand exceeds free {kind.value} "
-                        f"capacity: needs {needed:g} {resource}, "
-                        f"{have:g} free",
-                        ReasonCode.AGGREGATE_CAPACITY,
-                    )
-        availability = state.availability
+        availability = self.state.availability
         for name in sorted(app.tasks):
             task = app.tasks[name]
             for impl in task.implementations:
@@ -221,53 +176,6 @@ class AdmissionGate:
                     ReasonCode.NO_FEASIBLE_IMPLEMENTATION,
                 )
         return None
-
-    def _demand_of(self, app: Application, digest: str) -> tuple[dict, dict]:
-        cached = self._demand.get(digest)
-        if cached is not None:
-            return cached[1], cached[2]
-        if len(self._demand) >= _MEMO_LIMIT:
-            self._demand.clear()  # cache, not state — like the memo
-        total: dict = {}
-        by_kind: dict = {}
-        for task in app.tasks.values():
-            mins: dict = {}
-            kinds = set()
-            first = True
-            for impl in task.implementations:
-                kinds.add(self._impl_kind(impl))
-                data = impl.requirement._data
-                if first:
-                    mins.update(data)
-                    first = False
-                else:
-                    # componentwise min; a kind absent from any
-                    # implementation has minimum zero and drops out
-                    for resource in list(mins):
-                        quantity = data.get(resource)
-                        if quantity is None:
-                            del mins[resource]
-                        elif quantity < mins[resource]:
-                            mins[resource] = quantity
-            for resource, quantity in mins.items():
-                total[resource] = total.get(resource, 0) + quantity
-            if len(kinds) == 1:
-                kind = next(iter(kinds))
-                if kind is not None:
-                    bucket = by_kind.setdefault(kind, {})
-                    for resource, quantity in mins.items():
-                        bucket[resource] = bucket.get(resource, 0) + quantity
-        self._demand[digest] = (app, total, by_kind)
-        return total, by_kind
-
-    def _impl_kind(self, impl):
-        """Element kind an implementation charges, or None if unknown."""
-        if impl.target_kind is not None:
-            return impl.target_kind
-        node_id = self.platform._node_ids.get(impl.target_element)
-        if node_id is None or not self.platform._is_element_mask[node_id]:
-            return None
-        return self.platform._nodes_by_id[node_id].kind
 
 
 @dataclass

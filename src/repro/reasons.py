@@ -6,8 +6,8 @@ admission failed with free-form f-strings: the gate memo, the
 service's drop records and :class:`~repro.manager.kairos.RecoveryReport`
 all carried strings that callers compared verbatim.  This module
 interns those strings into one :class:`ReasonCode` enum so a decision
-can be routed on (``code is ReasonCode.AGGREGATE_CAPACITY``) instead
-of parsed.
+can be routed on (``code is ReasonCode.NO_FEASIBLE_IMPLEMENTATION``)
+instead of parsed.
 
 Design constraints:
 
@@ -47,12 +47,9 @@ class ReasonCode(enum.StrEnum):
     INVALID_SPECIFICATION = "invalid_specification"
 
     # -- admission gate / binding phase --------------------------------------
-    #: aggregate demand provably exceeds platform (or element-kind)
-    #: free capacity — the gate's layer-2 rejection
-    AGGREGATE_CAPACITY = "aggregate_capacity"
     #: some task has no implementation with any feasible element right
-    #: now — raised identically by the gate's layer 3 and the binder's
-    #: first regret round
+    #: now — raised identically by the gate's availability check and
+    #: the binder's first regret round
     NO_FEASIBLE_IMPLEMENTATION = "no_feasible_implementation"
     BINDING_INFEASIBLE = "binding_infeasible"
 

@@ -83,10 +83,6 @@ class ServiceMetrics:
     departed: int = 0
     retries: int = 0
     queued: int = 0
-    #: probes skipped because the capacity epoch was unchanged since
-    #: the request's last failed attempt (the outcome is replayed from
-    #: the recorded failure — same decision, none of the pipeline cost)
-    probes_short_circuited: int = 0
     #: drop reason -> count ("rejected", "queue_full", "timeout",
     #: "retries_exhausted", "drained") — the queue-policy members of
     #: :class:`repro.reasons.ReasonCode`; keys are their string values
@@ -94,8 +90,8 @@ class ServiceMetrics:
     rejections_by_phase: dict[str, int] = field(default_factory=dict)
     #: pipeline rejections by machine-readable ReasonCode value —
     #: finer-grained than the per-phase counts (e.g. distinguishes
-    #: gate aggregate-capacity rejections from no-feasible-
-    #: implementation ones, both "binding")
+    #: mapping-anchor failures from search exhaustion, both
+    #: "mapping")
     rejections_by_code: dict[str, int] = field(default_factory=dict)
     #: wall-clock seconds per pipeline phase, one sample per attempt in
     #: which the phase actually ran (admitted and rejected alike)
@@ -318,7 +314,6 @@ class ServiceMetrics:
             ),
             "queued": self.queued,
             "retries": self.retries,
-            "probes_short_circuited": self.probes_short_circuited,
             "phase_latency": self.phase_latency_summary(),
             "blocking_probability": self.blocking_probability,
             "admission_wait": {

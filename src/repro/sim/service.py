@@ -116,13 +116,6 @@ class AdmissionRequest:
     #: event enforcing it
     deadline: float | None = None
     deadline_event: Event | None = None
-    #: capacity epoch at the last failed probe plus the phase/reason it
-    #: failed with — when the epoch is unchanged, a re-probe is
-    #: provably identical, so the service replays the outcome without
-    #: running the pipeline (see :meth:`AdmissionService.try_admit`)
-    last_failed_epoch: int | None = None
-    last_failed_phase: str | None = None
-    last_failed_code: "ReasonCode | None" = None
 
 
 # -- queue policies ---------------------------------------------------------
@@ -142,7 +135,8 @@ class QueuePolicy:
     def on_capacity_freed(
         self, service: "AdmissionService", now: float
     ) -> None:
-        """Backfill hook, called after every departure and recovery."""
+        """Backfill hook, called by :meth:`AdmissionService.backfill`
+        after every capacity event; never re-entered."""
 
     def depth(self) -> int:
         return 0
@@ -290,7 +284,7 @@ class FifoPolicy(_BoundedQueuePolicy):
         # a timed-out head was the only thing blocking its followers:
         # re-probe, or requests that already fit would sit until their
         # own timeouts
-        self.on_capacity_freed(service, now)
+        service.backfill(now)
 
 
 class PriorityPolicy(_BoundedQueuePolicy):
@@ -465,11 +459,10 @@ class AdmissionService:
         self._c_departed = registry.counter("service.departed")
         self._c_retries = registry.counter("service.retries")
         self._c_queued = registry.counter("service.queued")
-        self._c_short_circuits = registry.counter(
-            "service.probes_short_circuited"
-        )
         self._c_faults = registry.counter("service.faults_injected")
         self._c_repairs = registry.counter("service.repairs_completed")
+        #: the re-entrancy guard of :meth:`backfill`
+        self._backfilling = self._refill = False
         #: the backend's record queue (see :meth:`drain_records`),
         #: drained in place; the list object is shared, never rebound
         self._pending: list[tuple[str, dict]] = getattr(
@@ -570,19 +563,11 @@ class AdmissionService:
 
         Never recurses into the policy — backfill hooks call this
         directly so a failed backfill probe leaves the request where
-        it is.
-
-        Epoch short-circuit: when the state's capacity epoch is
-        unchanged since this request's last failed probe, the state is
-        bit-identical and the deterministic pipeline would fail in the
-        same phase for the same reason — the recorded outcome is
-        replayed in O(1).  This works with the manager's fast path
-        disabled too (it is the queue-policy-level half of the fast
-        path: the FIFO timeout re-probe and the priority policy's
-        greedy scan hit it constantly).  Attempt accounting and the
-        per-phase rejection counters advance exactly as if the
-        pipeline had run, so decisions, traces and metrics are
-        unchanged.
+        it is, and a backfill that a drained record asks for while one
+        is running is deferred (see :meth:`backfill`).  A re-probe
+        against an unchanged capacity epoch is answered by the
+        manager's gate memo (see
+        :class:`~repro.manager.kairos.AdmissionGate`).
         """
         if request.holding is None and request.cls is None:
             # checked before allocate: admitting an app we could never
@@ -592,27 +577,15 @@ class AdmissionService:
                 "a traffic class to sample one from"
             )
         request.attempts += 1
-        epoch = self.manager.epoch
-        if request.last_failed_epoch == epoch:
-            self.metrics.probes_short_circuited += 1
-            self._c_short_circuits.inc()
-            self.metrics.on_phase_rejection(
-                request.last_failed_phase, request.last_failed_code
-            )
-            admitted = False
+        decision = self.manager.admit(request.app, request.app_id)
+        admitted = decision.admitted
+        if admitted:
+            self._note_admitted(request, decision.layout, now)
         else:
-            decision = self.manager.admit(request.app, request.app_id)
-            admitted = decision.admitted
-            if admitted:
-                self._note_admitted(request, decision.layout, now)
-            else:
-                request.last_failed_epoch = epoch
-                request.last_failed_phase = decision.phase.value
-                request.last_failed_code = decision.code
-                self.metrics.on_phase_rejection(
-                    decision.phase.value, decision.code
-                )
-                self.metrics.on_attempt_timings(decision.timings)
+            self.metrics.on_phase_rejection(
+                decision.phase.value, decision.code
+            )
+            self.metrics.on_attempt_timings(decision.timings)
         if self._pending:
             self.drain_records(now)
         return admitted
@@ -653,7 +626,7 @@ class AdmissionService:
                 # freed capacity first goes to apps a fault displaced —
                 # they were admitted before anything still queued
                 self._drain_requeue(kernel.now)
-            self.policy.on_capacity_freed(self, kernel.now)
+            self.backfill(kernel.now)
         elif self._engine is not None:
             # lost to a fault before its natural departure.  In
             # resilience mode this event doubles as the requeue
@@ -669,6 +642,27 @@ class AdmissionService:
                 )
         if self._pending:
             self.drain_records(kernel.now)
+
+    def backfill(self, now: float) -> None:
+        """Offer freed capacity to the queue policy's backfill.
+
+        A backfill probe can drain a record whose recovery frees
+        capacity again while the probed request is admitted but not
+        yet dequeued; a nested backfill would probe it twice.  So a
+        nested call only notes the freed capacity, and the outer call
+        re-runs the backfill once its scan has returned.
+        """
+        if self._backfilling:
+            self._refill = True
+            return
+        self._backfilling = True
+        try:
+            self._refill = True
+            while self._refill:
+                self._refill = False
+                self.policy.on_capacity_freed(self, now)
+        finally:
+            self._backfilling = False
 
     # -- backend records ---------------------------------------------------
 
@@ -721,7 +715,7 @@ class AdmissionService:
                 # requeue (kill victims were admitted before anything
                 # still queued), then the queue policy
                 self._drain_requeue(now)
-                self.policy.on_capacity_freed(self, now)
+                self.backfill(now)
 
     # -- policy callbacks --------------------------------------------------
 
@@ -893,7 +887,7 @@ class AdmissionService:
                 app_id, self._engine.policy.base_delay
             )
         if outcome.lost or outcome.recovered:
-            self.policy.on_capacity_freed(self, now)
+            self.backfill(now)
 
     def _repair(self, kernel: EventKernel, event: Event) -> None:
         """A transient fault's MTTR elapsed: maybe heal, then drain."""
@@ -920,7 +914,7 @@ class AdmissionService:
             self._note_transitions(self.health.on_repair(fault, now), now)
         self._note_availability(now)
         self._drain_requeue(now)
-        self.policy.on_capacity_freed(self, now)
+        self.backfill(now)
 
     def _schedule_recovery_retry(self, app_id: str, delay: float) -> None:
         """Make sure a requeued app has a backoff wake-up pending."""
@@ -973,9 +967,8 @@ class AdmissionService:
         transitions = self.health.observe(now)
         if transitions:
             # soft penalties changed without a ledger mutation: bump
-            # the capacity epoch so gate memos and the probe
-            # short-circuit cannot replay outcomes computed against
-            # the old cost surface
+            # the capacity epoch so the gate memo cannot replay
+            # outcomes computed against the old cost surface
             self.manager.touch()
             self._note_transitions(transitions, now)
 
@@ -1012,8 +1005,8 @@ class AdmissionService:
             occupancy = self.policy.depth() / capacity if capacity else 0.0
             for was, level, action in self._brownout.observe(occupancy):
                 # levels change the decision function (mapper, search
-                # depth): bump the epoch so gate memos and the probe
-                # short-circuit cannot replay pre-transition outcomes
+                # depth): bump the epoch so the gate memo cannot
+                # replay pre-transition outcomes
                 self.manager.touch()
                 self.metrics.brownout_transitions += 1
                 self.metrics.max_brownout_level = max(

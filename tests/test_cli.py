@@ -221,7 +221,6 @@ per-phase wall-clock latency (ms per attempt):
   binding          180 <timings>
   mapping           67 <timings>
   routing           59 <timings>
-  short-circuited probes: 0
 """
 
 CLUSTER_GOLDEN = """\

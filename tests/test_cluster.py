@@ -50,9 +50,10 @@ from repro.cluster import (
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.registry import ROUTABLE_STATES
 from repro.manager.layout import Phase, PhaseTimings
+from repro.overload import OverloadConfig
 from repro.reasons import ReasonCode
 from repro.resilience import RecoveryEngine
-from repro.sim import build_recipe, replay_trace, run_recipe
+from repro.sim import AdmissionService, build_recipe, replay_trace, run_recipe
 from repro.sim.trace import read_trace, trace_digest
 from tests.conftest import chain_app, simple_dsp_task
 
@@ -730,6 +731,39 @@ class TestKillCampaign:
     def test_campaign_replays_bit_identically(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         run_recipe(build_recipe(**KILL_RECIPE), trace_path=path)
+        identical, differences, _ = replay_trace(path)
+        assert identical, differences[:5]
+
+
+#: ``repro cluster sim --platform 12x12 --shards 4 --duration 100
+#: --rate-scale 8 --seed 1 --policy priority --kills 2 --overload``: a
+#: priority-backfill probe drains a shard-death record whose recovery
+#: frees capacity while the probed request is admitted but not yet
+#: dequeued
+REENTRANT_RECIPE = dict(
+    platform="12x12", shards=4, duration=100.0, rate_scale=8.0, seed=1,
+    policy="priority", kills=2, overload=OverloadConfig.defaults(),
+)
+
+
+class TestReentrantBackfill:
+    def test_capacity_freed_during_a_backfill_reruns_it_afterwards(
+        self, tmp_path, monkeypatch
+    ):
+        """A nested backfill request is deferred, not run inside the
+        outer scan, which would probe an admitted request again."""
+        nested = []
+        original = AdmissionService.backfill
+
+        def spy(service, now):
+            nested.append(service._backfilling)
+            original(service, now)
+
+        monkeypatch.setattr(AdmissionService, "backfill", spy)
+        path = tmp_path / "reentrant.jsonl"
+        result = run_recipe(build_recipe(**REENTRANT_RECIPE), trace_path=path)
+        assert any(nested), "the recipe no longer re-enters the backfill"
+        assert result.post_drain_utilization == 0.0
         identical, differences, _ = replay_trace(path)
         assert identical, differences[:5]
 

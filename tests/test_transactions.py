@@ -369,14 +369,14 @@ class TestNestedTransactionCaches:
                 elif roll < 0.85 or not checkpoints:
                     checkpoints.append((
                         state.savepoint(), state.epoch,
-                        state.aggregate_free(),
+                        state.snapshot(),
                         sorted(
                             e.name
                             for e in state.availability.available(impl)
                         ),
                     ))
                 else:
-                    mark, epoch, agg, avail = checkpoints.pop(
+                    mark, epoch, snapshot, avail = checkpoints.pop(
                         rng.randrange(len(checkpoints))
                     )
                     state.rollback_to(mark)
@@ -385,7 +385,8 @@ class TestNestedTransactionCaches:
                         c for c in checkpoints if c[0] <= mark
                     ]
                     assert state.epoch == epoch
-                    assert state.aggregate_free() == agg
+                    assert state.snapshot() == snapshot
+                    state.check_invariants()
                     assert sorted(
                         e.name
                         for e in state.availability.available(impl)
