@@ -371,8 +371,9 @@ class AdmissionController:
     def recover(self, applications=None, order: str = "admission"):
         """One immediate recovery pass (see :meth:`Kairos.recover`).
 
-        For structured per-application :class:`Decision` outcomes, a
-        requeue and retry budgets, use :meth:`recovery_engine`.
+        Its :class:`~repro.resilience.RecoveryOutcome` holds every
+        re-admission's :class:`Decision`; for a requeue and retry
+        budgets, use :meth:`recovery_engine`.
         """
         return self.manager.recover(applications, order=order)
 

@@ -107,7 +107,7 @@ class FaultCampaign:
         """Pair each pending fault with an injection time, in order.
 
         The ``(time, fault)`` pairs feed the discrete-event simulation
-        (:func:`repro.sim.service.run_simulation`), which injects each
+        (:func:`repro.sim.run.run_simulation`), which injects each
         fault at its sim-time instant and immediately runs
         :meth:`repro.manager.kairos.Kairos.recover`.  ``times`` must be
         non-decreasing and provide one instant per pending fault

@@ -39,6 +39,17 @@ from repro.arch import crisp
 from repro.core import CostWeights
 from repro.io import load_application, pack_application, save_application, sniff
 from repro.manager import generate_plan
+from repro.resilience import RecoveryPolicy, ResilienceConfig
+from repro.sim.recipe import (
+    BACKEND_KEYS,
+    build_recipe,
+    replay_trace,
+    run_recipe,
+)
+
+#: unset values of the recipe keys only ``repro sim`` or only
+#: ``repro cluster sim`` runs — the flags' defaults
+_PLAIN, _CLUSTER = BACKEND_KEYS["plain"], BACKEND_KEYS["cluster"]
 
 
 def _add_weights(parser: argparse.ArgumentParser) -> None:
@@ -160,22 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--traffic", default="default",
                      help="named traffic shape: default, hot_spot, "
                           "diurnal_mmpp, flash_crowd (default: default)")
-    sim.add_argument("--mapper", default="kairos",
+    sim.add_argument("--mapper", default=_PLAIN["mapper"],
                      help="placement strategy from the pipeline registry "
                           "(kairos, first_fit, random, annealing, optimal; "
                           "default kairos)")
-    sim.add_argument("--faults", type=int, default=0,
+    sim.add_argument("--faults", type=int, default=_PLAIN["faults"],
                      help="random element faults spread over the run")
-    sim.add_argument("--fault-mttr", type=float, default=None,
+    sim.add_argument("--fault-mttr", type=float,
+                     default=_PLAIN["fault_mttr"],
                      metavar="TIME",
                      help="make every fault transient: the resource is "
                           "repaired TIME sim-time after injection "
                           "(default: faults are permanent)")
-    sim.add_argument("--fault-links", type=float, default=0.0,
+    sim.add_argument("--fault-links", type=float,
+                     default=_PLAIN["fault_links"],
                      metavar="FRACTION",
                      help="fraction of the fault campaign drawn as link "
                           "faults instead of element faults (default 0)")
-    sim.add_argument("--fault-storm", type=int, default=0,
+    sim.add_argument("--fault-storm", type=int,
+                     default=_PLAIN["fault_storm"],
                      metavar="RADIUS",
                      help="correlated fault storms: --faults becomes the "
                           "epicenter count and each storm takes down the "
@@ -235,12 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     csim.add_argument("--shards", type=int, default=2,
                       help="shard count; must divide the mesh columns "
                            "(default 2)")
-    csim.add_argument("--kills", type=int, default=0,
+    csim.add_argument("--kills", type=int, default=_CLUSTER["kills"],
                       help="shard kills spread evenly over the run")
-    csim.add_argument("--downtime", type=float, default=20.0,
+    csim.add_argument("--downtime", type=float, default=_CLUSTER["downtime"],
                       help="sim-time between a kill and its revival "
-                           "(default 20)")
-    csim.add_argument("--no-split", action="store_true",
+                           "(default %(default)g)")
+    csim.add_argument("--no-split", dest="allow_split",
+                      action="store_false", default=_CLUSTER["allow_split"],
                       help="disable cross-shard admission of "
                            "applications no single shard can host")
 
@@ -460,8 +475,6 @@ def _overload_config(args):
 
 def _replay(args) -> int:
     """``--replay`` of either sim command: re-run, diff, report."""
-    from repro.sim import replay_trace
-
     if args.record:
         print("error: --replay and --record are mutually exclusive "
               "(replay re-runs the recorded recipe)", file=sys.stderr)
@@ -489,8 +502,6 @@ def _run_observed(args, recipe):
 
     Returns the result, or None after printing the error.
     """
-    from repro.sim import run_recipe
-
     obs = None
     if args.metrics_out or args.trace_spans:
         from repro.obs import enabled
@@ -568,35 +579,21 @@ def _print_run_summary(args, result, summary: dict, where: str) -> None:
 
 def _cmd_sim(args) -> int:
     """``repro sim`` and ``repro cluster sim``: one recipe, one run."""
-    from repro.sim import build_recipe
-
     if args.replay:
         return _replay(args)
     cluster = args.command == "cluster"
+    backend = {
+        key: getattr(args, key)
+        for key in (_CLUSTER if cluster else _PLAIN) if hasattr(args, key)
+    }
     if cluster:
-        backend = dict(
-            shards=args.shards,
-            kills=args.kills,
-            downtime=args.downtime,
-            allow_split=not args.no_split,
-        )
+        backend["shards"] = args.shards
         where = f"{args.platform} across {args.shards} shard(s)"
     else:
-        resilience = None
-        if args.resilience:
-            from repro.resilience import RecoveryPolicy, ResilienceConfig
-            resilience = ResilienceConfig(
-                recovery=RecoveryPolicy(order=args.recovery_order)
-            )
-        backend = dict(
-            faults=args.faults,
-            fault_mttr=args.fault_mttr,
-            fault_links=args.fault_links,
-            fault_storm=args.fault_storm,
-            resilience=resilience,
-            traffic=args.traffic,
-            mapper=args.mapper,
-        )
+        backend["resilience"] = ResilienceConfig(
+            recovery=RecoveryPolicy(order=args.recovery_order)
+        ) if args.resilience else None
+        backend["traffic"] = args.traffic
         where = args.platform
     try:
         recipe = build_recipe(

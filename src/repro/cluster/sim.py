@@ -1,10 +1,10 @@
 """Sharded admission-service simulation: heartbeats, kills, recovery.
 
 :func:`run_cluster_simulation` is the cluster twin of
-:func:`~repro.sim.service.run_simulation`: the plain
+:func:`~repro.sim.run.run_simulation`: the plain
 :class:`~repro.sim.service.AdmissionService` over a
 :class:`~repro.cluster.service.ClusterManager`, run by the one loop
-(:func:`~repro.sim.service.run_service`).  The shard lifecycle is
+(:func:`~repro.sim.run.run_service`).  The shard lifecycle is
 three kinds of scheduled closure, the way faults are scheduled:
 heartbeat pulses (the liveness registry's only clock — every timestamp
 it sees is kernel sim-time, never the wall clock), shard kills and
@@ -44,15 +44,10 @@ from repro.overload import OverloadConfig
 from repro.resilience import RecoveryPolicy, ResilienceConfig
 from repro.sim.events import Event, EventKernel, EventKind
 from repro.sim.metrics import ServiceMetrics
-from repro.sim.service import (
-    AdmissionService,
-    QueuePolicy,
-    SimulationConfig,
-    SimulationResult,
-    build_recipe,
-    run_recipe,
-    run_service,
-)
+from repro.sim.policies import QueuePolicy
+from repro.sim.recipe import build_recipe, run_recipe
+from repro.sim.run import SimulationConfig, SimulationResult, run_service
+from repro.sim.service import AdmissionService
 from repro.sim.traffic import TrafficClass
 
 __all__ = [
@@ -125,7 +120,7 @@ def run_cluster_simulation(
 
     Only the backend differs: kernel seed, per-class arrival RNG
     streams, request id sequence, tick scheme and drain order are
-    :func:`repro.sim.service.run_service`, the loop ``run_simulation``
+    :func:`repro.sim.run.run_service`, the loop ``run_simulation``
     runs too — that plus quiet heartbeats is the whole lockstep
     argument for ``shard_count == 1``.  The run additionally asserts
     the cluster integrity invariants before and after the drain: no
@@ -145,9 +140,7 @@ def run_cluster_simulation(
     service = AdmissionService(
         cluster, policy, kernel,
         metrics=ServiceMetrics(warmup=config.warmup),
-        resilience=ResilienceConfig(
-            recovery=recovery if recovery is not None else RecoveryPolicy()
-        ),
+        resilience=ResilienceConfig(recovery=recovery or RecoveryPolicy()),
         overload=overload,
     )
     interval = cluster.liveness.policy.heartbeat_interval

@@ -7,7 +7,7 @@ from repro.manager.bootstrap import (
     StartTask,
     generate_plan,
 )
-from repro.manager.kairos import Kairos, RecoveryReport
+from repro.manager.kairos import Kairos
 from repro.manager.layout import (
     AllocationFailure,
     ExecutionLayout,
@@ -34,7 +34,6 @@ __all__ = [
     "PhaseTimings",
     "PositionSummary",
     "ProgramRoute",
-    "RecoveryReport",
     "SequenceRecorder",
     "StartTask",
     "failure_distribution",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from repro.apps.taskgraph import Application, TaskGraphError
 from repro.arch.state import AllocationError, AllocationState
@@ -44,6 +43,12 @@ from repro.manager.layout import (
 )
 from repro.obs import DISABLED, Observability
 from repro.reasons import ReasonCode
+from repro.resilience.health import HealthAwareCost
+from repro.resilience.recovery import (
+    RecoveryEngine,
+    RecoveryOutcome,
+    RecoveryPolicy,
+)
 from repro.routing.router import BaseRouter, BfsRouter
 from repro.validation.builder import SdfModelOptions
 
@@ -178,22 +183,6 @@ class AdmissionGate:
         return None
 
 
-@dataclass
-class RecoveryReport:
-    """Outcome of a fault-recovery pass.
-
-    ``lost`` keeps the human-readable reason strings (they are
-    recorded verbatim in sim decision traces, so their format is
-    frozen); ``lost_codes`` carries the machine-readable
-    :class:`~repro.reasons.ReasonCode` per lost application.
-    """
-
-    stranded: tuple[str, ...] = ()
-    recovered: dict[str, ExecutionLayout] = field(default_factory=dict)
-    lost: dict[str, str] = field(default_factory=dict)  #: app_id -> reason
-    lost_codes: dict[str, ReasonCode] = field(default_factory=dict)
-
-
 class Kairos:
     """Four-phase run-time spatial resource manager.
 
@@ -281,10 +270,6 @@ class Kairos:
             )
         self.health = health
         if health is not None:
-            # lazy import: repro.resilience.recovery imports this
-            # module for the legacy RecoveryReport shape
-            from repro.resilience.health import HealthAwareCost
-
             self.cost = HealthAwareCost(self.cost, health)
         self.mapping_options = mapping_options
         self.router = router or BfsRouter()
@@ -540,7 +525,7 @@ class Kairos:
         self,
         applications: dict[str, Application] | None = None,
         order: str = "admission",
-    ) -> RecoveryReport:
+    ) -> RecoveryOutcome:
         """Re-allocate every stranded application on the degraded platform.
 
         ``applications`` optionally overrides the original
@@ -548,25 +533,25 @@ class Kairos:
         manager's own :attr:`specifications` registry is used, so
         ``recover()`` with no arguments is always sufficient.  Each
         stranded application is released and re-allocated from
-        scratch; irrecoverable ones are reported in ``lost``.
+        scratch; the pass's :class:`~repro.resilience.RecoveryOutcome`
+        reports irrecoverable ones in ``lost``.
 
         ``order`` controls re-admission order (delegated to a
         :class:`~repro.resilience.RecoveryEngine` pass).  The default
         is ``"admission"`` — oldest admitted first, so a long-resident
         large application is re-placed before younger arrivals can
         fragment the degraded platform under it.  ``"name"`` restores
-        the historical alphabetical order (the sim service pins it on
-        the legacy path so pre-resilience traces replay byte-exactly);
+        the historical alphabetical order (the sim service's engine
+        keeps it without a resilience config, so pre-resilience traces
+        replay byte-exactly);
         ``"priority"`` and ``"size"`` are available for policy studies.
         For a persistent engine with a requeue and retry budget, build
         a :class:`~repro.resilience.RecoveryEngine` directly.
         """
-        from repro.resilience.recovery import RecoveryEngine, RecoveryPolicy
-
         engine = RecoveryEngine(
             self, RecoveryPolicy(order=order, requeue=False)
         )
-        return engine.recovery_pass(applications=applications).report()
+        return engine.recovery_pass(applications=applications)
 
     # -- metrics ----------------------------------------------------------------
 

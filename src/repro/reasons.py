@@ -3,11 +3,11 @@
 Before the :mod:`repro.api` façade the library described *why* an
 admission failed with free-form f-strings: the gate memo, the
 :class:`~repro.manager.layout.AllocationFailure` exception, the sim
-service's drop records and :class:`~repro.manager.kairos.RecoveryReport`
-all carried strings that callers compared verbatim.  This module
-interns those strings into one :class:`ReasonCode` enum so a decision
-can be routed on (``code is ReasonCode.NO_FEASIBLE_IMPLEMENTATION``)
-instead of parsed.
+service's drop records and the fault-recovery report all carried
+strings that callers compared verbatim.  This module interns those
+strings into one :class:`ReasonCode` enum so a decision can be routed
+on (``code is ReasonCode.NO_FEASIBLE_IMPLEMENTATION``) instead of
+parsed.
 
 Design constraints:
 

@@ -148,19 +148,11 @@ class RecoveryOutcome:
     recovered: dict[str, object] = field(default_factory=dict)
     #: app_id -> human-readable reason it sits in the requeue
     deferred: dict[str, str] = field(default_factory=dict)
+    #: app_id -> human-readable reason; recorded verbatim in sim
+    #: decision traces, so its format is frozen
     lost: dict[str, str] = field(default_factory=dict)
+    #: app_id -> the machine-readable reason of each lost application
     lost_codes: dict[str, ReasonCode] = field(default_factory=dict)
-
-    def report(self):
-        """The legacy :class:`~repro.manager.kairos.RecoveryReport` view."""
-        from repro.manager.kairos import RecoveryReport
-
-        return RecoveryReport(
-            stranded=self.stranded,
-            recovered=dict(self.recovered),
-            lost=dict(self.lost),
-            lost_codes=dict(self.lost_codes),
-        )
 
 
 class RecoveryEngine:

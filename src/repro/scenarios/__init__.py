@@ -12,7 +12,7 @@ reproduction across topology x traffic x strategy grids:
   execution with bit-identical results either way, and the canonical
   (timing-stripped) payload used for determinism assertions,
 * :mod:`repro.scenarios.analyzer` — :class:`ResultAnalyzer`:
-  per-condition rollups, best-strategy and speedup tables,
+  per-condition rollups and best-strategy tables,
 * :mod:`repro.scenarios.report` — markdown rendering for
   ``BENCH_scenarios.md``.
 

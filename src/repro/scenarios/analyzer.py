@@ -4,9 +4,8 @@
 :func:`repro.scenarios.runner.run_cell` and renders the POMA-style
 aggregation layer (SNIPPETS.md Snippet 3): per-condition summary
 tables on every axis (built on
-:class:`repro.obs.stats.StatsAggregator`), a best-strategy-per-
-condition table and a speedup table for the wall-clock toggle
-(fastpath).
+:class:`repro.obs.stats.StatsAggregator`) and a best-strategy-per-
+condition table.
 
 The analysis splits like the cells do: everything under
 ``"decisions"``/``"best_strategy"`` is deterministic
@@ -29,9 +28,7 @@ _DECISION_METRICS = (
     "peak_queue_depth",
 )
 #: axes a condition table is rendered for
-_AXES = ("topology", "traffic", "mapper", "fastpath", "shards")
-#: wall-clock toggles with on/off speedup tables
-_TOGGLES = ("fastpath",)
+_AXES = ("topology", "traffic", "mapper", "shards")
 
 
 class ResultAnalyzer:
@@ -73,15 +70,12 @@ class ResultAnalyzer:
 
         Winner = highest goodput, ties broken by lower blocking then
         mapper name — all decision metrics, so the table is
-        deterministic.  Only baseline cells (fastpath on, unsharded)
-        compete, keeping the comparison apples to apples when those
-        axes are swept too.
+        deterministic.  Only unsharded cells compete, keeping the
+        comparison apples to apples when shards are swept too.
         """
         groups: dict[tuple[str, str], list[dict]] = {}
         for cell in self.cells:
             axes = cell["axes"]
-            if not axes["fastpath"]:
-                continue
             if axes["shards"] != 1:
                 continue
             groups.setdefault(
@@ -113,58 +107,17 @@ class ResultAnalyzer:
             }
         return table
 
-    def speedup_table(self, toggle: str) -> dict:
-        """Wall-clock ratio off/on for cells differing only in ``toggle``.
-
-        A ratio above 1.0 means the toggle pays off.  Wall-clock, so
-        this lives in the analysis ``"timing"`` section.
-        """
-        if toggle not in _TOGGLES:
-            raise ValueError(
-                f"unknown toggle {toggle!r}; choose from {_TOGGLES}"
-            )
-        by_key: dict[tuple, dict] = {}
-        for cell in self.cells:
-            axes = dict(cell["axes"])
-            state = axes.pop(toggle)
-            key = tuple(sorted(axes.items()))
-            by_key.setdefault(key, {})[state] = cell
-        table = {}
-        for pair in by_key.values():
-            if True not in pair or False not in pair:
-                continue
-            on, off = pair[True], pair[False]
-            wall_on = on["timing"]["wall_seconds"]
-            wall_off = off["timing"]["wall_seconds"]
-            table[on["cell_id"]] = {
-                "wall_on": wall_on,
-                "wall_off": wall_off,
-                "speedup": (wall_off / wall_on) if wall_on > 0 else None,
-                # toggled pairs share a recipe seed, so their decision
-                # streams must match — a False here is a determinism bug
-                "decisions_identical": (
-                    on["decisions"]["trace_digest"]
-                    == off["decisions"]["trace_digest"]
-                ),
-            }
-        return table
-
     # -- the full bundle ---------------------------------------------------
 
     def analysis(self) -> dict:
         """Everything, split into deterministic vs wall-clock sections."""
-        timing = {
-            toggle: self.speedup_table(toggle) for toggle in _TOGGLES
-        }
-        timing = {
-            toggle: table for toggle, table in timing.items() if table
-        }
         walls = [cell["timing"]["wall_seconds"] for cell in self.cells]
         shares = [cell["timing"]["mapping_share"] for cell in self.cells]
-        timing["mean_wall_seconds"] = mean(walls) if walls else None
-        timing["mean_mapping_share"] = mean(shares) if shares else None
         return {
             "decisions": self.condition_tables(),
             "best_strategy": self.best_strategy(),
-            "timing": timing,
+            "timing": {
+                "mean_wall_seconds": mean(walls) if walls else None,
+                "mean_mapping_share": mean(shares) if shares else None,
+            },
         }

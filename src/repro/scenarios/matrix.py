@@ -2,21 +2,19 @@
 
 A :class:`ScenarioMatrix` is the cross product of three axis groups —
 *topology* (platform specs, see
-:func:`repro.sim.service.platform_from_spec`), *traffic* (named shapes
+:func:`repro.sim.recipe.platform_from_spec`), *traffic* (named shapes
 from :data:`repro.sim.traffic.TRAFFIC_SHAPES`, plus the synthetic
 ``"fault_storm"`` condition which drives the default mix through a
 correlated :class:`~repro.arch.faults.FaultCampaign` storm) and
-*strategy* (registered mappers, fastpath on/off, shard counts).
+*strategy* (registered mappers, shard counts).
 :meth:`ScenarioMatrix.expand` turns every combination into a
 :class:`ScenarioCell` holding a complete, JSON-able recipe plus a per-cell seed derived from the
 matrix seed and the cell's decision-relevant coordinates with
 :func:`zlib.crc32` — stable across processes (unlike builtin
 ``hash``), so a parallel sweep reproduces a serial one bit-for-bit.
 
-Axis values that change *decisions* (topology, traffic, mapper,
-shards) live inside the recipe; fastpath changes only wall-clock
-and rides alongside it, exactly as in
-:func:`repro.sim.service.run_recipe`.
+Every axis value (topology, traffic, mapper, shards) lives inside
+the recipe that :func:`repro.sim.recipe.run_recipe` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import zlib
 from dataclasses import dataclass, field, fields
 
 from repro.api.pipeline import available_strategies
-from repro.sim.service import _parse_platform_spec, build_recipe
+from repro.sim.recipe import _parse_platform_spec, build_recipe
 from repro.sim.traffic import TRAFFIC_SHAPES
 
 __all__ = [
@@ -41,6 +39,8 @@ __all__ = [
 
 #: synthetic traffic condition: default mix under a correlated fault storm
 FAULT_STORM = "fault_storm"
+#: the tuple-valued fields whose cross product is the matrix
+_AXES = ("topologies", "traffic", "mappers", "shards")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class ScenarioCell:
     topology: str
     traffic: str
     mapper: str
-    fastpath: bool
     shards: int
     seed: int
     recipe: dict
@@ -62,7 +61,6 @@ class ScenarioCell:
             "topology": self.topology,
             "traffic": self.traffic,
             "mapper": self.mapper,
-            "fastpath": self.fastpath,
             "shards": self.shards,
         }
 
@@ -72,7 +70,6 @@ class ScenarioCell:
             "cell_id": self.cell_id,
             "axes": self.axes(),
             "recipe": self.recipe,
-            "fastpath": self.fastpath,
             "seed": self.seed,
         }
 
@@ -99,7 +96,6 @@ class ScenarioMatrix:
     topologies: tuple[str, ...]
     traffic: tuple[str, ...] = ("default",)
     mappers: tuple[str, ...] = ("kairos",)
-    fastpath: tuple[bool, ...] = (True,)
     shards: tuple[int, ...] = (1,)
     policy: str = "fifo"
     duration: float = 20.0
@@ -113,8 +109,7 @@ class ScenarioMatrix:
     duration_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for axis in ("topologies", "traffic", "mappers", "fastpath",
-                     "shards"):
+        for axis in _AXES:
             if not getattr(self, axis):
                 raise ValueError(f"matrix axis {axis!r} must be non-empty")
         for spec in self.topologies:
@@ -149,31 +144,24 @@ class ScenarioMatrix:
     def expand(self) -> list[ScenarioCell]:
         """Every axis combination as a seeded, recipe-carrying cell.
 
-        Expansion order is fixed (topology, traffic, mapper, fastpath,
-        shards nested left-to-right), so cell order — and
-        with it the report layout — is deterministic.
+        Expansion order is fixed (topology, traffic, mapper, shards
+        nested left-to-right), so cell order — and with it the report
+        layout — is deterministic.
         """
-        cells = []
-        for combo in itertools.product(
-            self.topologies, self.traffic, self.mappers,
-            self.fastpath, self.shards,
-        ):
-            cells.append(self._build_cell(*combo))
-        return cells
+        return [
+            self._build_cell(*combo)
+            for combo in itertools.product(
+                self.topologies, self.traffic, self.mappers, self.shards,
+            )
+        ]
 
     def _build_cell(
-        self, topology: str, traffic: str, mapper: str,
-        fastpath: bool, shards: int,
+        self, topology: str, traffic: str, mapper: str, shards: int,
     ) -> ScenarioCell:
-        cell_id = (
-            f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}|sh{shards}"
-        )
-        # the seed ignores the wall-clock toggle and the mapper: cells
-        # differing only in fastpath share one recipe, so a toggled
-        # pair has the same decision stream (what makes speedup tables
-        # an apples-to-apples comparison), and mappers of one condition
-        # face the same arrivals (what makes best-mapper tables one) —
-        # both asserted in tests
+        cell_id = f"{topology}|{traffic}|{mapper}|sh{shards}"
+        # the seed ignores the mapper: mappers of one condition face
+        # the same arrivals, which makes best-mapper tables an
+        # apples-to-apples comparison (asserted in tests)
         condition_id = f"{topology}|{traffic}|sh{shards}"
         seed = _cell_seed(self.seed, condition_id)
         duration = float(
@@ -204,7 +192,6 @@ class ScenarioMatrix:
             topology=topology,
             traffic=traffic,
             mapper=mapper,
-            fastpath=fastpath,
             shards=shards,
             seed=seed,
             recipe=recipe,
@@ -232,8 +219,7 @@ class ScenarioMatrix:
                 f"known: {sorted(known)}"
             )
         kwargs = dict(spec)
-        for axis in ("topologies", "traffic", "mappers", "fastpath",
-                     "shards"):
+        for axis in _AXES:
             if axis in kwargs:
                 kwargs[axis] = tuple(kwargs[axis])
         return cls(**kwargs)

@@ -3,8 +3,7 @@
 :func:`render_report` turns the JSON report produced by
 :func:`repro.scenarios.runner.run_sweep` into the markdown document
 committed as ``BENCH_scenarios.md`` — matrix overview, per-condition
-tables, best-strategy-per-condition, toggle speedups and a per-cell
-appendix.
+tables, best-strategy-per-condition and a per-cell appendix.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ __all__ = ["render_report", "render_reports"]
 def _fmt(value, digits: int = 3) -> str:
     if value is None:
         return "—"
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, float):
         return f"{value:.{digits}f}"
     return str(value)
@@ -81,18 +78,6 @@ def render_report(report: dict) -> str:
             ["topology|traffic", "best", "goodput", "blocking",
              "runner-up", "margin"],
             rows,
-        ))
-
-    table = analysis.get("timing", {}).get("fastpath")
-    if table:
-        lines.append("### Fastpath speedup (wall-clock)")
-        lines.append("")
-        rows = [
-            [cell_id, row["wall_on"], row["wall_off"], row["speedup"]]
-            for cell_id, row in sorted(table.items())
-        ]
-        lines.extend(_table(
-            ["cell", "wall on (s)", "wall off (s)", "speedup"], rows,
         ))
 
     lines.append("### Cells")

@@ -2,7 +2,7 @@
 
 :func:`run_sweep` expands a :class:`~repro.scenarios.matrix
 .ScenarioMatrix` and drives every cell through the existing recipe
-entry point, :func:`repro.sim.service.run_recipe`, which runs sharded
+entry point, :func:`repro.sim.recipe.run_recipe`, which runs sharded
 cells on the cluster backend.
 With ``jobs > 1`` cells run in a :mod:`multiprocessing` pool;
 ``Pool.map`` preserves submission order and every cell's randomness
@@ -29,7 +29,7 @@ import time as _time
 
 from repro.scenarios.analyzer import ResultAnalyzer
 from repro.scenarios.matrix import ScenarioMatrix
-from repro.sim.service import run_recipe
+from repro.sim.recipe import run_recipe
 from repro.sim.trace import trace_digest
 
 __all__ = ["run_cell", "run_sweep", "canonical_payload"]
@@ -38,7 +38,7 @@ __all__ = ["run_cell", "run_sweep", "canonical_payload"]
 def run_cell(payload: dict) -> dict:
     """Execute one cell payload (module-level, so pools can pickle it)."""
     recipe = payload["recipe"]
-    result = run_recipe(recipe, fastpath=payload["fastpath"])
+    result = run_recipe(recipe)
     summary = result.metrics.summary()
     duration = float(recipe["duration"])
     phase_latency = summary["phase_latency"]

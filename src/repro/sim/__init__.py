@@ -11,11 +11,14 @@ record/replay facility on top of the transactional Kairos core:
   deterministic tie-breaking,
 * :mod:`repro.sim.traffic` — Poisson/MMPP arrivals, exponential and
   lognormal holding times, per-class generator pools,
+* :mod:`repro.sim.policies` — the pluggable queue policies (reject,
+  bounded FIFO with timeout, priority classes, retry-with-backoff),
 * :mod:`repro.sim.service` — the admission service wrapping
-  :class:`~repro.manager.kairos.Kairos` with pluggable queue policies
-  (reject, bounded FIFO with timeout, priority classes,
-  retry-with-backoff) and departure-driven backfill, plus the
-  top-level :func:`run_simulation` / recipe drivers,
+  :class:`~repro.manager.kairos.Kairos` with departure-driven
+  backfill and fault recovery,
+* :mod:`repro.sim.run` — the run loop and :func:`run_simulation`,
+* :mod:`repro.sim.recipe` — JSON recipes for either backend, their
+  runner and the trace replayer,
 * :mod:`repro.sim.metrics` — blocking probability, admission wait
   percentiles, per-class ratios, sim-time utilization series,
 * :mod:`repro.sim.trace` — JSONL decision traces, bit-identical
@@ -35,24 +38,24 @@ See ``docs/simulation.md`` for the full semantics.
 
 from repro.sim.events import Event, EventKernel, EventKind, pop_random
 from repro.sim.metrics import ClassStats, ServiceMetrics, SimSample, percentile
-from repro.sim.service import (
+from repro.sim.policies import (
     POLICIES,
     AdmissionRequest,
-    AdmissionService,
     FifoPolicy,
     PriorityPolicy,
     QueuePolicy,
     RejectPolicy,
     RetryPolicy,
-    SimulationConfig,
-    SimulationResult,
-    build_recipe,
     make_policy,
+)
+from repro.sim.recipe import (
+    build_recipe,
     replay_trace,
     run_recipe,
-    run_simulation,
     scheduled_faults,
 )
+from repro.sim.run import SimulationConfig, SimulationResult, run_simulation
+from repro.sim.service import AdmissionService
 from repro.sim.trace import (
     TraceFormatError,
     TraceRecorder,

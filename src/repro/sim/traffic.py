@@ -18,7 +18,7 @@ over the same machinery: ``default`` (the canonical three-class mix),
 ``diurnal_mmpp`` (day/night modulation of every class) and
 ``flash_crowd`` (the overload bench's surge, lifted into the
 library).  A recipe's ``classes`` stanza selects one by name — see
-:func:`repro.sim.service.build_recipe` — which is what lets the
+:func:`repro.sim.recipe.build_recipe` — which is what lets the
 scenario sweep (:mod:`repro.scenarios`) treat traffic as an axis.
 """
 
@@ -119,7 +119,7 @@ class MMPPProcess:
     def reset(self) -> None:
         """Return to the initial phase with no residual dwell.
 
-        Called by :func:`repro.sim.service.run_simulation` at start-up
+        Called by :func:`repro.sim.run.run_simulation` at start-up
         so a :class:`TrafficClass` (and thus its stateful MMPP) can be
         reused across runs without the first run's modulation state
         leaking into the second — required for replay determinism.

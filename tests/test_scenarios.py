@@ -21,7 +21,7 @@ from repro.scenarios import (
     smoke_matrix,
     storm_matrix,
 )
-from repro.sim.service import run_recipe
+from repro.sim.recipe import run_recipe
 
 
 #: sha256 of each preset's expanded cells at seed 0 (see
@@ -57,9 +57,9 @@ def tiny_matrix(**overrides) -> ScenarioMatrix:
 
 class TestMatrix:
     def test_expansion_is_full_cross_product(self):
-        matrix = tiny_matrix(fastpath=(True, False))
+        matrix = tiny_matrix()
         cells = matrix.expand()
-        assert len(cells) == 2 * 2 * 2 * 2
+        assert len(cells) == 2 * 2 * 2
         assert len({cell.cell_id for cell in cells}) == len(cells)
 
     def test_expansion_order_deterministic(self):
@@ -102,16 +102,6 @@ class TestMatrix:
             for cell in cells
         ]
         assert streams[0] and streams[0] == streams[1]
-
-    def test_toggles_share_seed_and_recipe(self):
-        matrix = tiny_matrix(
-            topologies=("mesh:6x6",), traffic=("default",),
-            mappers=("kairos",), fastpath=(True, False),
-        )
-        cells = matrix.expand()
-        assert len(cells) == 2
-        assert len({cell.seed for cell in cells}) == 1
-        assert all(cell.recipe == cells[0].recipe for cell in cells)
 
     def test_matrix_seed_changes_cell_seeds(self):
         a = tiny_matrix(seed=0).expand()
@@ -172,7 +162,7 @@ class TestMatrix:
         assert by_topology == {"mesh:6x6": 6.0, "torus:6x6": 3.0}
 
     def test_spec_round_trip(self):
-        matrix = tiny_matrix(fastpath=(True, False))
+        matrix = tiny_matrix()
         spec = json.loads(json.dumps(matrix.describe()))
         rebuilt = ScenarioMatrix.from_spec(spec)
         assert rebuilt == matrix
@@ -201,10 +191,14 @@ class TestMatrix:
         """Every preset's cells — id, seed and the recipe as its trace
         header writes it — hash to the digest recorded when sharded
         cells still had a builder of their own, so merging the two
-        builders changed no cell."""
+        builders changed no cell.  Ids then carried the fastpath
+        segment ``fp1`` before the shard count; re-inserting it shows
+        that removing the axis changed nothing else."""
         digest = hashlib.sha256()
         for cell in preset().expand():
-            digest.update(f"{cell.cell_id}|{cell.seed}|".encode())
+            head, _, shards = cell.cell_id.rpartition("|")
+            cell_id = f"{head}|fp1|{shards}"
+            digest.update(f"{cell_id}|{cell.seed}|".encode())
             digest.update(json.dumps(
                 cell.recipe, sort_keys=True, separators=(",", ":")
             ).encode())
@@ -285,14 +279,13 @@ class TestSweepDeterminism:
 
 
 def fake_cell(topology="mesh:6x6", traffic="default", mapper="kairos",
-              fastpath=True, shards=1, goodput=1.0,
-              blocking=0.1, wall=1.0, digest="d0"):
-    cell_id = f"{topology}|{traffic}|{mapper}|fp{int(fastpath)}|sh{shards}"
+              shards=1, goodput=1.0, blocking=0.1, wall=1.0, digest="d0"):
+    cell_id = f"{topology}|{traffic}|{mapper}|sh{shards}"
     return {
         "cell_id": cell_id,
         "axes": {
             "topology": topology, "traffic": traffic, "mapper": mapper,
-            "fastpath": fastpath, "shards": shards,
+            "shards": shards,
         },
         "seed": 1,
         "decisions": {
@@ -347,40 +340,21 @@ class TestAnalyzer:
 
     def test_best_strategy_ignores_degraded_cells(self):
         cells = [
-            fake_cell(mapper="kairos", fastpath=False, goodput=9.0),
+            fake_cell(mapper="kairos", shards=2, goodput=9.0),
             fake_cell(mapper="kairos", goodput=1.0),
             fake_cell(mapper="random", goodput=2.0),
         ]
         table = ResultAnalyzer(cells).best_strategy()
         assert table["mesh:6x6|default"]["mapper"] == "random"
 
-    def test_speedup_table_pairs_toggles(self):
-        cells = [
-            fake_cell(fastpath=True, wall=1.0, digest="same"),
-            fake_cell(fastpath=False, wall=2.0, digest="same"),
-        ]
-        table = ResultAnalyzer(cells).speedup_table("fastpath")
-        row = next(iter(table.values()))
-        assert row["speedup"] == pytest.approx(2.0)
-        assert row["decisions_identical"] is True
-
-    def test_speedup_table_flags_decision_divergence(self):
-        cells = [
-            fake_cell(fastpath=True, digest="a"),
-            fake_cell(fastpath=False, digest="b"),
-        ]
-        table = ResultAnalyzer(cells).speedup_table("fastpath")
-        row = next(iter(table.values()))
-        assert row["decisions_identical"] is False
-
     def test_removed_incremental_axis_is_rejected(self):
-        # a matrix file written before PR 12 fails loudly, never silently
+        # a matrix file naming a removed wall-clock toggle (incremental,
+        # fastpath) fails loudly, never silently
         spec = tiny_matrix().describe()
-        assert "incremental" not in spec
-        with pytest.raises(ValueError, match="incremental"):
-            ScenarioMatrix.from_spec({**spec, "incremental": [True, False]})
-        with pytest.raises(ValueError):
-            ResultAnalyzer([]).speedup_table("incremental")
+        for toggle in ("incremental", "fastpath"):
+            assert toggle not in spec
+            with pytest.raises(ValueError, match=toggle):
+                ScenarioMatrix.from_spec({**spec, toggle: [True, False]})
         analysis = ResultAnalyzer([fake_cell()]).analysis()
         assert set(analysis) == {"decisions", "best_strategy", "timing"}
 
@@ -388,7 +362,7 @@ class TestAnalyzer:
         with pytest.raises(ValueError):
             ResultAnalyzer([]).per_condition("colour")
         with pytest.raises(ValueError):
-            ResultAnalyzer([]).speedup_table("mapper")
+            ResultAnalyzer([]).per_condition("fastpath")
 
 
 class TestReport:
@@ -402,7 +376,7 @@ class TestReport:
         assert "## Matrix `tiny`" in document
         assert "### By mapper" in document
         assert "### Cells" in document
-        assert "mesh:6x6|default|kairos|fp1|sh1" in document
+        assert "mesh:6x6|default|kairos|sh1" in document
 
     def test_render_reports_bundles_matrices(self):
         matrix = tiny_matrix(

@@ -123,6 +123,32 @@ class TestReplayDeterminism:
         identical, differences, _ = replay_trace(path)
         assert identical, differences
 
+    @pytest.mark.parametrize("shards, key, value", [
+        (None, "kills", 2),
+        (1, "faults", 3),
+    ], ids=["plain_header_with_kills", "cluster_header_with_faults"])
+    def test_header_with_a_key_of_the_other_backend_is_refused(
+        self, tmp_path, shards, key, value
+    ):
+        """A header carrying a key its backend never runs would replay
+        "identical" while claiming a different run: replay refuses it
+        with the message :func:`build_recipe` gives, and ``--replay``
+        exits 2."""
+        from repro.cli import main
+
+        recipe = build_recipe(
+            platform="4x4", duration=10.0, seed=2, rate_scale=2.0,
+            shards=shards,
+        )
+        recorded = run_recipe(recipe)
+        path = write_trace(
+            tmp_path / "foreign.jsonl", recorded.trace,
+            header={**recipe, key: value},
+        )
+        with pytest.raises(ValueError, match=key):
+            replay_trace(path)
+        assert main(["sim", "--replay", str(path)]) == 2
+
     def test_different_seeds_produce_different_traces(self, tmp_path):
         traces = []
         for seed in (0, 1):

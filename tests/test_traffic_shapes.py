@@ -21,7 +21,7 @@ from repro.sim import (
     run_simulation,
     trace_digest,
 )
-from repro.sim.service import platform_from_spec
+from repro.sim.recipe import platform_from_spec
 
 
 class TestRegistry:
