@@ -173,14 +173,10 @@ class MappingCost:
     ) -> float:
         """Id-resolved :meth:`communication_term` (one row fetch per
         evaluation; identical arithmetic)."""
-        # only ever called with the mapping layer's own search matrix:
-        # platform-bound (node_ids present) and fallback-free, because
-        # RingSearch populates rows directly and never records names
-        node_ids = distances._node_ids
-        element_id = node_ids.get(element.name)
+        # only ever called with the mapping layer's own search matrix
+        # and a candidate element of that search's platform
+        element_id = distances._node_ids[element.name]
         penalty = self.distance_penalty
-        if element_id is None:  # pragma: no cover - defensive
-            return penalty * float(len(peer_ids))
         rows = distances._rows
         total = 0.0
         row_e = rows.get(element_id)
@@ -289,22 +285,15 @@ class MappingCost:
             return total
         # symmetric distance lookup inlined over interned ids (one
         # element-id resolution per call instead of two name hashes
-        # per channel); the name path serves platform-less matrices
+        # per channel)
         node_ids = distances._node_ids
         rows = distances._rows
-        element_id = (
-            node_ids.get(element.name) if node_ids is not None else None
-        )
-        fallback = distances._fallback
+        element_id = node_ids[element.name]
         penalty = self.distance_penalty
         for channel in channels:
             peer = channel.target if channel.source == task else channel.source
             peer_element = placement.get(peer)
             if peer_element is None:
-                continue
-            if element_id is None or fallback:
-                distance = distances.get(element.name, peer_element)
-                total += penalty if distance is None else distance
                 continue
             peer_id = node_ids.get(peer_element)
             if peer_id is None:

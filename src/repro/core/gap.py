@@ -68,7 +68,10 @@ class GapSolver:
         function, evaluated lazily per new element.
     state:
         Global allocation state; an element's knapsack capacity is its
-        *free* capacity minus this layer's tentative assignments.
+        *free* capacity.  Tasks only ever move *to* the element being
+        processed and each element is processed once, so no tentative
+        assignment of this layer sits on an element when its knapsack
+        runs.
     knapsack:
         The knapsack oracle (density-greedy + O(T^2) improvement by
         default; swappable for the A2 ablation).
@@ -121,8 +124,6 @@ class GapSolver:
         # large values"); element_of tracks where that best lives.
         self.c1: dict[str, float] = {t: UNMAPPED_COST for t in self.tasks}
         self.element_of: dict[str, str] = {}
-        # tentative load per element within this layer
-        self._load: dict[str, ResourceVector] = {}
         self._elements_seen: set[str] = set()
         #: statistics for the experiment reports
         self.knapsack_calls = 0
@@ -143,27 +144,6 @@ class GapSolver:
             t: self.c1[t] for t in self.element_of
         })
 
-    def free_capacity(self, element: ProcessingElement) -> ResourceVector:
-        """Element capacity available to this layer right now."""
-        state = self.state
-        platform = state.platform
-        # elements come from the platform's own interned tables, so the
-        # identity-keyed position lookup avoids hashing the name; the
-        # name path remains for foreign element objects (tests)
-        position = platform._element_position.get(id(element))
-        if position is None:
-            free = state.free(element)
-        else:
-            element_id = platform._element_ids[position]
-            if element_id in state._failed_elements:
-                free = ResourceVector()
-            else:
-                free = state._free[element_id]
-        load = self._load.get(element.name)
-        if load is not None:
-            free = free - load
-        return free
-
     # -- solving ---------------------------------------------------------------
 
     def solve(self, new_elements: Iterable[ProcessingElement]) -> GapAssignment:
@@ -177,12 +157,23 @@ class GapSolver:
         """
         seen = self._elements_seen
         minimums = self._min_requirement_items
+        state = self.state
+        # elements come from the platform's own interned tables, so the
+        # identity-keyed position lookup avoids hashing the name
+        element_position = state.platform._element_position
+        element_ids = state.platform._element_ids
+        free_by_node = state._free
+        failed_elements = state._failed_elements
         for element in new_elements:
             name = element.name
             if name in seen:
                 continue
             seen.add(name)
-            capacity = self.free_capacity(element)
+            element_id = element_ids[element_position[id(element)]]
+            capacity = (
+                ResourceVector() if element_id in failed_elements
+                else free_by_node[element_id]
+            )
             capacity_data = capacity._data
             fits = True
             for kind, quantity in minimums:
@@ -209,8 +200,6 @@ class GapSolver:
         pair_cost = self.pair_cost
         c1 = self.c1
         for task in self.tasks:
-            if element_of.get(task) == element_name:
-                continue  # already living here
             if not compatible(task, element):
                 continue
             fits = True
@@ -235,15 +224,5 @@ class GapSolver:
         solution = self.knapsack(items, capacity)
         self.knapsack_calls += 1
         for task in solution.chosen:
-            self._move(task, element, costs[task])
-
-    def _move(self, task: str, element: ProcessingElement, cost: float) -> None:
-        previous = self.element_of.get(task)
-        requirement = self.requirements[task]
-        if previous is not None:
-            self._load[previous] = self._load[previous] - requirement
-        self.element_of[task] = element.name
-        self.c1[task] = cost
-        self._load[element.name] = (
-            self._load.get(element.name, ResourceVector()) + requirement
-        )
+            element_of[task] = element_name
+            c1[task] = costs[task]

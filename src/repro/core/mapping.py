@@ -86,12 +86,12 @@ class LayerTrace:
 
 @dataclass
 class MappingResult:
-    """The outcome of a successful MapApplication run."""
+    """The outcome of a successful MapApplication run (each layer's
+    distance matrix is dropped with that layer's search)."""
 
     placement: dict[str, str]              #: task name -> element name
     anchors: dict[str, str]                #: the M0 part of the placement
     layers: list[LayerTrace] = field(default_factory=list)
-    distances: SparseDistanceMatrix = field(default_factory=SparseDistanceMatrix)
 
     @property
     def rings_searched(self) -> int:
@@ -157,7 +157,8 @@ def map_application(
 
     # static compatibility as platform-position sets: one membership
     # probe per (task, element) query instead of a runs_on call — the
-    # GAP solver asks this for every task on every candidate element
+    # GAP solver asks this for every task on every candidate element,
+    # and every candidate comes from the platform's own tables
     element_position = state.platform._element_position
     platform = state.platform
     positions_of = {
@@ -166,10 +167,7 @@ def map_application(
     }
 
     def compatible(task: str, element: ProcessingElement) -> bool:
-        position = element_position.get(id(element))
-        if position is None:  # foreign element object: fall back
-            return binding[task].runs_on(element)
-        return position in positions_of[task]
+        return element_position[id(element)] in positions_of[task]
 
     result = MappingResult(placement={}, anchors={})
 
@@ -343,14 +341,13 @@ def _map_layer(
 
     def availability(element: ProcessingElement) -> bool:
         # id-indexed free lookup with the fits check inlined — this
-        # probe runs per candidate element per gathered ring
-        position = element_position.get(id(element))
-        if position is None or element_ids[position] in failed_elements:
-            # foreign element object or failed element (zero vector):
-            # free() keeps the semantics exact
-            free_data = state.free(element)._data
-        else:
-            free_data = free_by_node[element_ids[position]]._data
+        # probe runs per candidate element per gathered ring; a failed
+        # element offers the empty vector, as free() reports it
+        element_id = element_ids[element_position[id(element)]]
+        free_data = (
+            {} if element_id in failed_elements
+            else free_by_node[element_id]._data
+        )
         for kind, quantity in layer_minimums:
             have = free_data.get(kind)
             if have is None or quantity > have:
@@ -410,7 +407,6 @@ def _map_layer(
                 f"failed: {exc}"
             ) from exc
         result.placement[task] = element_name
-    result.distances.merge(search.distances)
 
     return LayerTrace(
         index=index,

@@ -129,9 +129,9 @@ class EnergyObjective(Objective):
             self.energy_rates.update(energy_rates)
         self.hop_energy = hop_energy
         self.distance_penalty = distance_penalty
-        #: optional task -> ResourceVector map; without it the cycles
-        #: demand is read from the element capacity consumed so far
-        #: (set by CompositeCost.bind_requirements before mapping)
+        #: optional task -> ResourceVector map; a task missing from it
+        #: counts 1.0 cycles (set by CompositeCost.bind_requirements
+        #: before mapping)
         self.requirements = requirements or {}
 
     def bind_requirements(self, requirements: dict) -> None:

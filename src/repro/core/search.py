@@ -47,21 +47,19 @@ class SparseDistanceMatrix:
     in the cost function; this class just answers ``get`` with None
     for unknown pairs.  Lookups are symmetric.
 
-    When built over a frozen platform the matrix stores origin-indexed
-    rows (one distance cell per node id); without a platform it falls
-    back to a name-keyed dict, which keeps ad-hoc construction in
-    tests and callers working.
+    The matrix is bound to a frozen platform and stores origin-indexed
+    rows (one distance cell per node id).  Each mapping layer's
+    :class:`RingSearch` owns one, and it is dropped with the search:
+    nothing outlives the layer it estimated routes for.
     """
 
-    __slots__ = ("_platform", "_node_ids", "_rows", "_fallback")
+    __slots__ = ("_platform", "_node_ids", "_rows")
 
-    def __init__(self, platform: Platform | None = None) -> None:
+    def __init__(self, platform: Platform) -> None:
         self._platform = platform
-        self._node_ids = platform._node_ids if platform is not None else None
+        self._node_ids = platform._node_ids
         #: origin node id -> per-node distance row (-1 = unknown)
         self._rows: dict[int, list[int]] = {}
-        #: legacy symmetric name-keyed store (no-platform mode)
-        self._fallback: dict[tuple[str, str], int] = {}
 
     def row(self, origin_id: int) -> list[int]:
         """The (mutable) distance row of ``origin_id`` (hot path)."""
@@ -73,38 +71,23 @@ class SparseDistanceMatrix:
 
     def record(self, origin: str, node: str, distance: int) -> None:
         node_ids = self._node_ids
-        if node_ids is not None:
-            origin_id = node_ids.get(origin)
-            node_id = node_ids.get(node)
-            if origin_id is not None and node_id is not None:
-                row = self.row(origin_id)
-                if row[node_id] < 0 or distance < row[node_id]:
-                    row[node_id] = distance
-                return
-        key = (origin, node) if origin <= node else (node, origin)
-        previous = self._fallback.get(key)
-        if previous is None or distance < previous:
-            self._fallback[key] = distance
+        row = self.row(node_ids[origin])
+        node_id = node_ids[node]
+        if row[node_id] < 0 or distance < row[node_id]:
+            row[node_id] = distance
 
     def get(self, a: str, b: str) -> int | None:
         if a == b:
             return 0
-        best: int | None = None
         node_ids = self._node_ids
-        if node_ids is not None and self._rows:
-            id_a = node_ids.get(a)
-            id_b = node_ids.get(b)
-            if id_a is not None and id_b is not None:
-                best = self.get_ids(id_a, id_b)
-        if self._fallback:
-            key = (a, b) if a <= b else (b, a)
-            distance = self._fallback.get(key)
-            if distance is not None and (best is None or distance < best):
-                best = distance
-        return best
+        id_a = node_ids.get(a)
+        id_b = node_ids.get(b)
+        if id_a is None or id_b is None:
+            return None
+        return self.get_ids(id_a, id_b)
 
     def get_ids(self, id_a: int, id_b: int) -> int | None:
-        """Symmetric lookup over node ids (platform mode only)."""
+        """Symmetric lookup over node ids."""
         if id_a == id_b:
             return 0
         best: int | None = None
@@ -122,43 +105,10 @@ class SparseDistanceMatrix:
         return best
 
     def __len__(self) -> int:
-        count = len(self._fallback)
-        for row in self._rows.values():
-            count += sum(1 for distance in row if distance >= 0)
-        return count
-
-    def merge(self, other: "SparseDistanceMatrix") -> None:
-        """Keep the minimum of both matrices (used across iterations)."""
-        if (
-            self._platform is None
-            and other._platform is not None
-            and not self._fallback
-        ):
-            # adopt the other's interning (fresh result matrices start
-            # platform-less; the first merge binds them)
-            self._platform = other._platform
-            self._node_ids = other._node_ids
-        if other._rows:
-            if other._platform is self._platform:
-                for origin_id, row in other._rows.items():
-                    mine = self._rows.get(origin_id)
-                    if mine is None:
-                        self._rows[origin_id] = list(row)
-                        continue
-                    for node_id, distance in enumerate(row):
-                        if 0 <= distance and (
-                            mine[node_id] < 0 or distance < mine[node_id]
-                        ):
-                            mine[node_id] = distance
-            else:  # cross-platform merge: degrade to names
-                nodes = other._platform._nodes_by_id
-                for origin_id, row in other._rows.items():
-                    origin = nodes[origin_id].name
-                    for node_id, distance in enumerate(row):
-                        if distance >= 0:
-                            self.record(origin, nodes[node_id].name, distance)
-        for (a, b), distance in other._fallback.items():
-            self.record(a, b, distance)
+        return sum(
+            1 for row in self._rows.values() for distance in row
+            if distance >= 0
+        )
 
 
 class RingSearch:

@@ -479,7 +479,6 @@ class Kairos:
             placement=mapping.placement,
             routes=routing.routes,
             local_channels=routing.local_channels,
-            mapping=mapping,
             validation=report,
             timings=timings,
         )

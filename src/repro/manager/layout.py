@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.implementations import Implementation
 from repro.arch.state import ChannelReservation
-from repro.core.mapping import MappingResult
 from repro.reasons import ReasonCode
 from repro.validation.validator import ValidationReport
 
@@ -115,7 +114,6 @@ class ExecutionLayout:
     placement: dict[str, str]                   #: task -> element name
     routes: dict[str, ChannelReservation]       #: channel -> reservation
     local_channels: tuple[str, ...] = ()
-    mapping: MappingResult | None = None
     validation: ValidationReport | None = None
     timings: PhaseTimings = field(default_factory=PhaseTimings)
 

@@ -14,7 +14,9 @@ The heart of this file is the plan/commit contract of ISSUE 5:
 * ``Kairos.allocate``, ``rollback=``, ``plan_batch``/``commit_batch``,
   ``AllocationState.restore`` and the per-state scratch pool (with
   its ``RingSearch(scratch=)`` / ``SparseDistanceMatrix(pool=)``
-  parameters) and the validation-engine toggle are gone, loudly;
+  parameters), the platform-less ``SparseDistanceMatrix()``, the
+  retained cross-layer distance matrix and the validation-engine
+  toggle are gone, loudly;
   plan+commit stays
   lockstep-identical with admit over random churn (digests asserted
   against the frozen seed reference).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,7 @@ from repro.apps import GeneratorConfig, generate
 from repro.arch import AllocationError, AllocationState, mesh
 from repro.baselines import first_fit_map, optimal_map, random_map
 from repro.binding import bind
+from repro.core.mapping import MappingResult
 from repro.core.search import RingSearch, SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
@@ -376,7 +380,7 @@ class TestStrategyRegistry:
     def test_custom_strategy_end_to_end(self):
         @register_mapper("test_reverse_first_fit")
         def reverse_first_fit(app, binding, state, ctx, **params):
-            from repro.core.mapping import MappingError, MappingResult
+            from repro.core.mapping import MappingError
             result = MappingResult(placement={}, anchors={})
             for task in sorted(app.tasks, reverse=True):
                 impl = binding[task]
@@ -573,6 +577,10 @@ class TestDeprecationShim:
             RingSearch(state, origins, scratch=None)
         with pytest.raises(TypeError):
             SparseDistanceMatrix(platform, pool=None)
+        # the matrix is platform-bound and lives for one layer's search
+        with pytest.raises(TypeError):
+            SparseDistanceMatrix()
+        assert "distances" not in {item.name for item in fields(MappingResult)}
         # one validation engine: no method toggle, no simulation cap
         with pytest.raises(TypeError):
             Kairos(mesh(3, 3), validation_method="analytical")
@@ -581,6 +589,7 @@ class TestDeprecationShim:
         app = app_of(1)
         controller = AdmissionController(mesh(3, 3))
         layout = controller.admit(app).layout
+        assert not hasattr(layout, "mapping")
         with pytest.raises(TypeError):
             validate_layout(
                 app, layout.binding, layout.placement, layout.routes,

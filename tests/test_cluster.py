@@ -735,14 +735,16 @@ class TestKillCampaign:
         assert identical, differences[:5]
 
 
-#: ``repro cluster sim --platform 12x12 --shards 4 --duration 100
-#: --rate-scale 8 --seed 1 --policy priority --kills 2 --overload``: a
-#: priority-backfill probe drains a shard-death record whose recovery
-#: frees capacity while the probed request is admitted but not yet
-#: dequeued
+#: ``repro cluster sim --platform 12x12 --shards 4 --duration 8
+#: --rate-scale 8 --seed 1 --policy priority --kills 2 --downtime 2
+#: --overload``: a priority-backfill probe drains a shard-death record
+#: whose recovery frees capacity while the probed request is admitted
+#: but not yet dequeued.  The shortest run found that re-enters; without
+#: the deferral it stops with "already admitted".
 REENTRANT_RECIPE = dict(
-    platform="12x12", shards=4, duration=100.0, rate_scale=8.0, seed=1,
-    policy="priority", kills=2, overload=OverloadConfig.defaults(),
+    platform="12x12", shards=4, duration=8.0, rate_scale=8.0, seed=1,
+    policy="priority", kills=2, downtime=2.0,
+    overload=OverloadConfig.defaults(),
 )
 
 

@@ -188,13 +188,13 @@ class TestCostFunction:
         from repro.core.search import SparseDistanceMatrix
         value = cost(diamond, "app", "a",
                      state3x3.platform.element("dsp_0_0"),
-                     state3x3, {}, SparseDistanceMatrix())
+                     state3x3, {}, SparseDistanceMatrix(state3x3.platform))
         assert value == 0.0
 
     def test_communication_prefers_nearby(self, state3x3, diamond):
         from repro.core.search import SparseDistanceMatrix
         cost = MappingCost(COMMUNICATION)
-        distances = SparseDistanceMatrix()
+        distances = SparseDistanceMatrix(state3x3.platform)
         distances.record("dsp_0_1", "dsp_0_0", 2)
         distances.record("dsp_2_2", "dsp_0_0", 8)
         placement = {"a": "dsp_0_0"}
@@ -210,7 +210,8 @@ class TestCostFunction:
         from repro.core.cost import DEFAULT_DISTANCE_PENALTY
         from repro.core.search import SparseDistanceMatrix
         cost = MappingCost(COMMUNICATION)
-        distances = SparseDistanceMatrix()  # empty: all lookups fail
+        # empty: all lookups fail
+        distances = SparseDistanceMatrix(state3x3.platform)
         placement = {"a": "dsp_0_0"}
         value = cost.communication_term(
             diamond, "b", state3x3.platform.element("dsp_2_2"),
@@ -223,7 +224,7 @@ class TestCostFunction:
         cost = MappingCost(COMMUNICATION)
         value = cost.communication_term(
             diamond, "b", state3x3.platform.element("dsp_0_0"),
-            {}, SparseDistanceMatrix(),
+            {}, SparseDistanceMatrix(state3x3.platform),
         )
         assert value == 0.0
 
@@ -276,13 +277,21 @@ class TestCostFunction:
                 AllocationState(platform), {}, _neighbors=(),
             )
 
-        for trial in range(200):
-            platform = line(3) if trial % 2 == 0 else mesh(4, 4)
-            assert corner_bonus(shared, platform) == corner_bonus(
-                MappingCost(FRAGMENTATION), platform
-            ), trial
-            del platform
-            gc.collect()
+        # frozen objects are never scanned, so each collection below
+        # walks only what the loop allocated, not what earlier tests left
+        # (and frees only the loop's platforms, whose storage the next
+        # trial's platform then tends to reuse)
+        gc.freeze()
+        try:
+            for trial in range(200):
+                platform = line(3) if trial % 2 == 0 else mesh(4, 4)
+                assert corner_bonus(shared, platform) == corner_bonus(
+                    MappingCost(FRAGMENTATION), platform
+                ), trial
+                del platform
+                gc.collect()
+        finally:
+            gc.unfreeze()
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

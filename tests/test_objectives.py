@@ -25,7 +25,7 @@ from tests.conftest import admit_or_raise, chain_app, diamond_app
 def context(state3x3):
     """A minimal evaluation context: (app, app_id, task, ·, state, ·, ·)."""
     app = diamond_app()
-    distances = SparseDistanceMatrix()
+    distances = SparseDistanceMatrix(state3x3.platform)
     return app, "app", "a", state3x3, {}, distances
 
 

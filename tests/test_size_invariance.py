@@ -4,15 +4,27 @@ The same three-application sequence is admitted on an empty 12x12 and
 an empty 48x48 mesh.  Every placement lands in the same corner
 neighbourhood on both, so any deterministic work count that differs
 between the two runs is work that scales with the platform.  Each row
-below pins one such count as *equal*.
+below pins one such count as *equal*, or, for the memory an admitted
+application keeps alive, as bounded by a small factor.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 from repro.api import AdmissionController
 from repro.arch import mesh
 from repro.core.cost import MappingCost
 from tests.conftest import chain_app, diamond_app
+
+
+def _applications() -> tuple:
+    return (
+        ("first", chain_app(3)),
+        ("second", diamond_app()),
+        ("third", chain_app(5, cycles=30)),
+    )
 
 
 def _admit_sequence(platform, monkeypatch) -> tuple[list, int]:
@@ -29,11 +41,7 @@ def _admit_sequence(platform, monkeypatch) -> tuple[list, int]:
     monkeypatch.setattr(MappingCost, "__call__", counting)
     controller = AdmissionController(platform, validation_mode="skip")
     placements = []
-    for app_id, app in (
-        ("first", chain_app(3)),
-        ("second", diamond_app()),
-        ("third", chain_app(5, cycles=30)),
-    ):
+    for app_id, app in _applications():
         decision = controller.admit(app, app_id)
         assert decision.admitted, decision.failure
         placements.append(dict(decision.layout.placement))
@@ -49,3 +57,35 @@ def test_cost_evaluations_do_not_grow_with_the_mesh(monkeypatch):
     assert small_placements == large_placements
     assert small_calls > 0
     assert small_calls == large_calls
+
+
+def _retained_bytes(platform) -> int:
+    """Bytes still allocated after the three admissions, on a controller
+    warmed by one admit + release round of the same applications (so
+    one-time caches are already built and not counted)."""
+    applications = _applications()
+    controller = AdmissionController(platform, validation_mode="skip")
+    for app_id, app in applications:
+        assert controller.admit(app, app_id).admitted
+    for app_id, _ in applications:
+        controller.release(app_id)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for app_id, app in applications:
+            assert controller.admit(app, app_id).admitted
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
+def test_retained_memory_does_not_grow_with_the_mesh():
+    # an admitted application keeps its layout, not the per-layer
+    # distance rows (one cell per platform node) its mapping searched
+    small = _retained_bytes(mesh(12, 12))
+    large = _retained_bytes(mesh(48, 48))
+    assert small > 0
+    assert large <= 1.5 * small, (small, large)
