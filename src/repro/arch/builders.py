@@ -57,6 +57,28 @@ def _dsp_factory(row: int, col: int) -> ProcessingElement:
     )
 
 
+def _grid_tiles(
+    platform: Platform,
+    rows: int,
+    cols: int,
+    element_factory: ElementFactory,
+    endpoint_virtual_channels: int,
+    endpoint_bandwidth: float,
+) -> dict[tuple[int, int], Router]:
+    """One router per grid cell, each with its element linked to it."""
+    routers = {}
+    for row in range(rows):
+        for col in range(cols):
+            router = routers[(row, col)] = platform.add_router(
+                Router(f"r_{row}_{col}", position=(float(col), float(row)))
+            )
+            element = platform.add_element(element_factory(row, col))
+            platform.add_link(
+                element, router, endpoint_virtual_channels, endpoint_bandwidth
+            )
+    return routers
+
+
 def mesh(
     rows: int,
     cols: int,
@@ -71,18 +93,10 @@ def mesh(
     if rows < 1 or cols < 1:
         raise ValueError("mesh dimensions must be positive")
     platform = Platform(name or f"mesh_{rows}x{cols}")
-    routers = {}
-    for row in range(rows):
-        for col in range(cols):
-            router = platform.add_router(
-                Router(f"r_{row}_{col}", position=(float(col), float(row)))
-            )
-            routers[(row, col)] = router
-            element = platform.add_element(element_factory(row, col))
-            platform.add_link(
-                element, router, endpoint_virtual_channels,
-                endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
-            )
+    routers = _grid_tiles(
+        platform, rows, cols, element_factory, endpoint_virtual_channels,
+        endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
+    )
     for row in range(rows):
         for col in range(cols):
             if col + 1 < cols:
@@ -111,18 +125,10 @@ def torus(
     if rows < 3 or cols < 3:
         raise ValueError("torus needs at least 3x3 to avoid duplicate links")
     platform = Platform(f"torus_{rows}x{cols}")
-    routers = {}
-    for row in range(rows):
-        for col in range(cols):
-            router = platform.add_router(
-                Router(f"r_{row}_{col}", position=(float(col), float(row)))
-            )
-            routers[(row, col)] = router
-            element = platform.add_element(element_factory(row, col))
-            platform.add_link(
-                element, router, endpoint_virtual_channels,
-                endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
-            )
+    routers = _grid_tiles(
+        platform, rows, cols, element_factory, endpoint_virtual_channels,
+        endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
+    )
     for row in range(rows):
         for col in range(cols):
             platform.add_link(
@@ -174,18 +180,10 @@ def irregular(
         raise ValueError("drop_fraction must be in [0, 1)")
     rng = random.Random(seed)
     platform = Platform(f"irregular_{rows}x{cols}_s{seed}")
-    routers = {}
-    for row in range(rows):
-        for col in range(cols):
-            router = platform.add_router(
-                Router(f"r_{row}_{col}", position=(float(col), float(row)))
-            )
-            routers[(row, col)] = router
-            element = platform.add_element(element_factory(row, col))
-            platform.add_link(
-                element, router, endpoint_virtual_channels,
-                endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
-            )
+    routers = _grid_tiles(
+        platform, rows, cols, element_factory, endpoint_virtual_channels,
+        endpoint_bandwidth if endpoint_bandwidth is not None else bandwidth,
+    )
     mesh_links = []
     for row in range(rows):
         for col in range(cols):
@@ -241,6 +239,10 @@ _PACKAGE_PATTERN: Sequence[Sequence[ElementType]] = (
     (ElementType.DSP, ElementType.DSP, ElementType.DSP, ElementType.DSP),
 )
 
+_PACKAGE_LABELS = {
+    ElementType.DSP: "dsp", ElementType.MEMORY: "mem", ElementType.TEST: "test",
+}
+
 PACKAGE_ROWS = len(_PACKAGE_PATTERN)
 PACKAGE_COLS = len(_PACKAGE_PATTERN[0])
 CRISP_PACKAGES = 5
@@ -281,13 +283,8 @@ def crisp(
                 )
                 routers[(pkg, row, col)] = router
                 kind = _PACKAGE_PATTERN[row][col]
-                label = {
-                    ElementType.DSP: "dsp",
-                    ElementType.MEMORY: "mem",
-                    ElementType.TEST: "test",
-                }[kind]
                 element = ProcessingElement(
-                    name=f"p{pkg}_{label}_{row}_{col}",
+                    name=f"p{pkg}_{_PACKAGE_LABELS[kind]}_{row}_{col}",
                     kind=kind,
                     capacity=default_capacity(kind),
                     position=(float(x_offset + col), float(row)),

@@ -88,6 +88,18 @@ def is_element(node: Node) -> bool:
     return isinstance(node, ProcessingElement)
 
 
+#: Reference capacities per element kind (see :func:`default_capacity`).
+#: Vectors are immutable, so every element of a kind shares one.
+_DEFAULT_CAPACITIES = {
+    ElementType.DSP: ResourceVector(cycles=100, memory=32),
+    ElementType.GPP: ResourceVector(cycles=60, memory=256, io=16),
+    ElementType.FPGA: ResourceVector(fabric=100, memory=128, io=32),
+    ElementType.MEMORY: ResourceVector(memory=256),
+    ElementType.TEST: ResourceVector(cycles=10),
+    ElementType.IO: ResourceVector(io=8, memory=16),
+}
+
+
 def default_capacity(kind: ElementType) -> ResourceVector:
     """Reference capacities per element kind.
 
@@ -96,14 +108,6 @@ def default_capacity(kind: ElementType) -> ResourceVector:
     storage only, the ARM is a smaller general-purpose core that also
     exposes an I/O interface, and the FPGA offers fabric plus I/O.
     Quantities are abstract units; only ratios matter to the
-    experiments.
+    experiments.  Every call for one kind returns the same vector.
     """
-    table = {
-        ElementType.DSP: ResourceVector(cycles=100, memory=32),
-        ElementType.GPP: ResourceVector(cycles=60, memory=256, io=16),
-        ElementType.FPGA: ResourceVector(fabric=100, memory=128, io=32),
-        ElementType.MEMORY: ResourceVector(memory=256),
-        ElementType.TEST: ResourceVector(cycles=10),
-        ElementType.IO: ResourceVector(io=8, memory=16),
-    }
-    return table[kind]
+    return _DEFAULT_CAPACITIES[kind]

@@ -43,6 +43,11 @@ Freezing also partitions the elements into **element classes** by
 ``(kind, capacity)`` — all that static compatibility reads of an
 element — from which :meth:`Platform.static_hosts` answers "which
 elements can ever host this implementation", once per shape.
+
+The element adjacency, its pairs, the name order and the classes are
+all computed on node ids (a class hashes each distinct capacity object
+once); ``element_neighbors`` and ``element_pairs`` are derived from the
+id tables on each call, so freezing builds no set of elements.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from repro.arch.elements import Node, ProcessingElement, Router, is_element
@@ -126,8 +132,6 @@ class Platform:
         self._links: dict[frozenset[str], Link] = {}
         self._adjacency: dict[str, list[Node]] = {}
         self._frozen = False
-        self._element_neighbors: dict[str, tuple[ProcessingElement, ...]] = {}
-        self._element_pairs: tuple[tuple[ProcessingElement, ProcessingElement], ...] = ()
         # id interning tables, populated by freeze() (see module docstring)
         self._node_ids: dict[str, int] = {}
         self._nodes_by_id: tuple[Node, ...] = ()
@@ -189,9 +193,10 @@ class Platform:
         node_a = self._resolve(a)
         node_b = self._resolve(b)
         link = Link(node_a, node_b, virtual_channels, bandwidth)
-        if link.key() in self._links:
+        key = frozenset((node_a.name, node_b.name))
+        if key in self._links:
             raise TopologyError(f"duplicate link {node_a}—{node_b}")
-        self._links[link.key()] = link
+        self._links[key] = link
         self._adjacency[node_a.name].append(node_b)
         self._adjacency[node_b.name].append(node_a)
         return link
@@ -207,20 +212,15 @@ class Platform:
 
     def _intern(self) -> None:
         """Assign dense integer ids to nodes and links (see docstring)."""
-        names = list(self._nodes)
-        self._node_ids = {name: index for index, name in enumerate(names)}
-        self._nodes_by_id = tuple(self._nodes[name] for name in names)
-        self._is_element_mask = tuple(
-            is_element(node) for node in self._nodes_by_id
-        )
-        self._element_ids = tuple(
-            index for index, flag in enumerate(self._is_element_mask) if flag
-        )
-        self._elements_tuple = tuple(
-            node for node in self._nodes_by_id if is_element(node)
-        )
+        nodes = self._nodes_by_id = tuple(self._nodes.values())
+        node_ids = self._node_ids = {
+            node.name: index for index, node in enumerate(nodes)
+        }
+        mask = self._is_element_mask = tuple(map(is_element, nodes))
+        self._element_ids = tuple(compress(range(len(nodes)), mask))
+        self._elements_tuple = tuple(compress(nodes, mask))
         self._routers_tuple = tuple(
-            node for node in self._nodes_by_id if not is_element(node)
+            node for node, flag in zip(nodes, mask) if not flag
         )
         # position of each element object in ``elements`` (identity-
         # keyed: the tuple holds the references, so ids stay valid) —
@@ -230,12 +230,20 @@ class Platform:
             id(element): position
             for position, element in enumerate(self._elements_tuple)
         }
+        # classes by (kind, capacity); the memo on the capacity object
+        # hashes each distinct vector once, not once per element
         classes: dict[tuple, list[int]] = {}
+        memo: dict[tuple, list[int]] = {}
         for position, element in enumerate(self._elements_tuple):
-            key = (element.kind, element.capacity)
-            classes.setdefault(key, []).append(position)
+            key = (element.kind, id(element.capacity))
+            members = memo.get(key)
+            if members is None:
+                members = memo[key] = classes.setdefault(
+                    (element.kind, element.capacity), []
+                )
+            members.append(position)
         self._element_classes = tuple(map(tuple, classes.values()))
-        class_of = [-1] * len(names)
+        class_of = [-1] * len(nodes)
         for index, members in enumerate(self._element_classes):
             for position in members:
                 class_of[self._element_ids[position]] = index
@@ -245,10 +253,10 @@ class Platform:
         slot_bw: list[float] = []
         # links in insertion order, so each node's pairs follow the
         # order of its name-based adjacency list
-        pairs: list[list[tuple[int, int]]] = [[] for _ in names]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in nodes]
         for link_id, link in enumerate(self._links_by_id):
-            id_a = self._node_ids[link.a.name]
-            id_b = self._node_ids[link.b.name]
+            id_a = node_ids[link.a.name]
+            id_b = node_ids[link.b.name]
             pairs[id_a].append((id_b, 2 * link_id))
             pairs[id_b].append((id_a, 2 * link_id + 1))
             slot_vc += [link.virtual_channels, link.virtual_channels]
@@ -268,7 +276,7 @@ class Platform:
                 return self._nodes[node]
             except KeyError:
                 raise TopologyError(f"unknown node {node!r}") from None
-        if node.name not in self._nodes or self._nodes[node.name] is not node:
+        if self._nodes.get(node.name) is not node:
             raise TopologyError(f"node {node!r} does not belong to this platform")
         return node
 
@@ -525,73 +533,56 @@ class Platform:
 
         This matches the intuitive "neighbouring tiles" notion of a
         NoC: in a mesh with one element per router, the elements of
-        neighbouring routers are adjacent.
+        neighbouring routers are adjacent.  Computed on node ids:
+        neighbours in name order, pairs by ``(min name, max name)``.
         """
-        neighbors: dict[str, set[ProcessingElement]] = {
-            e.name: set() for e in self.elements
-        }
-        for element in self.elements:
-            reachable: set[ProcessingElement] = set()
-            for first in self._adjacency[element.name]:
-                if is_element(first):
-                    reachable.add(first)
-                    continue
-                # first is a router: elements on it, and on adjacent routers
-                for second in self._adjacency[first.name]:
-                    if is_element(second):
-                        reachable.add(second)
-                    else:
-                        for third in self._adjacency[second.name]:
-                            if is_element(third):
-                                reachable.add(third)
-            reachable.discard(element)
-            neighbors[element.name] = reachable
-        self._element_neighbors = {
-            name: tuple(sorted(found, key=lambda e: e.name))
-            for name, found in neighbors.items()
-        }
-        pairs = set()
-        for name, found in self._element_neighbors.items():
-            for other in found:
-                pairs.add(frozenset((name, other.name)))
-        self._element_pairs = tuple(
-            tuple(sorted((self.element(x) for x in pair), key=lambda e: e.name))
-            for pair in sorted(pairs, key=sorted)
+        nodes, pairs = self._nodes_by_id, self._neighbor_pairs
+        is_element_id = self._is_element_mask
+        self._ids_by_name = tuple(
+            sorted(self._element_ids, key=lambda i: nodes[i].name)
         )
-        self.max_connectivity = max(
-            map(len, self._element_neighbors.values()), default=0
-        )
-        self._element_neighbor_ids = {
-            name: tuple(self._node_ids[e.name] for e in found)
-            for name, found in self._element_neighbors.items()
-        }
-        self._element_pair_ids = tuple(
-            (self._node_ids[a.name], self._node_ids[b.name])
-            for a, b in self._element_pairs
-        )
-        # the same adjacency and the name order, indexed by node id
-        # (routers: empty / -1), for the allocation state's capacity index
-        node_count = len(self._nodes_by_id)
-        neighbor_table: list[tuple[int, ...]] = [()] * node_count
-        for name, ids in self._element_neighbor_ids.items():
-            neighbor_table[self._node_ids[name]] = ids
-        self._element_neighbor_table = tuple(neighbor_table)
-        self._ids_by_name = tuple(sorted(
-            self._element_ids, key=lambda i: self._nodes_by_id[i].name
-        ))
-        rank = [-1] * node_count
+        rank = [-1] * len(nodes)
         for position, node_id in enumerate(self._ids_by_name):
             rank[node_id] = position
         self._name_rank = tuple(rank)
+        # the elements linked to each node (read for routers only)
+        attached: list[list[int]] = [[] for _ in nodes]
+        for element_id in self._element_ids:
+            for other, _ in pairs[element_id]:
+                attached[other].append(element_id)
+        # per node id (routers: empty), also the capacity index's table
+        table: list[tuple[int, ...]] = [()] * len(nodes)
+        for element_id in self._element_ids:
+            reachable: set[int] = set()
+            for first, _ in pairs[element_id]:
+                if is_element_id[first]:
+                    reachable.add(first)
+                    continue
+                # first is a router: elements on it, and on adjacent routers
+                reachable.update(attached[first])
+                for second, _ in pairs[first]:
+                    if not is_element_id[second]:
+                        reachable.update(attached[second])
+            reachable.discard(element_id)
+            table[element_id] = tuple(sorted(reachable, key=rank.__getitem__))
+        self._element_neighbor_table = tuple(table)
+        self._element_neighbor_ids = {
+            nodes[i].name: table[i] for i in self._element_ids
+        }
+        # adjacency is symmetric, so each pair is met once from its
+        # lower-ranked end, in (rank a, rank b) order
+        self._element_pair_ids = tuple(
+            (a, b) for a in self._ids_by_name for b in table[a]
+            if rank[b] > rank[a]
+        )
+        self.max_connectivity = max(
+            map(len, self._element_neighbor_ids.values()), default=0
+        )
 
     def element_neighbors(self, element: ProcessingElement | str) -> tuple[ProcessingElement, ...]:
         """Adjacent elements of ``element`` (see class docstring)."""
-        self._require_frozen()
-        name = element if isinstance(element, str) else element.name
-        try:
-            return self._element_neighbors[name]
-        except KeyError:
-            raise TopologyError(f"unknown element {name!r}") from None
+        nodes = self._nodes_by_id
+        return tuple(nodes[i] for i in self.element_neighbor_ids(element))
 
     @property
     def element_pairs(self) -> tuple[tuple[ProcessingElement, ProcessingElement], ...]:
@@ -601,12 +592,12 @@ class Platform:
         "the percentage of pairs of adjacent elements of which only one
         element is used, over all pairs of adjacent elements".
         """
-        self._require_frozen()
-        return self._element_pairs
+        nodes = self._nodes_by_id
+        return tuple((nodes[a], nodes[b]) for a, b in self.element_pair_ids)
 
     def element_connectivity(self, element: ProcessingElement | str) -> int:
         """Number of adjacent elements — low values mean border tiles."""
-        return len(self.element_neighbors(element))
+        return len(self.element_neighbor_ids(element))
 
     def element_neighbor_ids(self, element: ProcessingElement | str) -> tuple[int, ...]:
         """Node ids of the adjacent elements of ``element``."""

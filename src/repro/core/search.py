@@ -104,12 +104,6 @@ class SparseDistanceMatrix:
                 best = known
         return best
 
-    def __len__(self) -> int:
-        return sum(
-            1 for row in self._rows.values() for distance in row
-            if distance >= 0
-        )
-
 
 class RingSearch:
     """Lockstep per-origin BFS producing rings of candidate elements.

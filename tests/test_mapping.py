@@ -281,17 +281,27 @@ class TestCostFunction:
         # walks only what the loop allocated, not what earlier tests left
         # (and frees only the loop's platforms, whose storage the next
         # trial's platform then tends to reuse)
+        #: id() of each dead platform -> its name (line or mesh)
+        dead: dict[int, str] = {}
+        recycled = 0
         gc.freeze()
         try:
             for trial in range(200):
                 platform = line(3) if trial % 2 == 0 else mesh(4, 4)
+                previous = dead.get(id(platform))
+                if previous is not None and previous != platform.name:
+                    recycled += 1
                 assert corner_bonus(shared, platform) == corner_bonus(
                     MappingCost(FRAGMENTATION), platform
                 ), trial
+                dead[id(platform)] = platform.name
                 del platform
                 gc.collect()
         finally:
             gc.unfreeze()
+        # the check above has power only when a new platform of the
+        # other shape inherits a dead platform's id(); say so if none did
+        assert recycled > 0, "no platform reused a dead platform's id()"
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,12 @@ neighbourhood on both, so any deterministic work count that differs
 between the two runs is work that scales with the platform.  Each row
 below pins one such count as *equal*, or, for the memory an admitted
 application keeps alive, as bounded by a small factor.
+
+Building the platform is the one cost that must grow with it, so the
+last row pins the work that need not: element capacities are shared
+constants and the element tables are computed on node ids, so building
+a 24x24 mesh constructs and hashes no more resource vectors than a
+12x12 one, and hashes no processing element at all.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.api import AdmissionController
-from repro.arch import mesh
+from repro.arch import ProcessingElement, ResourceVector, mesh
 from repro.core.cost import MappingCost
 from tests.conftest import chain_app, diamond_app
 
@@ -89,3 +97,33 @@ def test_retained_memory_does_not_grow_with_the_mesh():
     large = _retained_bytes(mesh(48, 48))
     assert small > 0
     assert large <= 1.5 * small, (small, large)
+
+
+def _counting(counts: dict, key: str, original):
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    return counting
+
+
+def _construction_counts(size: int) -> dict:
+    """Calls of the three methods the element tables once ran per
+    element, while building one ``size`` x ``size`` mesh."""
+    methods = (
+        (ResourceVector, "__init__"),
+        (ResourceVector, "__hash__"),
+        (ProcessingElement, "__hash__"),
+    )
+    counts = {f"{cls.__name__}.{name}": 0 for cls, name in methods}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name in methods:
+            key = f"{cls.__name__}.{name}"
+            patch.setattr(cls, name, _counting(counts, key, getattr(cls, name)))
+        mesh(size, size)
+    return counts
+
+
+def test_platform_construction_work_does_not_grow_with_the_mesh():
+    small, large = _construction_counts(12), _construction_counts(24)
+    assert small == large
+    assert large["ProcessingElement.__hash__"] == 0
