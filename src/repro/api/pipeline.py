@@ -99,7 +99,7 @@ class PhaseContext:
     """
 
     app_id: str
-    #: the mapping cost callable (MappingCost, CompositeCost or custom)
+    #: the mapping cost (a CostFunction: MappingCost, CompositeCost, ...)
     cost: Any = None
     mapping_options: MappingOptions = field(default_factory=MappingOptions)
     sdf_options: SdfModelOptions = field(default_factory=SdfModelOptions)

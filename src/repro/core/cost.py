@@ -17,7 +17,8 @@ between these two objectives is given by weight parameters."
 The total cost is ``w_comm * distance_term - w_frag * bonus_term``;
 lower is better.  :data:`NONE`, :data:`COMMUNICATION`,
 :data:`FRAGMENTATION` and :data:`BOTH` are the four configurations of
-Figs. 8-10.
+Figs. 8-10.  Every mapping cost, these and those of
+:mod:`repro.core.objectives` alike, follows :class:`CostFunction`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,106 @@ NAMED_WEIGHTS: dict[str, CostWeights] = {
 }
 
 
-class MappingCost:
+class CostContext(dict):
+    """What the evaluations of one mapping layer share.
+
+    The committed placement and the allocation state stay frozen while
+    a layer's GAP runs, so the mapping layer builds one context per
+    layer (and one per empty-M0 anchor sweep) and passes it as the
+    eighth argument of every evaluation.  Indexed by a task name, it
+    gives that task's mapped peers as node ids, interned on first use:
+    the element id of each incident channel's mapped peer in channel
+    order (-1 when the peer sits on no node of the platform), and the
+    set of elements hosting its mapped neighbours.  :attr:`status`
+    memoises each neighbour's occupant bonus for the fragmentation
+    term.
+    """
+
+    __slots__ = ("app", "app_id", "state", "placement", "distances", "status")
+
+    def __init__(self, app, app_id, state, placement, distances) -> None:
+        super().__init__()
+        self.app = app
+        self.app_id = app_id
+        self.state = state
+        self.placement = placement
+        self.distances = distances
+        #: neighbour id -> occupant bonus (a pure function of the
+        #: neighbour, the app id and the frozen state)
+        self.status: dict[int, float] = {}
+
+    def __missing__(self, task: str) -> tuple[tuple, frozenset]:
+        node_ids = self.state.platform._node_ids
+        placement = self.placement
+        comm_peers = []
+        for channel in self.app.incident_channels(task):
+            peer = channel.target if channel.source == task else channel.source
+            placed = placement.get(peer)
+            if placed is not None:
+                comm_peers.append(node_ids.get(placed, -1))
+        frag_peers = set()
+        for peer in self.app.neighbors(task):
+            placed = placement.get(peer)
+            if placed is not None and placed in node_ids:
+                frag_peers.add(node_ids[placed])
+        peers = self[task] = (tuple(comm_peers), frozenset(frag_peers))
+        return peers
+
+
+class CostFunction:
+    """The one protocol of every mapping cost.
+
+    A cost is called per (task, element) pair as ``cost(app, app_id,
+    task, element, state, placement, distances, context)`` and returns
+    a float; lower is better.  ``placement`` maps already-mapped task
+    names of the application to element names, ``distances`` is the
+    sparse matrix of the layer's platform search and ``context`` the
+    layer's :class:`CostContext`.  A caller may leave ``context`` out;
+    the cost then builds its own.  :func:`as_cost` adapts a plain
+    seven-argument callable.
+    """
+
+    __slots__ = ()
+
+    #: ``isolated_cost(busy_neighbors, missing)`` when the cost of an
+    #: element, for an application with nothing placed, depends only on
+    #: those two counts; the anchor then peeks the state's capacity
+    #: index instead of evaluating every available element.
+    isolated_cost = None
+
+    def bind_requirements(self, requirements: dict) -> None:
+        """Receive task name -> requirement before a mapping run."""
+
+    def __call__(
+        self, app, app_id, task, element, state, placement, distances,
+        context=None,
+    ) -> float:
+        raise NotImplementedError
+
+
+class _PlainCost(CostFunction):
+    """A seven-argument cost callable under the protocol."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function) -> None:
+        self.function = function
+
+    def __call__(
+        self, app, app_id, task, element, state, placement, distances,
+        context=None,
+    ) -> float:
+        return self.function(
+            app, app_id, task, element, state, placement, distances
+        )
+
+
+def as_cost(cost) -> CostFunction:
+    """``cost`` itself when it follows the protocol, else adapted."""
+    return cost if isinstance(cost, CostFunction) else _PlainCost(cost)
+
+
+class MappingCost(CostFunction):
     """Evaluates the cost of placing a task onto a candidate element.
 
     The cost depends on the *committed* placement (anchors and earlier
@@ -102,46 +202,22 @@ class MappingCost:
         state: AllocationState,
         placement: dict[str, str],
         distances: SparseDistanceMatrix,
-        _comm_peers: tuple | None = None,
-        _frag_peers: frozenset | None = None,
-        _frag_status: dict | None = None,
+        context: CostContext | None = None,
     ) -> float:
-        """Cost of mapping ``task`` onto ``element``; lower is better.
-
-        ``placement`` maps already-mapped task names of this
-        application to element names; ``distances`` is the sparse
-        matrix accumulated by the platform search.  ``_comm_peers`` /
-        ``_frag_peers`` optionally carry the mapped peers pre-resolved
-        to interned node ids, and ``_frag_status`` a per-layer
-        neighbour-status memo (the mapping layer hoists them — the
-        placement cannot change while one layer's GAP runs).
-        """
-        if self.weights.disabled:
+        """Cost of mapping ``task`` onto ``element``; lower is better."""
+        weights = self.weights
+        if weights.disabled:
             return 0.0
+        if context is None:
+            context = CostContext(app, app_id, state, placement, distances)
         cost = 0.0
-        if _comm_peers is not None and _frag_peers is not None:
-            if self.weights.communication and _comm_peers:
-                cost += self.weights.communication * self._communication_ids(
-                    element, distances, _comm_peers
-                )
-            if self.weights.fragmentation:
-                cost -= self.weights.fragmentation * self._fragmentation_ids(
-                    app_id, element, state, _frag_peers, _frag_status
-                )
-            return cost
-        # one incidence lookup feeds both terms (they are evaluated for
-        # every (task, element) pair of every layer)
-        entry = app._incidence().get(task)
-        channels, neighbors = entry if entry is not None else ((), ())
-        if self.weights.communication:
-            cost += self.weights.communication * self.communication_term(
-                app, task, element, placement, distances,
-                _channels=channels,
+        if weights.communication:
+            cost += weights.communication * self.communication_term(
+                task, element, context
             )
-        if self.weights.fragmentation:
-            cost -= self.weights.fragmentation * self.fragmentation_bonus(
-                app, app_id, task, element, state, placement,
-                _neighbors=neighbors,
+        if weights.fragmentation:
+            cost -= weights.fragmentation * self.fragmentation_bonus(
+                task, element, context
             )
         return cost
 
@@ -153,7 +229,7 @@ class MappingCost:
 
         No peer is mapped, so the communication term is zero and every
         busy neighbour earns :data:`BONUS_OTHER_APP`; the arithmetic
-        mirrors :meth:`_fragmentation_ids` step for step, so the value
+        mirrors :meth:`fragmentation_bonus` step for step, so the value
         is bit-identical to the full evaluation.
         """
         fragmentation = self.weights.fragmentation
@@ -165,108 +241,10 @@ class MappingCost:
         bonus += BONUS_BORDER * missing
         return 0.0 - fragmentation * bonus
 
-    def _communication_ids(
-        self,
-        element: ProcessingElement,
-        distances: SparseDistanceMatrix,
-        peer_ids: tuple,
-    ) -> float:
-        """Id-resolved :meth:`communication_term` (one row fetch per
-        evaluation; identical arithmetic)."""
-        # only ever called with the mapping layer's own search matrix
-        # and a candidate element of that search's platform
-        element_id = distances._node_ids[element.name]
-        penalty = self.distance_penalty
-        rows = distances._rows
-        total = 0.0
-        row_e = rows.get(element_id)
-        for peer_id in peer_ids:
-            if peer_id == element_id:
-                continue  # same element: distance 0
-            if peer_id < 0:
-                total += penalty
-                continue
-            best = -1
-            if row_e is not None:
-                known = row_e[peer_id]
-                if known >= 0:
-                    best = known
-            row_p = rows.get(peer_id)
-            if row_p is not None:
-                known = row_p[element_id]
-                if 0 <= known and (best < 0 or known < best):
-                    best = known
-            total += penalty if best < 0 else best
-        return total
-
-    def _fragmentation_ids(
-        self,
-        app_id: str,
-        element: ProcessingElement,
-        state: AllocationState,
-        peer_element_ids: frozenset,
-        status: dict | None = None,
-    ) -> float:
-        """Id-resolved :meth:`fragmentation_bonus` body.
-
-        ``status`` optionally carries a per-layer neighbour-status
-        memo (neighbour id -> occupant bonus): the bonus is a pure
-        function of (neighbour, app_id, allocation state), and one GAP
-        layer evaluates the same neighbourhoods for every (task,
-        element) pair while the epoch is frozen, so the mapping layer
-        hoists one dict per layer instead of re-walking occupant lists
-        per evaluation.
-        """
-        platform = state.platform
-        bonus = 0.0
-        all_occupants = state._occupants
-        neighbor_ids = platform.element_neighbor_ids(element)
-        if status is None:
-            for neighbor_id in neighbor_ids:
-                if neighbor_id in peer_element_ids:
-                    bonus += BONUS_PEER
-                    continue
-                occupants = all_occupants[neighbor_id]
-                if not occupants:
-                    continue
-                for occupant in occupants:
-                    if occupant.app_id == app_id:
-                        bonus += BONUS_SAME_APP
-                        break
-                else:
-                    bonus += BONUS_OTHER_APP
-        else:
-            for neighbor_id in neighbor_ids:
-                if neighbor_id in peer_element_ids:
-                    bonus += BONUS_PEER
-                    continue
-                cached = status.get(neighbor_id)
-                if cached is None:
-                    occupants = all_occupants[neighbor_id]
-                    if not occupants:
-                        cached = 0.0
-                    else:
-                        for occupant in occupants:
-                            if occupant.app_id == app_id:
-                                cached = BONUS_SAME_APP
-                                break
-                        else:
-                            cached = BONUS_OTHER_APP
-                    status[neighbor_id] = cached
-                bonus += cached
-        bonus += BONUS_BORDER * (platform.max_connectivity - len(neighbor_ids))
-        return bonus
-
     # -- objective terms ---------------------------------------------------
 
     def communication_term(
-        self,
-        app: Application,
-        task: str,
-        element: ProcessingElement,
-        placement: dict[str, str],
-        distances: SparseDistanceMatrix,
-        _channels: tuple | None = None,
+        self, task: str, element: ProcessingElement, context: CostContext
     ) -> float:
         """Total estimated route length to already-mapped peers.
 
@@ -278,52 +256,20 @@ class MappingCost:
         are left out.
         """
         total = 0.0
-        channels = (
-            app.incident_channels(task) if _channels is None else _channels
-        )
-        if not channels:
+        peer_ids = context[task][0]
+        if not peer_ids:
             return total
-        # symmetric distance lookup inlined over interned ids (one
-        # element-id resolution per call instead of two name hashes
-        # per channel)
-        node_ids = distances._node_ids
-        rows = distances._rows
-        element_id = node_ids[element.name]
+        distances = context.distances
+        lookup = distances.get_ids
+        element_id = distances._node_ids[element.name]
         penalty = self.distance_penalty
-        for channel in channels:
-            peer = channel.target if channel.source == task else channel.source
-            peer_element = placement.get(peer)
-            if peer_element is None:
-                continue
-            peer_id = node_ids.get(peer_element)
-            if peer_id is None:
-                total += penalty
-                continue
-            if peer_id == element_id:
-                continue  # distance 0
-            best = -1
-            row = rows.get(element_id)
-            if row is not None:
-                known = row[peer_id]
-                if known >= 0:
-                    best = known
-            row = rows.get(peer_id)
-            if row is not None:
-                known = row[element_id]
-                if 0 <= known and (best < 0 or known < best):
-                    best = known
-            total += penalty if best < 0 else best
+        for peer_id in peer_ids:
+            hops = lookup(element_id, peer_id) if peer_id >= 0 else None
+            total += penalty if hops is None else hops
         return total
 
     def fragmentation_bonus(
-        self,
-        app: Application,
-        app_id: str,
-        task: str,
-        element: ProcessingElement,
-        state: AllocationState,
-        placement: dict[str, str],
-        _neighbors: tuple[str, ...] | None = None,
+        self, task: str, element: ProcessingElement, context: CostContext
     ) -> float:
         """Graded neighbourhood bonuses plus the border bonus.
 
@@ -334,34 +280,32 @@ class MappingCost:
         low-connectivity elements: filling the chip from its edges
         inward keeps the contiguous free area compact.
         """
+        peer_element_ids = context[task][1]
+        status = context.status
+        app_id = context.app_id
+        state = context.state
         platform = state.platform
-        node_ids = platform._node_ids
-        # peer elements as interned ids: the neighbourhood loop then
-        # compares ints instead of hashing node names per neighbour
-        peer_element_ids = set()
-        task_peers = app.neighbors(task) if _neighbors is None else _neighbors
-        for peer in task_peers:
-            placed = placement.get(peer)
-            if placed is not None:
-                peer_id = node_ids.get(placed)
-                if peer_id is not None:
-                    peer_element_ids.add(peer_id)
-        bonus = 0.0
         all_occupants = state._occupants
         neighbor_ids = platform.element_neighbor_ids(element)
+        bonus = 0.0
         for neighbor_id in neighbor_ids:
             if neighbor_id in peer_element_ids:
                 bonus += BONUS_PEER
                 continue
-            occupants = all_occupants[neighbor_id]
-            if not occupants:
-                continue
-            for occupant in occupants:
-                if occupant.app_id == app_id:
-                    bonus += BONUS_SAME_APP
-                    break
-            else:
-                bonus += BONUS_OTHER_APP
+            cached = status.get(neighbor_id)
+            if cached is None:
+                occupants = all_occupants[neighbor_id]
+                if not occupants:
+                    cached = 0.0
+                else:
+                    for occupant in occupants:
+                        if occupant.app_id == app_id:
+                            cached = BONUS_SAME_APP
+                            break
+                    else:
+                        cached = BONUS_OTHER_APP
+                status[neighbor_id] = cached
+            bonus += cached
         # element_connectivity(element) is by definition the length of
         # the adjacency list already in hand
         bonus += BONUS_BORDER * (platform.max_connectivity - len(neighbor_ids))

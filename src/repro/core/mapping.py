@@ -31,7 +31,7 @@ from repro.apps.implementations import Implementation
 from repro.apps.taskgraph import Application
 from repro.arch.elements import ProcessingElement
 from repro.arch.state import AllocationError, AllocationState
-from repro.core.cost import MappingCost
+from repro.core.cost import CostContext, CostFunction, MappingCost, as_cost
 from repro.core.gap import GapSolver, KnapsackSolver
 from repro.core.knapsack import solve_greedy
 from repro.core.search import RingSearch, SparseDistanceMatrix
@@ -133,27 +133,28 @@ def map_application(
     app: Application,
     binding: dict[str, Implementation],
     state: AllocationState,
-    cost: MappingCost | None = None,
+    cost: CostFunction | None = None,
     options: MappingOptions = MappingOptions(),
     app_id: str | None = None,
 ) -> MappingResult:
     """Run MapApplication (paper Fig. 5); raises :class:`MappingError`.
 
     ``binding`` maps every task name to its chosen implementation.
-    On success the state holds the new placements; on failure the
-    state may hold partial placements of this app — callers should
-    wrap the attempt in ``state.transaction()`` (the manager does).
+    ``cost`` is a :class:`~repro.core.cost.CostFunction` or a plain
+    seven-argument cost callable (adapted here); the default is the
+    paper's :class:`MappingCost`.  On success the state holds the new
+    placements; on failure the state may hold partial placements of
+    this app — callers should wrap the attempt in
+    ``state.transaction()`` (the manager does).
     """
-    cost = cost or MappingCost()
+    cost = MappingCost() if cost is None else as_cost(cost)
     app_id = app_id or app.name
     missing = [t for t in app.tasks if t not in binding]
     if missing:
         raise MappingError(f"no binding for tasks {missing}")
 
     requirements = {t: binding[t].requirement for t in app.tasks}
-    bind_requirements = getattr(cost, "bind_requirements", None)
-    if bind_requirements is not None:
-        bind_requirements(requirements)
+    cost.bind_requirements(requirements)
 
     # static compatibility as platform-position sets: one membership
     # probe per (task, element) query instead of a runs_on call — the
@@ -182,19 +183,21 @@ def map_application(
     if not anchor_pairs:
         t0 = min(app.min_degree_tasks())
         impl0 = binding[t0]
-        if type(cost) is MappingCost and not state.has_placements(app_id):
+        isolated_cost = cost.isolated_cost
+        if isolated_cost is not None and not state.has_placements(app_id):
             # with an empty placement and no task of this application
-            # placed, the stock cost of an element depends only on its
+            # placed, such a cost of an element depends only on its
             # busy-neighbour count and connectivity — a peek into the
-            # state's capacity index instead of a sweep.  Custom cost
-            # callables may read anything at all, so they keep it.
-            e0 = state.availability.cheapest(impl0, cost.isolated_cost)
+            # state's capacity index instead of a sweep.  Other costs
+            # may read anything at all, so they keep it.
+            e0 = state.availability.cheapest(impl0, isolated_cost)
         else:
-            empty_distances = SparseDistanceMatrix(state.platform)
+            distances = SparseDistanceMatrix(state.platform)
+            context = CostContext(app, app_id, state, {}, distances)
             e0 = min(
                 available_elements(t0, impl0, state),
                 key=lambda e: (
-                    cost(app, app_id, t0, e, state, {}, empty_distances),
+                    cost(app, app_id, t0, e, state, {}, distances, context),
                     e.name,
                 ),
                 default=None,
@@ -247,7 +250,7 @@ def _map_layer(
     requirements: dict,
     compatible,
     state: AllocationState,
-    cost: MappingCost,
+    cost: CostFunction,
     options: MappingOptions,
     result: MappingResult,
 ) -> LayerTrace:
@@ -272,53 +275,15 @@ def _map_layer(
 
     search = RingSearch(state, origins, options.respect_congestion)
 
-    if type(cost) is MappingCost:
-        # the committed placement is frozen while this layer's GAP
-        # runs, so each task's peer lookups intern to ids once; the
-        # stock cost function accepts them pre-resolved (custom cost
-        # callables keep the plain signature)
-        node_ids = state.platform._node_ids
-        placement_now = result.placement
-        cost_context: dict[str, tuple] = {}
-        # per-layer neighbour-status memo for the fragmentation bonus
-        # (the layer's GAP runs at a frozen epoch)
-        frag_status: dict = {}
+    # the committed placement and the state are frozen while this
+    # layer's GAP runs, so one context serves all its evaluations
+    placement, distances = result.placement, search.distances
+    context = CostContext(app, app_id, state, placement, distances)
 
-        def _task_context(task: str) -> tuple:
-            comm_peers = []
-            for channel in app.incident_channels(task):
-                peer = (
-                    channel.target if channel.source == task
-                    else channel.source
-                )
-                placed = placement_now.get(peer)
-                if placed is not None:
-                    comm_peers.append(node_ids.get(placed, -1))
-            frag_peers = set()
-            for peer in app.neighbors(task):
-                placed = placement_now.get(peer)
-                if placed is not None:
-                    peer_id = node_ids.get(placed)
-                    if peer_id is not None:
-                        frag_peers.add(peer_id)
-            return (tuple(comm_peers), frozenset(frag_peers))
-
-        def pair_cost(task: str, element: ProcessingElement) -> float:
-            context = cost_context.get(task)
-            if context is None:
-                context = cost_context[task] = _task_context(task)
-            return cost(
-                app, app_id, task, element, state, placement_now,
-                search.distances,
-                _comm_peers=context[0], _frag_peers=context[1],
-                _frag_status=frag_status,
-            )
-    else:
-        def pair_cost(task: str, element: ProcessingElement) -> float:
-            return cost(
-                app, app_id, task, element, state, result.placement,
-                search.distances,
-            )
+    def pair_cost(task: str, element: ProcessingElement) -> float:
+        return cost(
+            app, app_id, task, element, state, placement, distances, context
+        )
 
     gap = GapSolver(
         tasks, requirements, compatible, pair_cost, state,

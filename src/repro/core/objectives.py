@@ -6,7 +6,8 @@ load balancing" — and Section II claims the algorithm works "using any
 cost function that can be defined for a platform".  This module makes
 those sentences concrete: each objective is a small callable scoring a
 (task, element) pair in the same context the built-in
-:class:`~repro.core.cost.MappingCost` sees, and
+:class:`~repro.core.cost.MappingCost` sees (the
+:class:`~repro.core.cost.CostFunction` protocol), and
 :class:`CompositeCost` sums any weighted set of them into a drop-in
 cost function for MapApplication / Kairos.
 
@@ -33,8 +34,11 @@ from repro.arch.state import AllocationState
 from repro.apps.taskgraph import Application
 from repro.core.cost import (
     DEFAULT_DISTANCE_PENALTY,
+    CostContext,
+    CostFunction,
     CostWeights,
     MappingCost,
+    as_cost,
 )
 from repro.core.search import SparseDistanceMatrix
 
@@ -53,8 +57,13 @@ DEFAULT_ENERGY_RATES = {
 DEFAULT_HOP_ENERGY = 0.05
 
 
-class Objective:
-    """One weighted scoring term; subclasses implement :meth:`score`."""
+class Objective(CostFunction):
+    """One weighted scoring term; subclasses implement :meth:`score`.
+
+    ``score`` takes the protocol's arguments; its ``context`` is the
+    layer's :class:`~repro.core.cost.CostContext`, or None on a
+    seven-argument call.
+    """
 
     def __init__(self, weight: float = 1.0):
         if weight < 0:
@@ -70,13 +79,14 @@ class Objective:
         state: AllocationState,
         placement: dict[str, str],
         distances: SparseDistanceMatrix,
+        context: CostContext | None = None,
     ) -> float:
         raise NotImplementedError
 
-    def __call__(self, *context) -> float:
+    def __call__(self, *arguments) -> float:
         if self.weight == 0:
             return 0.0
-        return self.weight * self.score(*context)
+        return self.weight * self.score(*arguments)
 
 
 class CommunicationObjective(Objective):
@@ -87,10 +97,11 @@ class CommunicationObjective(Objective):
         super().__init__(weight)
         self._inner = MappingCost(CostWeights(1.0, 0.0), distance_penalty)
 
-    def score(self, app, app_id, task, element, state, placement, distances):
-        return self._inner.communication_term(
-            app, task, element, placement, distances
-        )
+    def score(self, app, app_id, task, element, state, placement, distances,
+              context=None):
+        if context is None:
+            context = CostContext(app, app_id, state, placement, distances)
+        return self._inner.communication_term(task, element, context)
 
 
 class FragmentationObjective(Objective):
@@ -100,10 +111,11 @@ class FragmentationObjective(Objective):
         super().__init__(weight)
         self._inner = MappingCost(CostWeights(0.0, 1.0))
 
-    def score(self, app, app_id, task, element, state, placement, distances):
-        return -self._inner.fragmentation_bonus(
-            app, app_id, task, element, state, placement
-        )
+    def score(self, app, app_id, task, element, state, placement, distances,
+              context=None):
+        if context is None:
+            context = CostContext(app, app_id, state, placement, distances)
+        return -self._inner.fragmentation_bonus(task, element, context)
 
 
 class EnergyObjective(Objective):
@@ -137,7 +149,8 @@ class EnergyObjective(Objective):
     def bind_requirements(self, requirements: dict) -> None:
         self.requirements = requirements
 
-    def score(self, app, app_id, task, element, state, placement, distances):
+    def score(self, app, app_id, task, element, state, placement, distances,
+              context=None):
         rate = self.energy_rates.get(element.kind, 1.0)
         requirement = self.requirements.get(task)
         cycles = requirement["cycles"] if requirement is not None else 1.0
@@ -164,14 +177,16 @@ class WearLevelingObjective(Objective):
     introduction.
     """
 
-    def score(self, app, app_id, task, element, state, placement, distances):
+    def score(self, app, app_id, task, element, state, placement, distances,
+              context=None):
         return float(state.wear(element))
 
 
 class LoadBalancingObjective(Objective):
     """Prefer currently idle elements (utilization-proportional cost)."""
 
-    def score(self, app, app_id, task, element, state, placement, distances):
+    def score(self, app, app_id, task, element, state, placement, distances,
+              context=None):
         capacity = element.capacity.total()
         if capacity == 0:
             return 0.0
@@ -179,13 +194,14 @@ class LoadBalancingObjective(Objective):
         return (capacity - free) / capacity
 
 
-class CompositeCost:
+class CompositeCost(CostFunction):
     """A weighted sum of objectives, drop-in for MapApplication.
 
-    Mirrors the calling convention of
-    :class:`~repro.core.cost.MappingCost`, so it can be passed to
-    :func:`repro.core.mapping.map_application` or
-    :class:`repro.manager.kairos.Kairos` directly::
+    Follows the :class:`~repro.core.cost.CostFunction` protocol, so it
+    can be passed to :func:`repro.core.mapping.map_application` or
+    :class:`repro.manager.kairos.Kairos` directly; one context serves
+    every objective of an evaluation, and an objective given as a
+    plain seven-argument callable is adapted::
 
         cost = CompositeCost([
             CommunicationObjective(1.0),
@@ -195,16 +211,14 @@ class CompositeCost:
     """
 
     def __init__(self, objectives: Iterable[Objective]):
-        self.objectives = tuple(objectives)
+        self.objectives = tuple(map(as_cost, objectives))
         if not self.objectives:
             raise ValueError("CompositeCost needs at least one objective")
 
     def bind_requirements(self, requirements: dict) -> None:
         """Feed task requirements to objectives that price them."""
         for objective in self.objectives:
-            binder = getattr(objective, "bind_requirements", None)
-            if binder is not None:
-                binder(requirements)
+            objective.bind_requirements(requirements)
 
     def __call__(
         self,
@@ -215,8 +229,12 @@ class CompositeCost:
         state: AllocationState,
         placement: dict[str, str],
         distances: SparseDistanceMatrix,
+        context: CostContext | None = None,
     ) -> float:
+        if context is None:
+            context = CostContext(app, app_id, state, placement, distances)
         return sum(
-            objective(app, app_id, task, element, state, placement, distances)
+            objective(app, app_id, task, element, state, placement,
+                      distances, context)
             for objective in self.objectives
         )

@@ -87,7 +87,7 @@ class SparseDistanceMatrix:
         return self.get_ids(id_a, id_b)
 
     def get_ids(self, id_a: int, id_b: int) -> int | None:
-        """Symmetric lookup over node ids."""
+        """The one symmetric lookup, over node ids (:meth:`get` too)."""
         if id_a == id_b:
             return 0
         best: int | None = None

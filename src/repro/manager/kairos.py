@@ -33,7 +33,13 @@ import time
 from repro.apps.taskgraph import Application, TaskGraphError
 from repro.arch.state import AllocationError, AllocationState
 from repro.arch.topology import Platform
-from repro.core.cost import BOTH, CostWeights, MappingCost
+from repro.core.cost import (
+    BOTH,
+    CostFunction,
+    CostWeights,
+    MappingCost,
+    as_cost,
+)
 from repro.core.mapping import MappingOptions
 from repro.manager.layout import (
     AllocationFailure,
@@ -191,10 +197,14 @@ class Kairos:
     platform:
         The frozen platform to manage.
     weights:
-        Mapping cost weights, a ready :class:`MappingCost`, or any
-        custom cost callable with the same signature (e.g. a
-        :class:`~repro.core.objectives.CompositeCost`) — "any cost
-        function that can be defined for a platform" (Section II).
+        Mapping cost weights, or a cost following the
+        :class:`~repro.core.cost.CostFunction` protocol (a ready
+        :class:`MappingCost`, a
+        :class:`~repro.core.objectives.CompositeCost`, ...): it is
+        called per (task, element) pair with ``(app, app_id, task,
+        element, state, placement, distances, context)``.  A plain
+        callable taking the first seven is adapted once, here — "any
+        cost function that can be defined for a platform" (Section II).
     mapping_options, router, sdf_options:
         Phase tunables; defaults follow the paper (BFS routing, one
         extra search ring, time-sharing SDF model).
@@ -242,7 +252,7 @@ class Kairos:
     def __init__(
         self,
         platform: Platform,
-        weights: CostWeights | MappingCost = BOTH,
+        weights: CostWeights | CostFunction = BOTH,
         mapping_options: MappingOptions = MappingOptions(),
         router: BaseRouter | None = None,
         sdf_options: SdfModelOptions = SdfModelOptions(),
@@ -262,7 +272,7 @@ class Kairos:
         if isinstance(weights, CostWeights):
             self.cost = MappingCost(weights)
         elif callable(weights):
-            self.cost = weights  # MappingCost, CompositeCost, or custom
+            self.cost = as_cost(weights)
         else:
             raise TypeError(
                 f"weights must be CostWeights or a cost callable, "

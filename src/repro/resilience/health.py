@@ -43,6 +43,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.arch.faults import Fault
+from repro.core.cost import CostFunction, as_cost
 
 __all__ = [
     "HealthAwareCost",
@@ -301,39 +302,38 @@ class HealthRegistry:
             self._element_penalties.pop(key, None)
 
 
-class HealthAwareCost:
-    """Wrap a mapping-cost callable with the registry's soft penalties.
+class HealthAwareCost(CostFunction):
+    """Wrap a mapping cost with the registry's soft penalties.
 
     Bit-identity contract: with no penalized elements the wrapper
     returns the base cost *unchanged* (not ``base + 0.0`` — the exact
-    same float object path), so a manager with a health registry
+    same float object path), and it offers the base's
+    ``isolated_cost`` anchor peek, so a manager with a health registry
     attached makes byte-identical decisions to one without until the
-    first soft penalty actually exists.
+    first soft penalty actually exists.  The context and the task
+    requirements are forwarded to the base.
     """
 
     __slots__ = ("base", "registry", "_penalties")
 
     def __init__(self, base, registry: HealthRegistry) -> None:
-        self.base = base
+        self.base = as_cost(base)
         self.registry = registry
         self._penalties = registry.element_penalties  # identity share
 
+    @property
+    def isolated_cost(self):
+        return None if self._penalties else self.base.isolated_cost
+
+    def bind_requirements(self, requirements: dict) -> None:
+        self.base.bind_requirements(requirements)
+
     def __call__(
-        self,
-        app,
-        app_id,
-        task,
-        element,
-        state,
-        placement,
-        distances,
-        _comm_peers=None,
-        _frag_peers=None,
-        _frag_status=None,
+        self, app, app_id, task, element, state, placement, distances,
+        context=None,
     ) -> float:
         cost = self.base(
-            app, app_id, task, element, state, placement, distances,
-            _comm_peers, _frag_peers, _frag_status,
+            app, app_id, task, element, state, placement, distances, context
         )
         penalties = self._penalties
         if not penalties:

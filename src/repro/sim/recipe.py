@@ -32,7 +32,7 @@ from repro.resilience import RecoveryPolicy, ResilienceConfig
 from repro.sim.policies import make_policy
 from repro.sim.run import SimulationConfig, SimulationResult, run_simulation
 from repro.sim.trace import diff_traces, read_trace, write_trace
-from repro.sim.traffic import make_traffic_classes
+from repro.sim.traffic import make_traffic_classes, pool_configs
 
 #: the recipe keys only one backend runs, each mapped to the value that
 #: means *unset*; in emission order
@@ -143,9 +143,9 @@ def build_recipe(
         )
     knobs = _backend_knobs(backend, "plain" if shards is None else "cluster")
     resolved = make_policy(policy, policy_params)  # validate early
-    make_traffic_classes(  # validate shape + params early
+    make_traffic_classes(  # check shape + params early, generating no pool
         traffic, seed=seed, rate_scale=rate_scale, pool_size=pool_size,
-        **(traffic_params or {}),
+        pool_factory=pool_configs, **(traffic_params or {}),
     )
     recipe = {
         "platform": platform,

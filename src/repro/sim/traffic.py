@@ -175,7 +175,16 @@ class TrafficClass:
         return self.arrivals.mean_rate() * self.holding.mean
 
 
-def traffic_pool(
+def traffic_pool(count: int, seed: int, **bands) -> tuple[Application, ...]:
+    """A deterministic pool of DSP applications for one traffic class,
+    generated from :func:`pool_configs`."""
+    return tuple(
+        generate(config, seed=app_seed)
+        for config, app_seed in pool_configs(count, seed, **bands)
+    )
+
+
+def pool_configs(
     count: int,
     seed: int,
     *,
@@ -183,37 +192,41 @@ def traffic_pool(
     internals_high: int = 4,
     utilization_low: float = 0.25,
     utilization_high: float = 0.6,
-) -> tuple[Application, ...]:
-    """A deterministic pool of DSP applications for one traffic class.
+) -> list[tuple[GeneratorConfig, int]]:
+    """``(generator config, seed)`` of each application of a pool.
 
     Sizes cycle through ``[internals_low, internals_high]`` so the
     packing keeps producing both successes and failures near
     saturation — same recipe as the churn benchmark pool, with the
-    size band as a knob.
+    size band as a knob.  A shape built over these instead of
+    :func:`traffic_pool` checks its arguments without generating.
     """
     if count < 1:
         raise ValueError("pool needs at least one application")
     if internals_low < 0 or internals_low > internals_high:
         raise ValueError("need 0 <= internals_low <= internals_high")
     span = internals_high - internals_low + 1
-    pool = []
-    for index in range(count):
-        config = GeneratorConfig(
-            inputs=1,
-            internals=internals_low + index % span,
-            outputs=1,
-            target_kinds=((ElementType.DSP, 1.0),),
-            utilization_low=utilization_low,
-            utilization_high=utilization_high,
+    return [
+        (
+            GeneratorConfig(
+                inputs=1,
+                internals=internals_low + index % span,
+                outputs=1,
+                target_kinds=((ElementType.DSP, 1.0),),
+                utilization_low=utilization_low,
+                utilization_high=utilization_high,
+            ),
+            seed * 10_000 + index,
         )
-        pool.append(generate(config, seed=seed * 10_000 + index))
-    return tuple(pool)
+        for index in range(count)
+    ]
 
 
 def default_traffic_classes(
     seed: int = 0,
     rate_scale: float = 1.0,
     pool_size: int = 8,
+    pool_factory: Callable = traffic_pool,
 ) -> tuple[TrafficClass, ...]:
     """The canonical three-class mix used by the CLI and benchmarks.
 
@@ -233,7 +246,7 @@ def default_traffic_classes(
             name="interactive",
             arrivals=PoissonProcess(0.9 * rate_scale),
             holding=ExponentialHolding(6.0),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 1,
                 internals_low=1, internals_high=3,
                 utilization_low=0.25, utilization_high=0.5,
@@ -244,7 +257,7 @@ def default_traffic_classes(
             name="batch",
             arrivals=PoissonProcess(0.45 * rate_scale),
             holding=LognormalHolding(median=12.0, sigma=0.6),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 2,
                 internals_low=3, internals_high=6,
                 utilization_low=0.35, utilization_high=0.65,
@@ -257,7 +270,7 @@ def default_traffic_classes(
                 ((1.6 * rate_scale, 8.0), (0.05 * rate_scale, 16.0))
             ),
             holding=ExponentialHolding(5.0),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 3,
                 internals_low=2, internals_high=4,
                 utilization_low=0.3, utilization_high=0.55,
@@ -275,6 +288,7 @@ def hot_spot_classes(
     rate_scale: float = 1.0,
     pool_size: int = 8,
     hot_share: float = 0.8,
+    pool_factory: Callable = traffic_pool,
 ) -> tuple[TrafficClass, ...]:
     """Load concentrated in one aggressive class (the "hot spot").
 
@@ -296,7 +310,7 @@ def hot_spot_classes(
             name="hot",
             arrivals=PoissonProcess(total * hot_share),
             holding=LognormalHolding(median=10.0, sigma=0.5),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 11,
                 internals_low=3, internals_high=5,
                 utilization_low=0.35, utilization_high=0.6,
@@ -307,7 +321,7 @@ def hot_spot_classes(
             name="background",
             arrivals=PoissonProcess(total * (1.0 - hot_share)),
             holding=ExponentialHolding(5.0),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 12,
                 internals_low=1, internals_high=2,
                 utilization_low=0.25, utilization_high=0.45,
@@ -324,6 +338,7 @@ def diurnal_mmpp_classes(
     day_dwell: float = 30.0,
     night_dwell: float = 30.0,
     night_fraction: float = 0.1,
+    pool_factory: Callable = traffic_pool,
 ) -> tuple[TrafficClass, ...]:
     """Day/night modulation: every class is an MMPP over two phases.
 
@@ -353,7 +368,7 @@ def diurnal_mmpp_classes(
             name="interactive",
             arrivals=diurnal(0.9 * rate_scale),
             holding=ExponentialHolding(6.0),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 1,
                 internals_low=1, internals_high=3,
                 utilization_low=0.25, utilization_high=0.5,
@@ -364,7 +379,7 @@ def diurnal_mmpp_classes(
             name="batch",
             arrivals=diurnal(0.45 * rate_scale),
             holding=LognormalHolding(median=12.0, sigma=0.6),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 2,
                 internals_low=3, internals_high=6,
                 utilization_low=0.35, utilization_high=0.65,
@@ -375,7 +390,7 @@ def diurnal_mmpp_classes(
             name="bursty",
             arrivals=diurnal(1.6 * rate_scale),
             holding=ExponentialHolding(5.0),
-            pool=traffic_pool(
+            pool=pool_factory(
                 pool_size, seed * 100 + 3,
                 internals_low=2, internals_high=4,
                 utilization_low=0.3, utilization_high=0.55,
@@ -390,6 +405,7 @@ def flash_crowd_classes(
     rate_scale: float = 1.0,
     pool_size: int = 8,
     surge: float = 4.0,
+    pool_factory: Callable = traffic_pool,
 ) -> tuple[TrafficClass, ...]:
     """The overload bench's flash crowd as a named library preset.
 
@@ -404,14 +420,17 @@ def flash_crowd_classes(
     if surge <= 0:
         raise ValueError("surge must be positive")
     return default_traffic_classes(
-        seed=seed, rate_scale=rate_scale * surge, pool_size=pool_size
+        seed=seed, rate_scale=rate_scale * surge, pool_size=pool_size,
+        pool_factory=pool_factory,
     )
 
 
 #: shape name -> factory(seed, rate_scale, pool_size, **params);
 #: the ``classes`` stanza of a recipe selects one by name.  "default"
 #: keeps its historical spelling so legacy recipes (and the traces
-#: recorded from them) stay byte-identical.
+#: recorded from them) stay byte-identical.  Every factory builds its
+#: pools with ``pool_factory``: :func:`traffic_pool` generates them,
+#: :func:`pool_configs` only checks their arguments.
 TRAFFIC_SHAPES: dict[str, Callable[..., tuple[TrafficClass, ...]]] = {
     "default": default_traffic_classes,
     "hot_spot": hot_spot_classes,

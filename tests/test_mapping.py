@@ -213,23 +213,24 @@ class TestCostFunction:
         # empty: all lookups fail
         distances = SparseDistanceMatrix(state3x3.platform)
         placement = {"a": "dsp_0_0"}
-        value = cost.communication_term(
-            diamond, "b", state3x3.platform.element("dsp_2_2"),
-            placement, distances,
+        value = cost(
+            diamond, "app", "b", state3x3.platform.element("dsp_2_2"),
+            state3x3, placement, distances,
         )
         assert value == DEFAULT_DISTANCE_PENALTY
 
     def test_unmapped_peers_ignored(self, state3x3, diamond):
         from repro.core.search import SparseDistanceMatrix
         cost = MappingCost(COMMUNICATION)
-        value = cost.communication_term(
-            diamond, "b", state3x3.platform.element("dsp_0_0"),
-            {}, SparseDistanceMatrix(state3x3.platform),
+        value = cost(
+            diamond, "app", "b", state3x3.platform.element("dsp_0_0"),
+            state3x3, {}, SparseDistanceMatrix(state3x3.platform),
         )
         assert value == 0.0
 
     def test_fragmentation_bonus_grades(self, state3x3, diamond):
         """peer neighbour > same-app neighbour > other-app neighbour."""
+        from repro.core.search import SparseDistanceMatrix
         cost = MappingCost(CostWeights(0, 1))
         element = state3x3.platform.element("dsp_1_0")
 
@@ -239,8 +240,10 @@ class TestCostFunction:
                 state.occupy("dsp_0_0", occupier_app, "peer_task",
                              ResourceVector(cycles=10))
             mapping = {"a": "dsp_0_0"} if occupier_app == "app" and placement else {}
-            return cost.fragmentation_bonus(
-                diamond, "app", "b", element, state, mapping
+            # the bonus enters the cost with a negative sign
+            return -cost(
+                diamond, "app", "b", element, state, mapping,
+                SparseDistanceMatrix(state.platform),
             )
 
         empty = bonus(False, "app")
@@ -249,16 +252,18 @@ class TestCostFunction:
         assert empty < other_app < same_app
 
     def test_border_elements_favoured(self, state3x3, diamond):
+        from repro.core.search import SparseDistanceMatrix
         cost = MappingCost(CostWeights(0, 1))
-        corner = cost.fragmentation_bonus(
+        distances = SparseDistanceMatrix(state3x3.platform)
+        corner = cost(
             diamond, "app", "a", state3x3.platform.element("dsp_0_0"),
-            state3x3, {},
+            state3x3, {}, distances,
         )
-        center = cost.fragmentation_bonus(
+        center = cost(
             diamond, "app", "a", state3x3.platform.element("dsp_1_1"),
-            state3x3, {},
+            state3x3, {}, distances,
         )
-        assert corner > center
+        assert corner < center  # a larger bonus is a lower cost
 
     def test_border_bonus_of_a_shared_cost_follows_the_platform(self):
         """A cost object that outlives its platforms reads each new
@@ -268,13 +273,17 @@ class TestCostFunction:
         import gc
 
         from repro.arch import line
+        from repro.core.search import SparseDistanceMatrix
 
         shared = MappingCost(FRAGMENTATION)
+        app = Application("a")
+        app.add_task(simple_dsp_task("t"))
 
         def corner_bonus(cost, platform):
-            return cost.fragmentation_bonus(
-                None, "a", "t", platform.elements[0],
-                AllocationState(platform), {}, _neighbors=(),
+            return cost(
+                app, "a", "t", platform.elements[0],
+                AllocationState(platform), {},
+                SparseDistanceMatrix(platform),
             )
 
         # frozen objects are never scanned, so each collection below

@@ -47,7 +47,7 @@ from repro.sim import (
     run_recipe,
 )
 from repro.sim.trace import read_trace, trace_digest
-from tests.conftest import simple_dsp_task
+from tests.conftest import chain_app, simple_dsp_task
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -192,6 +192,33 @@ class TestHealthAwareCost:
             7.25 + registry.policy.repairing_penalty
         )
         assert cost(*args("healthy")) == 7.25
+
+    def test_composite_cost_reaches_its_objectives_through_a_registry(self):
+        """A health-wrapped composite cost admits, and the task
+        requirements reach the objective that prices them."""
+        from repro.core import (
+            CommunicationObjective,
+            CompositeCost,
+            EnergyObjective,
+            WearLevelingObjective,
+        )
+
+        energy = EnergyObjective(1.0)
+        manager = Kairos(
+            mesh(4, 4), validation_mode="skip",
+            weights=CompositeCost([
+                CommunicationObjective(1.0), WearLevelingObjective(1.0),
+                energy,
+            ]),
+            health=HealthRegistry(HealthPolicy(repairing_penalty=2.0)),
+        )
+        decision = manager.controller.admit(chain_app(3), "x")
+        assert decision.admitted, decision.failure
+        assert energy.requirements == {
+            task: implementation.requirement
+            for task, implementation in decision.layout.binding.items()
+        }
+        assert energy.requirements  # every task priced by its cycles
 
     # profile-governed lockstep property (see conftest.py): a manager
     # with an idle health registry must allocate bit-identically to a

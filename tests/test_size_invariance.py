@@ -24,6 +24,7 @@ import pytest
 from repro.api import AdmissionController
 from repro.arch import ProcessingElement, ResourceVector, mesh
 from repro.core.cost import MappingCost
+from repro.resilience import HealthRegistry
 from tests.conftest import chain_app, diamond_app
 
 
@@ -35,10 +36,11 @@ def _applications() -> tuple:
     )
 
 
-def _admit_sequence(platform, monkeypatch) -> tuple[list, int]:
+def _admit_sequence(platform, monkeypatch, **kairos) -> tuple[list, int]:
     """Placements of the three admissions and the number of cost
-    evaluations they took (counted on the class, so the stock
-    ``type(cost) is MappingCost`` paths stay in force)."""
+    evaluations they took, counted on ``MappingCost.__call__`` (the
+    class, not an instance), so a wrapped cost such as the health
+    registry's is counted too.  ``kairos`` goes to the manager."""
     calls = [0]
     original = MappingCost.__call__
 
@@ -47,7 +49,9 @@ def _admit_sequence(platform, monkeypatch) -> tuple[list, int]:
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(MappingCost, "__call__", counting)
-    controller = AdmissionController(platform, validation_mode="skip")
+    controller = AdmissionController(
+        platform, validation_mode="skip", **kairos
+    )
     placements = []
     for app_id, app in _applications():
         decision = controller.admit(app, app_id)
@@ -65,6 +69,13 @@ def test_cost_evaluations_do_not_grow_with_the_mesh(monkeypatch):
     assert small_placements == large_placements
     assert small_calls > 0
     assert small_calls == large_calls
+    # an idle health registry keeps the peek: the same work on both
+    # meshes as without a registry
+    for size in (12, 48):
+        placements, calls = _admit_sequence(
+            mesh(size, size), monkeypatch, health=HealthRegistry()
+        )
+        assert (placements, calls) == (small_placements, small_calls), size
 
 
 def _retained_bytes(platform) -> int:

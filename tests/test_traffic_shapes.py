@@ -152,6 +152,26 @@ class TestRecipes:
             build_recipe(traffic="hot_spot",
                          traffic_params={"bogus": 1})
 
+    def test_building_a_recipe_generates_no_pool(self, monkeypatch):
+        """``build_recipe`` checks the traffic arguments; the pools are
+        generated once, by ``run_recipe``."""
+        from repro.sim import traffic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recipe building generated an application")
+
+        monkeypatch.setattr(traffic, "generate", refuse)
+        for shape in TRAFFIC_SHAPES:
+            assert build_recipe(traffic=shape)["classes"]["kind"] == shape
+        for bad in (
+            {"rate_scale": 0.0},
+            {"pool_size": 0},
+            {"traffic": "hot_spot", "traffic_params": {"hot_share": 1}},
+            {"traffic": "flash_crowd", "traffic_params": {"surge": 0}},
+        ):
+            with pytest.raises(ValueError):
+                build_recipe(**bad)
+
     def test_flash_crowd_recipe_matches_scaled_default(self):
         surged = build_recipe(
             platform="6x6", duration=10.0, seed=0, rate_scale=2.0,
