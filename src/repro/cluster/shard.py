@@ -1,8 +1,9 @@
 """One admission shard: a region of the platform behind its own façade.
 
-A :class:`Shard` owns a disjoint sub-platform and a private
+A :class:`Shard` owns a region through a private
 :class:`~repro.manager.kairos.Kairos` + its
-:class:`~repro.api.AdmissionController` — the same stack an unsharded
+:class:`~repro.api.AdmissionController` over a frozen band platform
+that other shards may share — the same stack an unsharded
 deployment runs, which is what makes the single-shard cluster
 bit-identical to the plain service (the lockstep test in
 ``tests/test_cluster.py``).  ``alive`` models the region process: a
@@ -29,7 +30,11 @@ __all__ = ["Shard", "band_width", "build_shards"]
 
 
 class Shard:
-    """A region-owning admission controller with a liveness flag."""
+    """A region-owning admission controller with a liveness flag.
+
+    The region is the shard's allocation state; ``platform`` is frozen
+    and may be the very object its sibling shards run on.
+    """
 
     def __init__(
         self,
@@ -166,25 +171,18 @@ def build_shards(
 ) -> list[Shard]:
     """Partition a ``rows`` x ``cols`` mesh into ``count`` column bands.
 
-    Each band is built as its own mesh platform — shards own disjoint
-    regions with no shared links, the model behind the coordinator's
-    "cut channels are not routed" limitation (see ``docs/cluster.md``).
-    With ``count == 1`` the platform is byte-identical to
-    ``mesh(rows, cols)`` (same default name), the precondition of the
-    single-shard lockstep contract.
+    Every shard runs on one frozen ``mesh(rows, band)``: a region is
+    its shard's own allocation state, journal and epoch, so the
+    immutable band and its lazily derived static-host tables are built
+    once.  No links join the bands (cut channels are not routed, see
+    ``docs/cluster.md``); with ``count == 1`` the band is
+    ``mesh(rows, cols)``, the single-shard lockstep's precondition.
     """
-    band = band_width(cols, count)
-    if count == 1:
-        platforms = [mesh(rows, cols)]
-    else:
-        platforms = [
-            mesh(rows, band, name=f"shard{index}_{rows}x{band}")
-            for index in range(count)
-        ]
+    platform = mesh(rows, band_width(cols, count))
     return [
         Shard(
             f"s{index}", platform, weights=weights,
             fastpath=fastpath, obs=obs,
         )
-        for index, platform in enumerate(platforms)
+        for index in range(count)
     ]

@@ -85,8 +85,9 @@ class CostContext(dict):
     eighth argument of every evaluation.  Indexed by a task name, it
     gives that task's mapped peers as node ids, interned on first use:
     the element id of each incident channel's mapped peer in channel
-    order (-1 when the peer sits on no node of the platform), and the
-    set of elements hosting its mapped neighbours.  :attr:`status`
+    order (-1 when the peer sits on no node of the platform), the set
+    of elements hosting its mapped neighbours, and the bandwidth of
+    each of those channels in the same order.  :attr:`status`
     memoises each neighbour's occupant bonus for the fragmentation
     term.
     """
@@ -104,21 +105,25 @@ class CostContext(dict):
         #: neighbour, the app id and the frozen state)
         self.status: dict[int, float] = {}
 
-    def __missing__(self, task: str) -> tuple[tuple, frozenset]:
+    def __missing__(self, task: str) -> tuple[tuple, frozenset, tuple]:
         node_ids = self.state.platform._node_ids
         placement = self.placement
         comm_peers = []
+        bandwidths = []
         for channel in self.app.incident_channels(task):
             peer = channel.target if channel.source == task else channel.source
             placed = placement.get(peer)
             if placed is not None:
                 comm_peers.append(node_ids.get(placed, -1))
+                bandwidths.append(channel.bandwidth)
         frag_peers = set()
         for peer in self.app.neighbors(task):
             placed = placement.get(peer)
             if placed is not None and placed in node_ids:
                 frag_peers.add(node_ids[placed])
-        peers = self[task] = (tuple(comm_peers), frozenset(frag_peers))
+        peers = self[task] = (
+            tuple(comm_peers), frozenset(frag_peers), tuple(bandwidths)
+        )
         return peers
 
 

@@ -155,15 +155,20 @@ class EnergyObjective(Objective):
         requirement = self.requirements.get(task)
         cycles = requirement["cycles"] if requirement is not None else 1.0
         energy = rate * cycles
-        for channel in app.incident_channels(task):
-            peer = channel.target if channel.source == task else channel.source
-            peer_element = placement.get(peer)
-            if peer_element is None:
-                continue
-            hops = distances.get(element.name, peer_element)
+        if context is None:
+            context = CostContext(app, app_id, state, placement, distances)
+        peer_ids, _, bandwidths = context[task]
+        lookup = context.distances.get_ids
+        # -1: an element off the platform is at no known distance
+        element_id = context.distances._node_ids.get(element.name, -1)
+        for peer_id, bandwidth in zip(peer_ids, bandwidths):
+            hops = (
+                lookup(element_id, peer_id)
+                if peer_id >= 0 and element_id >= 0 else None
+            )
             if hops is None:
                 hops = self.distance_penalty
-            energy += self.hop_energy * hops * channel.bandwidth
+            energy += self.hop_energy * hops * bandwidth
         return energy
 
 

@@ -33,9 +33,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.controller import Decision
-from repro.arch import mesh
+from repro.arch import AllocationError, ResourceVector, mesh
 from repro.cluster import (
     ClusterManager,
     LivenessPolicy,
@@ -460,6 +462,120 @@ class TestCoordinator:
             ClusterCoordinator().admit_split(
                 chain_app(4), "x", two_small_shards()[:1]
             )
+
+
+# -- shards over one platform ------------------------------------------------
+
+#: single-shard steps of the isolation property
+SHARD_STEPS = (
+    "occupy", "vacate", "reserve", "release_route",
+    "fail_element", "heal_element", "fail_link", "heal_link",
+)
+
+
+def _apply_step(shard: Shard, kind: str, data, serial: int) -> None:
+    """One allocation-state mutation on ``shard``; a step the state
+    refuses (no room, failed element, saturated link) leaves it as it
+    was, which the property checks as well."""
+    state = shard.manager.state
+    platform = shard.platform
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
+    try:
+        if kind == "occupy":
+            state.occupy(
+                pick(platform.elements), "local", f"t{serial}",
+                ResourceVector(cycles=data.draw(st.integers(1, 60))),
+            )
+        elif kind == "vacate" and state.placements_of("local"):
+            state.vacate("local", pick(sorted(state.placements_of("local"))))
+        elif kind == "reserve":
+            path = [pick(platform.elements)]
+            for _ in range(data.draw(st.integers(1, 4))):
+                options = [
+                    node for node in platform.neighbors(path[-1])
+                    if node not in path
+                ]
+                if not options:
+                    break
+                path.append(pick(options))
+            if len(path) > 1:
+                state.reserve_route(
+                    "local", f"c{serial}", path,
+                    float(data.draw(st.integers(1, 60))),
+                )
+        elif kind == "release_route" and state.reservations_of("local"):
+            reservation = pick(state.reservations_of("local"))
+            state.release_route("local", reservation.channel_id)
+        elif kind in ("fail_element", "heal_element"):
+            getattr(state, kind)(pick(platform.elements))
+        elif kind in ("fail_link", "heal_link"):
+            getattr(state, kind)(*pick(platform.links).endpoints())
+    except AllocationError:
+        pass
+
+
+class TestSharedPlatform:
+    """Every shard of a cluster runs on one frozen band platform; a
+    region is the shard's own allocation state, journal and epoch."""
+
+    # profile-governed isolation property (see conftest.py)
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(1, 3), band=st.integers(1, 3),
+        count=st.integers(2, 4), data=st.data(),
+    )
+    def test_shards_stay_isolated_over_the_shared_platform(
+        self, rows, band, count, data
+    ):
+        shards = build_shards(rows, band * count, count)
+        platform = shards[0].platform
+
+        def views():
+            return [
+                (shard.manager.state.snapshot(), shard.epoch)
+                for shard in shards
+            ]
+
+        def check(before, touched):
+            after = views()
+            for index, shard in enumerate(shards):
+                assert shard.platform is platform
+                shard.manager.state.check_invariants()
+                if index not in touched:
+                    assert after[index] == before[index], index
+            return after
+
+        # a split committed on one pair of shards, then one unwound
+        # because its last part's shard dies between plan and commit
+        first, second = data.draw(
+            st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                     unique=True)
+        )
+        pair = [shards[first], shards[second]]
+        seen = views()
+        app = chain_app(4, cycles=10)
+        result = ClusterCoordinator().admit_split(app, "kept", pair)
+        assert result.decision.admitted
+        seen = check(seen, {first, second})
+        pair[1].commit = lambda plan: pair[1].down_decision(plan.app_id)
+        result = ClusterCoordinator().admit_split(app, "unwound", pair)
+        del pair[1].commit
+        assert not result.decision.admitted
+        assert all(
+            not shard.manager.state.has_placements("unwound::p0")
+            and not shard.manager.state.has_placements("unwound::p1")
+            for shard in shards
+        )
+        seen = check(seen, {first})
+
+        for serial in range(data.draw(st.integers(1, 12))):
+            target = data.draw(st.integers(0, count - 1))
+            kind = data.draw(st.sampled_from(SHARD_STEPS))
+            _apply_step(shards[target], kind, data, serial)
+            seen = check(seen, {target})
 
 
 # -- the cluster manager -----------------------------------------------------

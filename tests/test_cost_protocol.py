@@ -1,9 +1,11 @@
 """The one cost protocol: every mapping cost runs on interned ids.
 
 The lockstep property keeps the name-keyed bodies of the paper's two
-cost terms (Section III-D) as a reference and checks that
-:class:`MappingCost`, a :class:`CompositeCost` of the paper objectives
-plus wear, and :class:`HealthAwareCost` (with and without penalties)
+cost terms (Section III-D) and of the energy objective as a reference
+and checks that :class:`MappingCost`, a :class:`CompositeCost` of the
+paper objectives plus wear, :class:`EnergyObjective` alone and under a
+:class:`CompositeCost`, and :class:`HealthAwareCost` (with and without
+penalties)
 return the *same float* (``==``) through a shared per-layer
 :class:`CostContext` and through the public seven-argument call, over
 generated states, placements and distance matrices.  The remaining
@@ -25,6 +27,7 @@ from repro.core import (
     CommunicationObjective,
     CompositeCost,
     CostWeights,
+    EnergyObjective,
     FragmentationObjective,
     MappingCost,
     WearLevelingObjective,
@@ -110,6 +113,25 @@ def reference_fragmentation(app, app_id, task, element, state,
             bonus += BONUS_OTHER_APP
     bonus += BONUS_BORDER * (platform.max_connectivity - len(neighbor_ids))
     return bonus
+
+
+def reference_energy(objective, app, task, element, placement,
+                     distances) -> float:
+    """The energy objective's score, resolving every peer by name."""
+    rate = objective.energy_rates.get(element.kind, 1.0)
+    requirement = objective.requirements.get(task)
+    cycles = requirement["cycles"] if requirement is not None else 1.0
+    energy = rate * cycles
+    for channel in app.incident_channels(task):
+        peer = channel.target if channel.source == task else channel.source
+        peer_element = placement.get(peer)
+        if peer_element is None:
+            continue
+        hops = distances.get(element.name, peer_element)
+        if hops is None:
+            hops = objective.distance_penalty
+        energy += objective.hop_energy * hops * channel.bandwidth
+    return energy
 
 
 def reference_cost(weights, penalty, app, app_id, task, element, state,
@@ -207,9 +229,11 @@ class TestCostLockstep:
     @settings(deadline=None)
     @given(setting=settings_(), penalty=st.integers(1, 64),
            objective_weights=st.tuples(weights_, weights_, weights_),
-           repairing_penalty=st.floats(0.5, 20.0))
+           repairing_penalty=st.floats(0.5, 20.0),
+           energy=st.tuples(weights_, st.floats(0.0, 2.0),
+                            st.lists(st.integers(1, 90), max_size=6)))
     def test_cost_lockstep_with_name_reference(
-        self, setting, penalty, objective_weights, repairing_penalty
+        self, setting, penalty, objective_weights, repairing_penalty, energy
     ):
         app, state, placement, distances, penalized = setting
         pairs = [
@@ -249,6 +273,42 @@ class TestCostLockstep:
                 0.0 if w_wear == 0 else w_wear * float(state.wear(element)),
             ))
             for task, element in pairs
+        ]
+        for got in _both_paths(composite, app, state, placement, distances):
+            assert got == expected
+
+        # the energy objective (requirements for some tasks, the rest
+        # priced at one cycle), alone and composed with fragmentation
+        w_energy, hop_energy, cycles = energy
+        requirements = {
+            task: ResourceVector(cycles=amount)
+            for task, amount in zip(sorted(app.tasks), cycles)
+        }
+        alone = EnergyObjective(w_energy, hop_energy=hop_energy,
+                                distance_penalty=penalty)
+        alone.bind_requirements(requirements)
+        energies = [
+            reference_energy(alone, app, task, element, placement, distances)
+            for task, element in pairs
+        ]
+        expected = [0.0 if w_energy == 0 else w_energy * value
+                    for value in energies]
+        for got in _both_paths(alone, app, state, placement, distances):
+            assert got == expected
+        composite = CompositeCost([
+            FragmentationObjective(w_frag),
+            EnergyObjective(w_energy, hop_energy=hop_energy,
+                            distance_penalty=penalty),
+        ])
+        composite.bind_requirements(requirements)
+        expected = [
+            sum((
+                0.0 if w_frag == 0 else w_frag * -reference_fragmentation(
+                    app, "app", task, element, state, placement
+                ),
+                energy_cost,
+            ))
+            for (task, element), energy_cost in zip(pairs, expected)
         ]
         for got in _both_paths(composite, app, state, placement, distances):
             assert got == expected

@@ -8,10 +8,11 @@ below pins one such count as *equal*, or, for the memory an admitted
 application keeps alive, as bounded by a small factor.
 
 Building the platform is the one cost that must grow with it, so the
-last row pins the work that need not: element capacities are shared
+last rows pin the work that need not: element capacities are shared
 constants and the element tables are computed on node ids, so building
 a 24x24 mesh constructs and hashes no more resource vectors than a
-12x12 one, and hashes no processing element at all.
+12x12 one, and hashes no processing element at all; and a cluster of
+identical column bands builds its band once, not once per shard.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import tracemalloc
 import pytest
 
 from repro.api import AdmissionController
-from repro.arch import ProcessingElement, ResourceVector, mesh
+from repro.arch import Link, ProcessingElement, ResourceVector, mesh
+from repro.cluster import build_shards
 from repro.core.cost import MappingCost
 from repro.resilience import HealthRegistry
 from tests.conftest import chain_app, diamond_app
@@ -138,3 +140,24 @@ def test_platform_construction_work_does_not_grow_with_the_mesh():
     small, large = _construction_counts(12), _construction_counts(24)
     assert small == large
     assert large["ProcessingElement.__hash__"] == 0
+
+
+def _node_and_link_constructions(build) -> dict:
+    """Links and processing elements constructed while ``build()`` runs."""
+    counts = {"Link": 0, "ProcessingElement": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Link, ProcessingElement):
+            patch.setattr(cls, "__post_init__", _counting(
+                counts, cls.__name__, cls.__post_init__
+            ))
+        build()
+    return counts
+
+
+def test_cluster_builds_its_band_once():
+    # four 48x12 shards share one frozen band: the construction work of
+    # one mesh(48, 12), not four
+    cluster = _node_and_link_constructions(lambda: build_shards(48, 48, 4))
+    band = _node_and_link_constructions(lambda: mesh(48, 12))
+    assert cluster == band
+    assert band == {"Link": 1668, "ProcessingElement": 576}
