@@ -149,9 +149,9 @@ class Decision:
     timings: PhaseTimings | None = field(default=None, repr=False)
     #: commit() found the plan's epoch stale and re-ran the pipeline
     replanned: bool = False
-    #: the fast path served this decision without running the pipeline
+    #: the memo replayed this rejection without running the pipeline
     memoized: bool = False
-    gated: bool = False
+    gated: bool = False  # always; bench/tracing.py reads it (ROADMAP 7(b))
     failure: AllocationFailure | None = field(default=None, repr=False)
     plan: Plan | None = field(default=None, repr=False)
 
@@ -173,7 +173,6 @@ def _failed_decision(
         timings=failure.timings,
         replanned=replanned,
         memoized=failure.memoized,
-        gated=failure.gated,
         failure=failure,
         plan=plan,
     )

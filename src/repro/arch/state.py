@@ -177,23 +177,23 @@ def _drop_entry(table: dict, key: tuple[str, str]) -> None:
 class AvailabilityCache:
     """Which elements can host an implementation right now.
 
-    The admission gate needs "at least one", the mapping phase's
-    anchor detection "exactly one, and which", the binder's pristine
-    round the best fit — ``(element, slack)`` with minimal leftover on
-    the bottleneck resource, name-tie-broken — and the stock anchor
-    rule the cheapest element.  Every answer is a query over the
-    state's capacity index: per element class, the elements grouped by
-    current free vector.  A query tests each *distinct free vector* of
-    the implementation's static-host classes once, so its cost follows
-    the number of distinct vectors, not the number of elements.
+    The mapping phase's anchor detection needs "exactly one, and
+    which", the binder's pristine round the best fit — ``(element,
+    slack)`` with minimal leftover on the bottleneck resource,
+    name-tie-broken — and the stock anchor rule the cheapest element.
+    Every answer is a query over the state's capacity index: per
+    element class, the elements grouped by current free vector.  A
+    query tests each *distinct free vector* of the implementation's
+    static-host classes once, so its cost follows the number of
+    distinct vectors, not the number of elements.
 
     ``summary(impl)`` returns ``(count, sole)`` where ``count`` is
     0, 1 or 2 (2 meaning *two or more*) and ``sole`` is the available
     element when count is 1 (None otherwise);
     ``best_fit(impl)`` returns ``(element, slack)``.  Both come from
     one pass, kept per implementation shape until the epoch moves
-    (within one epoch the gate, the binder and the anchors ask about
-    the same shapes).
+    (within one epoch the binder and the anchors ask about the same
+    shapes).
     """
 
     __slots__ = ("_state", "_epoch", "_summaries")
@@ -546,7 +546,7 @@ class AllocationState:
     def touch(self) -> None:
         """Bump the epoch without mutating any ledger.
 
-        Epoch-keyed caches (the admission gate's negative-result memo)
+        Epoch-keyed caches (the manager's negative-result memo)
         assume a decision is a pure function of (spec, state-at-epoch).
         When something *outside* the ledgers that decisions depend on
         changes — the health registry shifting soft avoidance penalties

@@ -41,15 +41,13 @@ class Shard:
         shard_id: str,
         platform: Platform,
         weights=BOTH,
-        fastpath: bool = True,
         obs: Observability | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.platform = platform
         self.obs = DISABLED if obs is None else obs
         self.manager = Kairos(
-            platform, weights=weights, validation_mode="skip",
-            fastpath=fastpath, obs=obs,
+            platform, weights=weights, validation_mode="skip", obs=obs,
         )
         self.controller = self.manager.controller
         self.alive = True
@@ -166,7 +164,6 @@ def build_shards(
     cols: int,
     count: int,
     weights=BOTH,
-    fastpath: bool = True,
     obs: Observability | None = None,
 ) -> list[Shard]:
     """Partition a ``rows`` x ``cols`` mesh into ``count`` column bands.
@@ -180,9 +177,6 @@ def build_shards(
     """
     platform = mesh(rows, band_width(cols, count))
     return [
-        Shard(
-            f"s{index}", platform, weights=weights,
-            fastpath=fastpath, obs=obs,
-        )
+        Shard(f"s{index}", platform, weights=weights, obs=obs)
         for index in range(count)
     ]

@@ -111,7 +111,6 @@ def run_cluster_simulation(
     liveness: LivenessPolicy | None = None,
     recovery: RecoveryPolicy | None = None,
     weights: CostWeights = BOTH,
-    fastpath: bool = True,
     allow_split: bool = True,
     obs: Observability | None = None,
     overload: OverloadConfig | None = None,
@@ -128,10 +127,7 @@ def run_cluster_simulation(
     leaked a partial allocation.
     """
     kernel = EventKernel(seed=config.seed)
-    shards = build_shards(
-        rows, cols, shard_count, weights=weights,
-        fastpath=fastpath, obs=obs,
-    )
+    shards = build_shards(rows, cols, shard_count, weights=weights, obs=obs)
     cluster = ClusterManager(
         shards, liveness_policy=liveness, obs=obs, allow_split=allow_split,
         overload=overload,

@@ -120,10 +120,10 @@ def _single_available_element(
 
     Anchor detection only needs to know whether *exactly one* element
     is available, so it asks the state's
-    :class:`~repro.arch.state.AvailabilityCache` — the admission gate
-    already asked about these implementations at the same epoch (the
-    binding phase makes no state mutations), so the common case is a
-    dictionary hit.
+    :class:`~repro.arch.state.AvailabilityCache` — the binder's first
+    round already asked for the best fit of these implementations at
+    the same epoch (the binding phase makes no state mutations), so
+    the common case is a dictionary hit.
     """
     count, first = state.availability.summary(implementation)
     return first if count == 1 else None

@@ -290,7 +290,6 @@ def run_admission_churn(
     platform: Platform,
     config: ChurnConfig = ChurnConfig(),
     weights: CostWeights = BOTH,
-    fastpath: bool = True,
     path: str = "admit",
 ) -> ChurnResult:
     """Sustained allocate/release churn against one Kairos instance.
@@ -316,9 +315,7 @@ def run_admission_churn(
             f"path must be 'admit' or 'plan_commit', got {path!r}"
         )
     rng = random.Random(config.seed)
-    manager = Kairos(
-        platform, weights=weights, validation_mode="skip", fastpath=fastpath
-    )
+    manager = Kairos(platform, weights=weights, validation_mode="skip")
     controller = manager.controller
     result = ChurnResult()
     resident: list[str] = []

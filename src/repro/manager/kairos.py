@@ -16,19 +16,17 @@ and fault recovery (re-allocating applications stranded by element or
 link failures), the run-time capabilities motivating the paper.
 
 On top of the atomic pipeline sits the **admission fast path**
-(:class:`AdmissionGate`, enabled by default): a negative-result memo
-keyed on ``(spec digest, capacity epoch)`` plus the binder's own
-first-round availability question asked before the pipeline runs, so
-attempts destined to fail — and re-probes of identical specs against
-unchanged state, the backfill pattern of :mod:`repro.sim.service` —
-are rejected without touching the binder.  See the "Fast path"
-section of ``docs/performance.md`` for the soundness argument.
+(:class:`AdmissionGate`): a negative-result memo keyed on ``(spec
+digest, capacity epoch)``, so re-probes of identical specs against
+unchanged state — the backfill pattern of :mod:`repro.sim.service` —
+replay the recorded rejection without touching the binder.  See "The
+negative-result memo" in ``docs/performance.md`` for the soundness
+argument.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 
 from repro.apps.taskgraph import Application, TaskGraphError
 from repro.arch.state import AllocationError, AllocationState
@@ -72,42 +70,24 @@ _MEMO_LIMIT = 65536
 
 
 class AdmissionGate:
-    """The admission fast path: feasibility gate + negative-result memo.
+    """The admission fast path: a negative-result memo.
 
-    Soundness contract: **every rejection raised here is the one the
+    Soundness contract: **every rejection replayed here is the one the
     full pipeline would raise against the same state** — same phase,
-    same reason, same code; the gate only proves infeasibility, it
-    never guesses.  Two layers, from cheapest to dearest:
-
-    1. **Negative-result memo** — rejections are remembered keyed on
-       ``(spec digest, state.epoch)``.  A re-probe of an identical
-       specification against an unchanged epoch (the backfill loops of
-       :mod:`repro.sim.service`) replays the recorded rejection in
-       O(1).  Sound because equal epochs certify bit-identical
-       allocation state (see :class:`~repro.arch.state.AllocationState`)
-       and the pipeline is deterministic in (spec, state).
-    2. **Per-implementation feasible-element checks** — a task none of
-       whose implementations has *any* element with sufficient free
-       capacity right now fails the binder's very first regret round.
-       Answered by the state's
-       :class:`~repro.arch.state.AvailabilityCache` from its capacity
-       index (one test per distinct free vector, not per element);
-       the mapping phase's anchor detection shares the answers:
-       binding performs no state mutations, so a surviving attempt
-       re-reads them for free.
-
-    Layer 2 rejects exactly where and how the ungated pipeline would:
-    in the **binding** phase, on the same task, with the binder's
-    message and code.  Results that survive the gate run the pipeline
-    unchanged, so gated and ungated managers produce bit-identical
-    layouts, decisions and failure reasons (asserted by
+    same reason, same code.  Rejections are remembered keyed on
+    ``(spec digest, state.epoch)``; a re-probe of an identical
+    specification against an unchanged epoch (the backfill loops of
+    :mod:`repro.sim.service`) replays the recorded rejection in O(1).
+    Sound because equal epochs certify bit-identical allocation state
+    (see :class:`~repro.arch.state.AllocationState`) and the pipeline
+    is deterministic in (spec, state); a cost reading anything else
+    must :meth:`Kairos.touch` the manager when that input changes.
+    Memoized and unmemoized managers produce bit-identical layouts,
+    decisions and failure reasons (asserted by
     ``tests/test_fastpath.py``).
     """
 
-    __slots__ = (
-        "state", "c_memo_hits", "c_gate_rejections", "c_gate_passes",
-        "_memo",
-    )
+    __slots__ = ("state", "c_memo_hits", "c_gate_passes", "_memo")
 
     def __init__(self, state: AllocationState, registry=None) -> None:
         self.state = state
@@ -117,10 +97,8 @@ class AdmissionGate:
         self._memo: dict[str, tuple[int, Phase, str, ReasonCode]] = {}
         registry = DISABLED.registry if registry is None else registry
         self.c_memo_hits = registry.counter("gate.memo_hits")
-        self.c_gate_rejections = registry.counter("gate.rejections")
+        #: attempts the memo did not answer, i.e. pipeline runs
         self.c_gate_passes = registry.counter("gate.passes")
-
-    # -- the memo -----------------------------------------------------------
 
     def check_memo(self, digest: str, app_id: str) -> None:
         """Replay a remembered rejection if the epoch still matches."""
@@ -153,41 +131,6 @@ class AdmissionGate:
             self.state._epoch, failure.phase, failure.reason, failure.code
         )
 
-    # -- the feasibility gate ----------------------------------------------
-
-    def check_feasible(self, app: Application, digest: str, app_id: str) -> None:
-        """Raise (and memoize) iff the spec is provably inadmissible."""
-        rejection = self._infeasible_reason(app)
-        if rejection is None:
-            self.c_gate_passes.inc()
-            return
-        reason, code = rejection
-        self.c_gate_rejections.inc()
-        failure = AllocationFailure(Phase.BINDING, app_id, reason, code=code)
-        failure.gated = True
-        self.remember(digest, failure)
-        raise failure
-
-    def _infeasible_reason(
-        self, app: Application
-    ) -> tuple[str, ReasonCode] | None:
-        availability = self.state.availability
-        for name in sorted(app.tasks):
-            task = app.tasks[name]
-            for impl in task.implementations:
-                if availability.summary(impl)[0]:
-                    break
-            else:
-                # the binder's first regret round evaluates every task
-                # against the raw free state, so it fails on exactly
-                # this task, with exactly this message
-                return (
-                    f"task {name!r} of {app.name!r} has no feasible "
-                    "implementation (insufficient platform resources)",
-                    ReasonCode.NO_FEASIBLE_IMPLEMENTATION,
-                )
-        return None
-
 
 class Kairos:
     """Four-phase run-time spatial resource manager.
@@ -205,6 +148,11 @@ class Kairos:
         element, state, placement, distances, context)``.  A plain
         callable taking the first seven is adapted once, here — "any
         cost function that can be defined for a platform" (Section II).
+        The negative-result memo assumes the pipeline is a pure function
+        of spec and allocation state: a cost that also reads mutable
+        state outside the :class:`AllocationState` ledgers must
+        :meth:`touch` the manager whenever those inputs change, as the
+        caller updating a health registry does (see ``health``).
     mapping_options, router, sdf_options:
         Phase tunables; defaults follow the paper (BFS routing, one
         extra search ring, time-sharing SDF model).
@@ -214,16 +162,6 @@ class Kairos:
         ``"skip"`` omits the phase entirely.  Throughput is the
         layout's exact maximum cycle ratio (Section V's faster
         analysis; the paper's state-space exploration is the oracle).
-    fastpath:
-        ``True`` (default) enables the :class:`AdmissionGate`:
-        epoch-keyed negative-result memoization plus a sound
-        pre-pipeline feasibility gate, so attempts destined to fail
-        are rejected in microseconds instead of after a full
-        bind→map→route→validate run.  Decisions and layouts are
-        bit-identical either way; disable it only for comparison
-        runs, or when using a custom cost callable that reads mutable
-        state outside the :class:`AllocationState` ledgers (the memo
-        assumes the pipeline is a pure function of spec and state).
     health:
         An optional :class:`~repro.resilience.HealthRegistry`.  When
         attached, the mapping cost is wrapped in a
@@ -240,11 +178,11 @@ class Kairos:
     obs:
         An optional :class:`repro.obs.Observability` bundle (metric
         registry + span tracer).  The default is the shared
-        :data:`repro.obs.DISABLED` bundle: the gate counters still
+        :data:`repro.obs.DISABLED` bundle: the memo counters still
         count (:attr:`fastpath_stats` keeps working) but nothing is
         retained for export and spans are no-ops.  Attach
         :func:`repro.obs.enabled` to collect ``gate.*``/``phase.*``
-        metrics and gate-probe/pipeline-phase spans; observability
+        metrics and pipeline-phase spans; observability
         never feeds back into decisions, so layouts and digests are
         bit-identical either way (see docs/observability.md).
     """
@@ -257,7 +195,6 @@ class Kairos:
         router: BaseRouter | None = None,
         sdf_options: SdfModelOptions = SdfModelOptions(),
         validation_mode: str = "report",
-        fastpath: bool = True,
         pipeline: PhasePipeline | None = None,
         health=None,
         obs: Observability | None = None,
@@ -289,11 +226,7 @@ class Kairos:
         #: default: counters still count, but nothing is retained and
         #: spans are no-ops, so decisions and perf are untouched
         self.obs = DISABLED if obs is None else obs
-        self.fastpath = bool(fastpath)
-        self._gate = (
-            AdmissionGate(self.state, self.obs.registry)
-            if self.fastpath else None
-        )
+        self._gate = AdmissionGate(self.state, self.obs.registry)
         #: the phase-strategy pipeline (see repro.api.pipeline); the
         #: default reproduces the paper's work-flow exactly — regret
         #: binding, MapApplication, the configured router instance and
@@ -354,12 +287,11 @@ class Kairos:
         *,
         hold: bool = True,
     ) -> ExecutionLayout:
-        """Gate + four phases; ``hold=False`` unwinds every mutation.
+        """Memo + four phases; ``hold=False`` unwinds every mutation.
 
-        With the fast path enabled, attempts the
-        :class:`AdmissionGate` can prove inadmissible (or has already
-        seen fail against this exact state) are rejected before the
-        pipeline runs — same phase, same decision, none of the cost.
+        A rejection the :class:`AdmissionGate` memo has already seen
+        against this exact state is replayed before the pipeline runs
+        — same phase, same decision, none of the cost.
 
         ``hold=True`` keeps the successful attempt's mutations (the
         admission path); ``hold=False`` is the *planning* path — the
@@ -371,8 +303,8 @@ class Kairos:
         An attempt must start from a committed state: inside an open
         transaction the epoch is uncommitted, and a later committed
         history can re-reach the same counter value with a different
-        ledger, so the gate's memo would replay rejections against a
-        state it never observed.
+        ledger, so the memo would replay rejections against a state it
+        never observed.
         """
         if self.state.in_transaction():
             raise AllocationError(
@@ -382,14 +314,11 @@ class Kairos:
         if app_id in self.admitted:
             raise ValueError(f"app_id {app_id!r} already admitted")
         gate = self._gate
-        digest = None
-        if gate is not None:
-            gate_started = time.perf_counter()
-            digest = app.digest()
-            # a memo hit replays a failure whose phases ran on an
-            # earlier attempt — no phase ran now, so no timings are
-            # attached and the latency histograms stay honest
-            gate.check_memo(digest, app_id)
+        digest = app.digest()
+        # a memo hit replays a failure whose phases ran on an earlier
+        # attempt — no phase ran now, so no timings are attached and
+        # the latency histograms stay honest
+        gate.check_memo(digest, app_id)
         try:
             app.validate()
         except TaskGraphError as exc:
@@ -397,27 +326,11 @@ class Kairos:
                 Phase.BINDING, app_id, str(exc),
                 code=ReasonCode.INVALID_SPECIFICATION,
             )
-            if gate is not None:
-                gate.remember(digest, failure)
+            gate.remember(digest, failure)
             raise failure from exc
 
         timings = PhaseTimings()
-        if gate is not None:
-            with self.obs.tracer.span("gate.probe"):
-                try:
-                    gate.check_feasible(app, digest, app_id)
-                except AllocationFailure as failure:
-                    elapsed = time.perf_counter() - gate_started
-                    timings.record(Phase.BINDING, elapsed)
-                    # the gate rejection is a binding-phase sample the
-                    # pipeline never sees; observe it here so the
-                    # registry histogram mirrors ServiceMetrics'
-                    # phase_latencies exactly
-                    self.obs.registry.histogram(
-                        "phase.binding.seconds"
-                    ).observe(elapsed)
-                    failure.timings = timings
-                    raise
+        gate.c_gate_passes.inc()
         try:
             # any exception (phase failure or bug) rolls back exactly
             # the mutations this attempt made; a plan-only attempt
@@ -434,22 +347,21 @@ class Kairos:
                 self.state._tx_rollback(mark)
         except AllocationFailure as failure:
             failure.timings = timings
-            if gate is not None:
-                # the rollback already restored the pre-attempt epoch,
-                # so the memo entry certifies this exact state
-                gate.remember(digest, failure)
+            # the rollback already restored the pre-attempt epoch, so
+            # the memo entry certifies this exact state
+            gate.remember(digest, failure)
             raise
         return layout
 
     @property
     def fastpath_stats(self) -> dict:
-        """Observability counters of the admission gate (zeros if off)."""
+        """The memo's counters: replayed rejections and pipeline runs."""
         gate = self._gate
-        if gate is None:
-            return {"memo_hits": 0, "gate_rejections": 0, "gate_passes": 0}
         return {
             "memo_hits": gate.c_memo_hits.value,
-            "gate_rejections": gate.c_gate_rejections.value,
+            # bench/tracing.py reads both names below (ROADMAP 7(b)): the
+            # feasibility gate is gone, and its passes are pipeline runs
+            "gate_rejections": 0,
             "gate_passes": gate.c_gate_passes.value,
         }
 

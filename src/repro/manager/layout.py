@@ -38,9 +38,9 @@ class AllocationFailure(RuntimeError):
     The allocation state has already been rolled back when this is
     raised by the manager.  ``timings`` (when the manager attaches
     them) hold the wall-clock cost of the phases that actually ran
-    before the rejection; ``memoized``/``gated`` flag rejections the
-    fast path served without running the pipeline (the decision is
-    identical either way — see :mod:`repro.manager.kairos`).
+    before the rejection; ``memoized`` flags a rejection the memo
+    replayed without running the pipeline (the decision is identical
+    either way — see :mod:`repro.manager.kairos`).
 
     ``code`` is the machine-readable classification of the rejection
     (:class:`~repro.reasons.ReasonCode`): the free-form ``reason``
@@ -62,7 +62,7 @@ class AllocationFailure(RuntimeError):
         self.code = code if code is not None else ReasonCode.for_phase(phase)
         self.timings: "PhaseTimings | None" = None
         self.memoized = False
-        self.gated = False
+        self.gated = False  # always; bench/tracing.py reads it (ROADMAP 7(b))
 
 
 @dataclass

@@ -4,7 +4,7 @@ Design goals, in order:
 
 1. **Zero cost when disabled.**  The default everywhere is a
    :class:`NullRegistry`: its counters still *count* (components such
-   as the admission gate read their own counters back for
+   as the manager's memo read their own counters back for
    ``fastpath_stats``, so a counter that silently dropped increments
    would break them) but
    nothing is retained, aggregated or exportable, and its histograms
@@ -317,7 +317,7 @@ class NullRegistry:
 
     Counters and gauges returned here still store their value (in a
     private single-slot list) because components read their own
-    counters back — the gate's ``fastpath_stats`` must keep working
+    counters back — the manager's ``fastpath_stats`` must keep working
     with observability off, exactly as its pre-registry ad-hoc ints
     did.
     The registry itself retains no reference, so ``snapshot()`` is

@@ -23,7 +23,7 @@ ends configured exactly as it started.
 
 Every transition is traced and — because levels change the decision
 function — bumps the manager's capacity epoch via ``state.touch()``,
-keeping the gate memo sound.
+keeping the negative-result memo sound.
 Observations happen at the kernel's TICK events with queue occupancy
 as the pressure signal, so the whole controller is a deterministic
 function of the event stream and replays bit-identically.

@@ -1,7 +1,7 @@
 """Machine-readable failure reason codes, shared across every layer.
 
 Before the :mod:`repro.api` façade the library described *why* an
-admission failed with free-form f-strings: the gate memo, the
+admission failed with free-form f-strings: the negative-result memo, the
 :class:`~repro.manager.layout.AllocationFailure` exception, the sim
 service's drop records and the fault-recovery report all carried
 strings that callers compared verbatim.  This module interns those
@@ -46,10 +46,9 @@ class ReasonCode(enum.StrEnum):
     # -- specification problems (pre-pipeline) -------------------------------
     INVALID_SPECIFICATION = "invalid_specification"
 
-    # -- admission gate / binding phase --------------------------------------
+    # -- binding phase --------------------------------------------------------
     #: some task has no implementation with any feasible element right
-    #: now — raised identically by the gate's availability check and
-    #: the binder's first regret round
+    #: now — raised by the binder's regret rounds
     NO_FEASIBLE_IMPLEMENTATION = "no_feasible_implementation"
     BINDING_INFEASIBLE = "binding_infeasible"
 

@@ -196,7 +196,7 @@ class ServiceMetrics:
 
         ``timings`` is a :class:`~repro.manager.layout.PhaseTimings`;
         only phases that actually ran contribute a sample, so a
-        binding-gated rejection does not pollute the mapping histogram
+        rejection in binding does not pollute the mapping histogram
         with zeros.
         """
         if timings is None:

@@ -336,7 +336,6 @@ def run_recipe(
     recipe: dict,
     trace_path=None,
     obs: Observability | None = None,
-    fastpath: bool = True,
 ) -> SimulationResult:
     """Execute a recipe; optionally write the JSONL trace (header first).
 
@@ -345,11 +344,8 @@ def run_recipe(
     :func:`~repro.cluster.sim.run_cluster_simulation`, any other
     :func:`~repro.sim.run.run_simulation`; a set key of the other
     backend raises ``ValueError`` as in :func:`build_recipe`.
-    ``fastpath`` toggles the manager's admission gate/memo; it is
-    deliberately *not* part of the recipe — it changes wall-clock,
-    never decisions, so a trace recorded either way replays both
-    ways.  ``obs`` is excluded from the recipe for the same reason:
-    metrics and spans observe the run without influencing it.
+    ``obs`` is deliberately *not* part of the recipe: metrics and
+    spans observe the run without influencing it.
     """
     cluster = "shards" in recipe
     knobs = _backend_knobs(recipe, "cluster" if cluster else "plain")
@@ -387,7 +383,6 @@ def run_recipe(
             kills=kills,
             liveness=LivenessPolicy.from_params(knobs["heartbeat"]),
             recovery=RecoveryPolicy.from_params(knobs["recovery"]),
-            fastpath=fastpath,
             allow_split=bool(knobs["allow_split"]),
             obs=obs,
             overload=overload,
@@ -403,7 +398,6 @@ def run_recipe(
         )
         result = run_simulation(
             platform, classes, policy, config, faults=faults,
-            fastpath=fastpath,
             resilience=ResilienceConfig.from_spec(knobs["resilience"]),
             obs=obs,
             overload=overload,

@@ -61,7 +61,8 @@ class SimulationResult:
     wall_seconds: float = 0.0
     events_processed: int = 0
     post_drain_utilization: float | None = None
-    #: the manager's gate/memo counters (zeros when fastpath is off)
+    #: the manager's memo counters (``Kairos.fastpath_stats``); None
+    #: for a ``ClusterManager``, which keeps one memo per shard
     fastpath_stats: dict | None = None
     #: end-of-run overload controller states (None without a config)
     overload_stats: dict | None = None
@@ -212,7 +213,6 @@ def run_simulation(
     config: SimulationConfig = SimulationConfig(),
     faults: tuple[tuple[float, Fault], ...] = (),
     weights: CostWeights = BOTH,
-    fastpath: bool = True,
     resilience: ResilienceConfig | None = None,
     obs: Observability | None = None,
     overload: OverloadConfig | None = None,
@@ -224,12 +224,9 @@ def run_simulation(
     Deterministic for a given (platform, classes, policy, config,
     faults): all randomness flows from seeded RNGs — the kernel RNG
     (holding times) and one stream per traffic class (arrivals),
-    seeded from ``config.seed`` and the class name.  ``fastpath``
-    toggles the manager's admission gate and negative-result memo;
-    decisions and traces are bit-identical either way (asserted by
-    ``tests/test_fastpath.py``) — only the wall-clock changes.
-    ``obs`` attaches an :class:`~repro.obs.Observability` bundle
-    (metric registry + span tracer); observability is read-only — it
+    seeded from ``config.seed`` and the class name.  ``obs`` attaches
+    an :class:`~repro.obs.Observability` bundle (metric registry +
+    span tracer); observability is read-only — it
     never feeds a decision, so an instrumented run produces the same
     trace as a bare one (asserted by ``tests/test_obs.py``).
     Stateful arrival processes (MMPP) are reset at start-up so traffic
@@ -237,8 +234,8 @@ def run_simulation(
     its queue holds requests bound to one run's kernel, so reuse is
     rejected.  ``mapper`` selects the placement strategy from the
     phase-pipeline registry (``kairos``, ``first_fit``, ``random``,
-    ``annealing``, ``optimal``) — unlike fastpath this
-    *does* change decisions, so it is part of the recipe.
+    ``annealing``, ``optimal``) — unlike ``obs`` this *does* change
+    decisions, so it is part of the recipe.
     """
     kernel = EventKernel(seed=config.seed)
     health = (
@@ -246,7 +243,7 @@ def run_simulation(
     )
     manager = Kairos(
         platform, weights=weights, validation_mode="skip",
-        fastpath=fastpath, health=health, obs=obs,
+        health=health, obs=obs,
     )
     if mapper != "kairos" or mapper_params:
         # swap only the mapping phase; binder/router/validator stay at

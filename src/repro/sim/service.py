@@ -212,7 +212,7 @@ class AdmissionService:
         it is, and a backfill that a drained record asks for while one
         is running is deferred (see :meth:`backfill`).  A re-probe
         against an unchanged capacity epoch is answered by the
-        manager's gate memo (see
+        manager's negative-result memo (see
         :class:`~repro.manager.kairos.AdmissionGate`).
         """
         if request.holding is None and request.cls is None:
@@ -605,7 +605,7 @@ class AdmissionService:
         transitions = self.health.observe(now)
         if transitions:
             # soft penalties changed without a ledger mutation: bump
-            # the capacity epoch so the gate memo cannot replay
+            # the capacity epoch so the memo cannot replay
             # outcomes computed against the old cost surface
             self.manager.touch()
             self._note_transitions(transitions, now)
@@ -643,7 +643,7 @@ class AdmissionService:
             occupancy = self.policy.depth() / capacity if capacity else 0.0
             for was, level, action in self._brownout.observe(occupancy):
                 # levels change the decision function (mapper, search
-                # depth): bump the epoch so the gate memo cannot
+                # depth): bump the epoch so the memo cannot
                 # replay pre-transition outcomes
                 self.manager.touch()
                 self.metrics.brownout_transitions += 1

@@ -22,6 +22,7 @@ budget; tests with an explicit count are pinned deliberately.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings as _hypothesis_settings
@@ -54,6 +55,7 @@ from repro.arch import (
     crisp,
     mesh,
 )
+from repro.manager.kairos import AdmissionGate
 
 
 @pytest.fixture
@@ -129,6 +131,24 @@ def admit_or_raise(manager, app, app_id=None):
     if not decision.admitted:
         raise decision.failure
     return decision.layout
+
+
+@contextmanager
+def unmemoized(*managers):
+    """Memo replay off inside the block — for ``managers`` only, or for
+    every manager when none is named: each attempt runs the pipeline,
+    the oracle a memoized manager's decisions must equal.  Rejections
+    are still recorded, so the memo is warm when the block ends."""
+    off = {id(manager._gate) for manager in managers}
+    replay = AdmissionGate.check_memo
+
+    def check_memo(gate, digest, app_id):
+        if managers and id(gate) not in off:
+            replay(gate, digest, app_id)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AdmissionGate, "check_memo", check_memo)
+        yield
 
 
 @pytest.fixture

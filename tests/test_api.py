@@ -53,6 +53,7 @@ from repro.core.search import RingSearch, SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
 from repro.validation import validate_layout
+from tests.conftest import unmemoized
 
 
 def app_of(seed, internals=3, name=None):
@@ -120,7 +121,7 @@ class TestPlan:
         assert state_fingerprint(controller.state) == before
 
     def test_attempt_inside_open_transaction_is_refused(self):
-        """The gate memo is keyed on committed epochs, so an attempt
+        """The memo is keyed on committed epochs, so an attempt
         that would observe an uncommitted one raises before the memo is
         read or written — the recorded entry survives and replays."""
         controller = fresh_controller(2, 2)
@@ -435,13 +436,16 @@ class TestStrategyRegistry:
 
 
 class TestReasonCodes:
-    def test_gate_rejection_carries_code(self):
-        app = app_of(1, internals=60)
-        decision = fresh_controller(2, 2).admit(app)
-        reference = fresh_controller(2, 2, fastpath=False).admit(app)
-        assert not decision.admitted and not reference.admitted
-        assert decision.gated
-        assert decision.code is reference.code
+    def test_unfit_task_is_rejected_by_the_binder_with_code(self):
+        """A request too big for every element fails in the binder's
+        first round: its code, a measured binding phase, not gated."""
+        decision = fresh_controller(2, 2).admit(app_of(1, internals=60))
+        assert not decision.admitted
+        assert decision.phase is Phase.BINDING
+        assert decision.code is ReasonCode.NO_FEASIBLE_IMPLEMENTATION
+        assert "has no feasible implementation" in decision.reason
+        assert not decision.gated and not decision.memoized
+        assert "binding" in dict(decision.timings.recorded_items())
 
     def test_memo_replay_preserves_code(self):
         controller = fresh_controller(2, 2)
@@ -453,41 +457,42 @@ class TestReasonCodes:
         assert second.code is first.code
 
     def test_binder_and_gate_agree_on_phase_and_family(self):
-        """Gated and ungated rejections carry the same phase, reason
-        and code: the gate only asks the binder's own first-round
-        question."""
-        gated = fresh_controller(2, 2)
-        ungated = fresh_controller(2, 2, fastpath=False)
+        """A memo replay carries the phase, reason and code the binder
+        raises when the pipeline runs again."""
+        controller = fresh_controller(2, 2)
         app = app_of(3, internals=60)
-        a = gated.admit(app)
-        b = ungated.admit(app)
-        assert not a.admitted and not b.admitted
+        controller.admit(app, "a1")
+        a = controller.admit(app, "a2")
+        with unmemoized(controller.manager):
+            b = controller.admit(app, "a3")
+        assert a.memoized and not b.memoized
         assert a.phase == b.phase == Phase.BINDING
         assert (a.reason, a.code) == (b.reason, b.code)
 
     def test_gate_layer3_matches_binder_code(self):
         """A rejection on a filled platform carries the binder's exact
-        reason AND code, gated or not."""
+        reason AND code, memoized or not."""
         controller = fresh_controller(2, 2)
         # fill the platform until an admission fails, then replay the
-        # same history on an ungated controller
+        # same history on a controller with memo replay off
         seed = 0
         while True:
             decision = controller.admit(app_of(seed), f"f{seed}")
             seed += 1
             if not decision.admitted:
                 break
-        gated_failure = decision
-        ungated = AdmissionController(
-            mesh(2, 2), validation_mode="skip", fastpath=False
-        )
-        for s in range(seed - 1):
-            ungated.admit(app_of(s), f"f{s}")
-        reference = ungated.admit(app_of(seed - 1), f"f{seed - 1}")
-        assert not reference.admitted
-        assert gated_failure.phase == reference.phase
-        assert gated_failure.reason == reference.reason
-        assert gated_failure.code is reference.code
+        memoized = controller.admit(app_of(seed - 1), "again")
+        assert memoized.memoized
+        reference = fresh_controller(2, 2)
+        with unmemoized(reference.manager):
+            for s in range(seed - 1):
+                reference.admit(app_of(s), f"f{s}")
+            replayed = reference.admit(app_of(seed - 1), f"f{seed - 1}")
+        assert not replayed.admitted
+        for failure in (decision, memoized):
+            assert failure.phase == replayed.phase
+            assert failure.reason == replayed.reason
+            assert failure.code is replayed.code
 
     def test_invalid_specification_code(self):
         from repro.apps.taskgraph import Application

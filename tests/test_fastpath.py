@@ -1,4 +1,4 @@
-"""The admission fast path: epochs, memo, gate, availability.
+"""The admission fast path: epochs, the memo, availability.
 
 The fast path's entire contract is *make failure cheap without
 changing a single decision*.  These tests pin both halves:
@@ -8,12 +8,17 @@ changing a single decision*.  These tests pin both halves:
 * the negative-result memo never serves a stale rejection — any
   capacity freed (vacate, heal, rollback-free interleavings) bumps the
   epoch and forces a fresh pipeline run;
-* gated and ungated managers produce bit-identical layouts and
-  failures — phase, reason and code — across seeded churn and service
-  workloads, and the committed pre-fast-path service trace still
-  replays bit-for-bit;
+* memoized managers and managers with memo replay switched off
+  produce bit-identical layouts and failures — phase, reason and code
+  — across seeded churn and service workloads, and the committed
+  pre-fast-path service trace still replays bit-for-bit;
+* a request that fits nowhere fails in the binder's first round, and
+  only its re-probes are memoized; every attempt the memo does not
+  answer is one pipeline run (one ``bind`` call);
+* a cost reading state outside the ledgers is re-consulted after
+  ``touch()``, and only then;
 * the service's re-probes against an unchanged epoch are answered by
-  the gate memo, and per-phase latency histograms are recorded.
+  the memo, and per-phase latency histograms are recorded.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.api.pipeline
+import repro.binding.binder
 from repro.apps import (
     Application,
     Implementation,
@@ -43,10 +50,11 @@ from repro.arch import (
     torus,
 )
 from repro.core.cost import CostWeights, MappingCost
-from repro.core.mapping import MappingError, map_application
+from repro.core.mapping import MappingError, MappingOptions, map_application
 from repro.core.search import SparseDistanceMatrix
 from repro.experiments import ChurnConfig, churn_pool, run_admission_churn
 from repro.manager import AllocationFailure, Kairos, Phase
+from repro.reasons import ReasonCode
 from repro.sim import (
     AdmissionService,
     FifoPolicy,
@@ -56,7 +64,7 @@ from repro.sim import (
     replay_trace,
     run_simulation,
 )
-from tests.conftest import admit_or_raise
+from tests.conftest import admit_or_raise, unmemoized
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -278,56 +286,111 @@ class TestMemoAndGate:
             admit_or_raise(manager, failed_app, "p3")
         assert not after_heal.value.memoized
 
-    def test_gate_rejects_aggregate_overdemand_like_the_binder(self):
-        platform = mesh(2, 2)
-        capacity = platform.elements[0].capacity["cycles"]
-        per_task = int(capacity * 0.9)
-        app = Application("overdemand")
-        previous = None
-        for index in range(len(platform.elements) + 1):
-            task = Task(
-                f"t{index}",
-                (dsp_implementation(f"i{index}", cycles=per_task),),
-            )
-            app.add_task(task)
-            if previous is not None:
-                app.connect(previous, task.name)
-            previous = task.name
-        gated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=True)
-        ungated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=False)
-        with pytest.raises(AllocationFailure) as gated_exc:
-            admit_or_raise(gated, app, "x")
-        with pytest.raises(AllocationFailure) as ungated_exc:
-            admit_or_raise(ungated, app, "x")
-        # every task fits some element on its own, so the over-demand
-        # passes the gate and fails in the binder, gated and ungated
-        assert not gated_exc.value.gated
-        assert gated.fastpath_stats["gate_passes"] == 1
-        assert (
-            gated_exc.value.phase, gated_exc.value.reason,
-            gated_exc.value.code,
-        ) == (
-            ungated_exc.value.phase, ungated_exc.value.reason,
-            ungated_exc.value.code,
-        )
-        assert gated_exc.value.phase is Phase.BINDING
-
-    def test_gate_rejection_carries_timings_and_matches_binder_reason(self):
+    def _unfit_app(self):
         app = Application("huge")
-        # fits the aggregate (4 x 100 cycles) but no single element —
-        # exercises the per-task layer, whose message is the binder's
+        # 150 cycles fit the 2x2 mesh's aggregate (4 x 100) but no
+        # single element
         app.add_task(Task("t", (dsp_implementation("i", cycles=150),)))
-        gated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=True)
-        ungated = Kairos(mesh(2, 2), validation_mode="skip", fastpath=False)
-        with pytest.raises(AllocationFailure) as gated_exc:
-            admit_or_raise(gated, app, "x")
-        with pytest.raises(AllocationFailure) as ungated_exc:
-            admit_or_raise(ungated, app, "x")
-        assert gated_exc.value.gated
-        # per-task gate rejections reproduce the binder's message
-        assert gated_exc.value.reason == ungated_exc.value.reason
-        recorded = dict(gated_exc.value.timings.recorded_items())
-        assert set(recorded) == {"binding"}
+        return app
+
+    def test_unfit_task_fails_in_the_binder_with_a_binding_sample(self):
+        """The request fails in the binder's first regret round: the
+        binder's message and code, one pipeline run, a measured binding
+        phase and nothing after it."""
+        manager = Kairos(mesh(2, 2), validation_mode="skip")
+        with pytest.raises(AllocationFailure) as exc:
+            admit_or_raise(manager, self._unfit_app(), "x")
+        failure = exc.value
+        assert failure.phase is Phase.BINDING
+        assert failure.reason == (
+            "task 't' of 'huge' has no feasible implementation "
+            "(insufficient platform resources)"
+        )
+        assert failure.code is ReasonCode.NO_FEASIBLE_IMPLEMENTATION
+        assert not failure.gated and not failure.memoized
+        recorded = dict(failure.timings.recorded_items())
+        assert set(recorded) == {"binding"} and recorded["binding"] > 0
+        assert manager.fastpath_stats == {
+            "memo_hits": 0, "gate_rejections": 0, "gate_passes": 1,
+        }
+
+    def test_reprobe_of_an_unfit_task_is_memoized_without_timings(self):
+        manager = Kairos(mesh(2, 2), validation_mode="skip")
+        app = self._unfit_app()
+        with pytest.raises(AllocationFailure) as first:
+            admit_or_raise(manager, app, "x")
+        with pytest.raises(AllocationFailure) as again:
+            admit_or_raise(manager, app, "y")
+        assert again.value.memoized and not again.value.gated
+        assert again.value.timings is None
+        assert (again.value.phase, again.value.reason, again.value.code) == (
+            first.value.phase, first.value.reason, first.value.code
+        )
+        assert manager.fastpath_stats == {
+            "memo_hits": 1, "gate_rejections": 0, "gate_passes": 1,
+        }
+
+    def test_touch_revokes_a_rejection_an_outside_input_caused(self):
+        """A cost reading a dict outside the ledgers: after the dict
+        changes the memo still replays the rejection (the epoch did not
+        move), and after ``touch()`` the pipeline re-runs and admits."""
+        platform = mesh(1, 5)
+        capacity = platform.elements[0].capacity["cycles"]
+        outside = {"prefer_right": True}
+
+        def cost(app, app_id, task, element, state, placement, distances):
+            column = int(element.name.rsplit("_", 1)[1])
+            return -column if outside["prefer_right"] else column
+
+        manager = Kairos(
+            platform, weights=cost, validation_mode="skip",
+            mapping_options=MappingOptions(max_rings=3),
+        )
+        for name in ("dsp_0_2", "dsp_0_3"):
+            manager.state.occupy(
+                name, "wall", name, ResourceVector(cycles=capacity)
+            )
+        app = Application("pair")
+        for task in ("a", "b"):
+            app.add_task(
+                Task(task, (dsp_implementation(f"i{task}", cycles=capacity),))
+            )
+        app.connect("a", "b")
+        # anchored on dsp_0_4, task b's only free element is out of reach
+        with pytest.raises(AllocationFailure) as far:
+            admit_or_raise(manager, app, "p1")
+        assert far.value.code is ReasonCode.MAPPING_SEARCH_EXHAUSTED
+        outside["prefer_right"] = False
+        with pytest.raises(AllocationFailure) as stale:
+            admit_or_raise(manager, app, "p2")
+        assert stale.value.memoized
+        manager.touch()
+        layout = admit_or_raise(manager, app, "p3")
+        assert layout.placement == {"a": "dsp_0_0", "b": "dsp_0_1"}
+        assert manager.fastpath_stats["gate_passes"] == 2
+
+    def test_every_attempt_the_memo_does_not_answer_is_one_bind_call(self):
+        """``gate_passes`` counts pipeline runs: over a service run with
+        churn and memo hits it equals the calls of the binder (the
+        benchmark harness asserts the same of its traced laps)."""
+        calls = [0]
+        original = repro.binding.binder.bind
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        classes = default_traffic_classes(seed=7, rate_scale=8.0, pool_size=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.binding.binder, "bind", counting)
+            patch.setattr(repro.api.pipeline, "bind", counting)
+            result = run_simulation(
+                mesh(4, 4), classes, make_policy("priority"),
+                SimulationConfig(duration=40.0, seed=7),
+            )
+        stats = result.fastpath_stats
+        assert stats["memo_hits"] > 0 and stats["gate_rejections"] == 0
+        assert calls[0] == stats["gate_passes"] > 0
 
     # profile-governed lockstep property test: the example budget
     # follows the Hypothesis profile registered in conftest.py
@@ -341,64 +404,66 @@ class TestMemoAndGate:
     @example(seed=0, case="hetero")
     @example(seed=0, case="mesh")
     def test_gated_and_ungated_managers_in_lockstep(self, seed, case):
-        """Every gated decision is the ungated pipeline's: the same
-        layout on success, the same ``(phase, reason, code)`` on
-        failure — the gate never rejects with a reason of its own."""
+        """Every memoized decision is the pipeline's: the same layout
+        on success, the same ``(phase, reason, code)`` on failure as a
+        manager with memo replay switched off."""
         platform, pool = _lockstep_case(case)
         element_names = [e.name for e in platform.elements]
-        gated = Kairos(platform, validation_mode="skip", fastpath=True)
-        ungated = Kairos(platform, validation_mode="skip", fastpath=False)
+        memoized = Kairos(platform, validation_mode="skip")
+        reference = Kairos(platform, validation_mode="skip")
+        managers = (memoized, reference)
         rng = random.Random(seed)
         resident: list[str] = []
-        for step in range(70):
-            roll = rng.random()
-            if roll < 0.55 or not resident:
-                app = pool[rng.randrange(len(pool))]
-                app_id = f"s{seed}_a{step}"
-                outcomes = []
-                for manager in (gated, ungated):
-                    try:
-                        layout = admit_or_raise(manager, app, app_id)
-                        outcomes.append((
-                            "ok",
-                            tuple(sorted(layout.placement.items())),
-                            tuple(
-                                (name, route.path) for name, route
-                                in sorted(layout.routes.items())
-                            ),
-                        ))
-                    except AllocationFailure as exc:
-                        outcomes.append(
-                            ("fail", exc.phase.value, exc.reason, exc.code)
-                        )
-                assert outcomes[0] == outcomes[1], (case, seed, step)
-                if outcomes[0][0] == "ok":
-                    resident.append(app_id)
-            elif roll < 0.85:
-                app_id = resident.pop(rng.randrange(len(resident)))
-                gated.release(app_id)
-                ungated.release(app_id)
-            elif roll < 0.93:
-                element = rng.choice(element_names)
-                gated.state.fail_element(element)
-                ungated.state.fail_element(element)
-            else:
-                element = rng.choice(element_names)
-                gated.state.heal_element(element)
-                ungated.state.heal_element(element)
-        snap_gated = gated.state.snapshot()
-        snap_ungated = ungated.state.snapshot()
-        assert snap_gated == snap_ungated
-        gated.release_all()
-        ungated.release_all()
+        with unmemoized(reference):
+            for step in range(70):
+                roll = rng.random()
+                if roll < 0.55 or not resident:
+                    app = pool[rng.randrange(len(pool))]
+                    app_id = f"s{seed}_a{step}"
+                    outcomes = []
+                    for manager in managers:
+                        try:
+                            layout = admit_or_raise(manager, app, app_id)
+                            outcomes.append((
+                                "ok",
+                                tuple(sorted(layout.placement.items())),
+                                tuple(
+                                    (name, route.path) for name, route
+                                    in sorted(layout.routes.items())
+                                ),
+                            ))
+                        except AllocationFailure as exc:
+                            outcomes.append(
+                                ("fail", exc.phase.value, exc.reason, exc.code)
+                            )
+                    assert outcomes[0] == outcomes[1], (case, seed, step)
+                    if outcomes[0][0] == "ok":
+                        resident.append(app_id)
+                elif roll < 0.85:
+                    app_id = resident.pop(rng.randrange(len(resident)))
+                    for manager in managers:
+                        manager.release(app_id)
+                elif roll < 0.93:
+                    element = rng.choice(element_names)
+                    for manager in managers:
+                        manager.state.fail_element(element)
+                else:
+                    element = rng.choice(element_names)
+                    for manager in managers:
+                        manager.state.heal_element(element)
+        assert reference.fastpath_stats["memo_hits"] == 0
+        assert memoized.state.snapshot() == reference.state.snapshot()
+        for manager in managers:
+            manager.release_all()
 
 
 class TestBitIdentity:
     def test_churn_identical_gated_vs_ungated(self):
         pool = churn_pool(count=10, seed=0)
         config = ChurnConfig(steps=60, target_utilization=0.8, seed=0)
-        gated = run_admission_churn(pool, mesh(8, 8), config, fastpath=True)
-        ungated = run_admission_churn(pool, mesh(8, 8), config, fastpath=False)
+        gated = run_admission_churn(pool, mesh(8, 8), config)
+        with unmemoized():
+            ungated = run_admission_churn(pool, mesh(8, 8), config)
         assert gated.layouts == ungated.layouts
         assert (gated.admitted, gated.rejected, gated.released) == (
             ungated.admitted, ungated.rejected, ungated.released
@@ -407,15 +472,16 @@ class TestBitIdentity:
     @pytest.mark.parametrize("policy", ["reject", "fifo", "priority", "retry"])
     def test_service_traces_identical_gated_vs_ungated(self, policy):
         classes = default_traffic_classes(seed=2, rate_scale=6.0, pool_size=4)
-        traces = []
-        for fastpath in (True, False):
-            result = run_simulation(
+
+        def trace():
+            return run_simulation(
                 mesh(6, 6), classes, make_policy(policy),
                 SimulationConfig(duration=40.0, seed=3),
-                fastpath=fastpath,
-            )
-            traces.append(result.trace)
-        assert traces[0] == traces[1]
+            ).trace
+
+        memoized = trace()
+        with unmemoized():
+            assert trace() == memoized
 
     def test_pre_fastpath_trace_replays_bit_identically(self):
         identical, differences, _result = replay_trace(
@@ -432,7 +498,7 @@ class TestServiceFastPath:
         epoch.  Each such probe reaches the manager, whose gate memo
         replays the earlier rejection: the memo's hits are exactly the
         probes of a (spec digest, epoch) that already failed, and the
-        decisions equal the ungated manager's."""
+        decisions equal those of a run with memo replay off."""
         failed: set = set()
         counts = {"same_spec": 0, "same_request": 0}
         failed_epoch_of: dict = {}
@@ -453,20 +519,22 @@ class TestServiceFastPath:
 
         monkeypatch.setattr(AdmissionService, "try_admit", spy)
         classes = default_traffic_classes(seed=7, rate_scale=8.0, pool_size=4)
-        results = []
-        for fastpath in (True, False):
-            results.append(run_simulation(
+
+        def run():
+            return run_simulation(
                 mesh(4, 4), classes, FifoPolicy(capacity=12, timeout=2.5),
                 SimulationConfig(duration=50.0, seed=7),
-                fastpath=fastpath,
-            ))
-            if fastpath:
-                memo_counts = dict(counts)
-        gated, ungated = results
-        assert gated.metrics.drops.get("timeout", 0) > 0
+            )
+
+        memoized = run()
+        memo_counts = dict(counts)
+        with unmemoized():
+            reference = run()
+        assert memoized.metrics.drops.get("timeout", 0) > 0
         assert memo_counts["same_request"] > 0
-        assert gated.fastpath_stats["memo_hits"] == memo_counts["same_spec"]
-        assert gated.trace == ungated.trace
+        assert memoized.fastpath_stats["memo_hits"] == memo_counts["same_spec"]
+        assert reference.fastpath_stats["memo_hits"] == 0
+        assert memoized.trace == reference.trace
 
     def test_phase_latency_histograms_recorded(self):
         classes = default_traffic_classes(seed=2, rate_scale=6.0, pool_size=4)

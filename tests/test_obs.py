@@ -470,12 +470,22 @@ class TestServiceIntegration:
         assert self._run(obs=obs).observability is obs
         assert self._run().observability is DISABLED
 
-    def test_stats_read_through_works_without_observability(self):
-        # the deprecation-compat satellite: the old attribute names on
-        # fastpath_stats still read correctly with the default (null)
-        # registry
+    def test_stats_read_through_works_without_observability(
+        self, monkeypatch
+    ):
+        # fastpath_stats reads the manager's own counters back with the
+        # default (null) registry: gate_passes counts pipeline runs
+        from repro.api.pipeline import PhasePipeline
+        runs = [0]
+        original = PhasePipeline.run
+
+        def counting(self, *args, **kwargs):
+            runs[0] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhasePipeline, "run", counting)
         result = self._run()
-        assert result.fastpath_stats["gate_passes"] > 0
+        assert result.fastpath_stats["gate_passes"] == runs[0] > 0
 
 
 class TestObsCli:
